@@ -1,12 +1,16 @@
-"""Hot loops for orbit generation and sequential recursions.
+"""Orbit generation and the one recursion engine of the package.
 
-Every kernel is written so that it runs identically with or without numba:
-the jit decorator is a no-op fallback when numba is unavailable. All kernels
-carry explicit scalar state in and out so callers can stream long runs in
-blocks without materializing the whole sequence. Callers pass coefficient
-blocks through loop_input, which keeps the array for numba and hands plain
-Python a list of builtin complex numbers: indexing an ndarray yields numpy
-scalars, whose arithmetic is about three times slower.
+Every recursion (transfer products, the polynomials of both kinds, the
+Prufer circle variable, the resolvent formula's monic pairs) is a product of
+monic Szego steps P(alpha, z) = [[z, -conj(alpha)], [-alpha z, 1]] applied
+to a state pair (top, bot). The engine never divides by rho: callers
+subtract sum log rho themselves, so alpha = +-1 (rho = 0) is a legal step.
+monic_scan picks its schedule from the shapes. A wide batch (many angles or
+samples) advances one step at a time over the batch axis. A narrow one (a
+long orbit) is cut along time into about sqrt(steps) chunks, which advance
+side by side from the identity; their products are then combined in order,
+and a second pass from the chunk starts records per-step values (Blelloch,
+"Prefix sums and their applications", 1990; Martin & Cundy, ICLR 2018).
 """
 
 from __future__ import annotations
@@ -15,32 +19,15 @@ import math
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(f):
-            return f
-
-        return wrap
-
-
 _TWO_PI = 2.0 * math.pi
 
+# |P| <= 2 bounds the growth between renormalizations, and |det P| = rho^2
+# the decay, for |alpha| up to 1 - 1e-6
+RENORM_EVERY = 32
+# from this many rows on, one step at a time over the batch keeps numpy busy
+WIDE_BATCH = 64
 
-def loop_input(alphas: np.ndarray):
-    """The coefficient block in the form the kernels iterate fastest."""
-    return alphas if HAVE_NUMBA else alphas.tolist()
 
-
-@njit(cache=True)
 def orbit_block(a00, a01, a10, a11, x, y, out_x, out_y):
     """Fill out_x/out_y with the orbit points starting at (x, y); return the
     point following the last recorded one (the carry for the next block)."""
@@ -52,87 +39,109 @@ def orbit_block(a00, a01, a10, a11, x, y, out_x, out_y):
     return x, y
 
 
-@njit(cache=True)
-def transfer_block(alphas, s, m00, m01, m10, m11, log_scale):
-    """Left-multiply the running product by the step matrix of each alpha.
+def _renormalize(top, bot, log_scale):
+    """Divide each state by its max-entry modulus (over the trailing axis of
+    both halves) and add the log of that modulus to log_scale."""
+    mx = np.maximum(np.abs(top).max(axis=-1), np.abs(bot).max(axis=-1))
+    mx[mx == 0.0] = 1.0
+    top /= mx[..., None]
+    bot /= mx[..., None]
+    log_scale += np.log(mx)
 
-    s is the square root of the spectral parameter. Renormalizes by the
-    max-entry modulus every step, accumulating its log.
+
+def _steps(at, z, top, bot, log_scale, ratio=None):
+    """The inner loop: top, bot <- P(at[k], z) (top, bot) for every k.
+
+    at[k] and z broadcast against the state; log_scale has the state's
+    shape without the trailing axis. ratio, when given, receives the
+    pre-step top/bot of every step.
     """
-    inv_s = 1.0 / s
-    for k in range(len(alphas)):
-        a = alphas[k]
-        rho = math.sqrt(1.0 - (a.real * a.real + a.imag * a.imag))
-        b00 = s / rho
-        b01 = -a.conjugate() * inv_s / rho
-        b10 = -a * s / rho
-        b11 = inv_s / rho
-        n00 = b00 * m00 + b01 * m10
-        n01 = b00 * m01 + b01 * m11
-        n10 = b10 * m00 + b11 * m10
-        n11 = b10 * m01 + b11 * m11
-        mx = max(abs(n00), abs(n01), abs(n10), abs(n11))
-        m00 = n00 / mx
-        m01 = n01 / mx
-        m10 = n10 / mx
-        m11 = n11 / mx
-        log_scale += math.log(mx)
-    return m00, m01, m10, m11, log_scale
+    act = np.conj(at)
+    z = np.broadcast_to(z, top.shape).copy()
+    zt = np.empty_like(top)
+    tmp = np.empty_like(top)
+    for k in range(at.shape[0]):
+        if ratio is not None:
+            np.divide(top, bot, out=ratio[k])
+        np.multiply(top, z, out=zt)
+        np.multiply(bot, act[k], out=tmp)
+        np.subtract(zt, tmp, out=top)
+        np.multiply(zt, at[k], out=zt)
+        np.subtract(bot, zt, out=bot)
+        if (k + 1) % RENORM_EVERY == 0:
+            _renormalize(top, bot, log_scale)
+    _renormalize(top, bot, log_scale)
 
 
-@njit(cache=True)
-def quad_block(alphas, z, phi, phi_s, psi, psi_s, log_r):
-    """Advance the four-polynomial recursion, jointly renormalized."""
-    for k in range(len(alphas)):
-        a = alphas[k]
-        rho = math.sqrt(1.0 - (a.real * a.real + a.imag * a.imag))
-        ac = a.conjugate()
-        n_phi = (z * phi - ac * phi_s) / rho
-        n_phi_s = (phi_s - a * z * phi) / rho
-        n_psi = (z * psi + ac * psi_s) / rho
-        n_psi_s = (psi_s + a * z * psi) / rho
-        mx = max(abs(n_phi), abs(n_phi_s), abs(n_psi), abs(n_psi_s))
-        phi = n_phi / mx
-        phi_s = n_phi_s / mx
-        psi = n_psi / mx
-        psi_s = n_psi_s / mx
-        log_r += math.log(mx)
-    return phi, phi_s, psi, psi_s, log_r
+def monic_scan(alphas, z, top, bot, record=False):
+    """Apply the monic product of each row of alphas to the state in place.
 
-
-@njit(cache=True)
-def prufer_block(alphas, z, log_r, theta, zeta, zeta_out):
-    """Advance the Prufer recursion; records the pre-step zeta of every step
-    into zeta_out when it is nonempty (len(alphas) entries)."""
-    record = zeta_out.shape[0] > 0
-    for k in range(len(alphas)):
-        a = alphas[k]
+    alphas has shape (rows, steps) with rows 1 or B; z is a scalar or has
+    shape (1,) or (B,); top and bot have shape (B, C), one column per
+    carried vector. On return the state is renormalized and the true state
+    is the stored one times exp(log_scale), the returned (B,) array. With
+    record=True (C = 1 only) the pre-step ratios top/bot of every step come
+    back too, as a (B, steps) array. A coefficient outside the closed unit
+    disk, or any non-finite input, raises ValueError.
+    """
+    alphas = np.asarray(alphas, dtype=np.complex128)
+    z = np.asarray(z, dtype=np.complex128).reshape(-1)
+    if not np.all(alphas.real**2 + alphas.imag**2 <= 1.0):
+        raise ValueError("coefficients must be finite and lie in the closed unit disk")
+    if not np.all(np.isfinite(z)):
+        raise ValueError("spectral parameter must be finite")
+    rows, n = alphas.shape
+    B, C = top.shape
+    log_scale = np.zeros(B)
+    ratio = np.empty((B, n), dtype=np.complex128) if record else None
+    done = 0
+    if B < WIDE_BATCH and n >= 4:
+        K = math.isqrt(n)
+        done = K * (n // K)
+        _chunked(alphas[:, :done].reshape(rows, K, -1), z, top, bot, log_scale, ratio)
+    if done < n:
+        rec = np.empty((n - done, B, C), dtype=np.complex128) if record else None
+        _steps(alphas[:, done:].T[:, :, None], z[:, None], top, bot, log_scale, rec)
         if record:
-            zeta_out[k] = zeta
-        aa = a.real * a.real + a.imag * a.imag
-        az = a * zeta
-        hn = (1.0 + aa - 2.0 * az.real) / (1.0 - aa)
-        log_r += 0.5 * math.log(hn)
-        w = 1.0 - az
-        # |alpha| < 1 forces Re(w) > 0, so the principal branch realizes
-        # the |dtheta| < pi normalization directly.
-        dtheta = -math.atan2(w.imag, w.real)
-        theta += dtheta
-        num = z * zeta * (1.0 + aa - 2.0 * az.real)
-        den = w * w
-        zeta = num / den
-        zeta = zeta / abs(zeta)
-    return log_r, theta, zeta
+            ratio[:, done:] = rec[:, :, 0].T
+    return (log_scale, ratio) if record else log_scale
+
+
+def _chunked(chunks, z, top, bot, log_scale, ratio):
+    """The along-time schedule; chunks is (rows, K, L), L steps per chunk.
+
+    Every chunk's 2x2 product is built from the identity with all chunks of
+    all rows side by side, then the products are applied in order to the
+    carried state. With ratio, a second pass from the chunk start vectors
+    fills its first K*L columns.
+    """
+    rows, K, L = chunks.shape
+    B = top.shape[0]
+    at = np.moveaxis(chunks, 2, 0)[..., None]  # (L, rows, K, 1)
+    zc = z[:, None, None]
+    m_top = np.zeros((B, K, 2), dtype=np.complex128)
+    m_bot = np.zeros((B, K, 2), dtype=np.complex128)
+    m_top[..., 0] = 1.0
+    m_bot[..., 1] = 1.0
+    m_log = np.zeros((B, K))
+    _steps(at, zc, m_top, m_bot, m_log)
+    start_top = np.empty((B, K, top.shape[1]), dtype=np.complex128)
+    start_bot = np.empty_like(start_top)
+    for j in range(K):
+        start_top[:, j], start_bot[:, j] = top, bot
+        m00, m01 = m_top[:, j, 0:1], m_top[:, j, 1:2]
+        m10, m11 = m_bot[:, j, 0:1], m_bot[:, j, 1:2]
+        top[...], bot[...] = m00 * top + m01 * bot, m10 * top + m11 * bot
+        log_scale += m_log[:, j]
+        _renormalize(top, bot, log_scale)
+    if ratio is not None:
+        rec = np.empty((L, B, K, 1), dtype=np.complex128)
+        _steps(at, zc, start_top, start_bot, np.zeros((B, K)), rec)
+        ratio[:, : K * L] = rec[..., 0].transpose(1, 2, 0).reshape(B, K * L)
 
 
 def warmup():
-    """Trigger jit compilation of all kernels on tiny inputs."""
-    ox = np.empty(4)
-    oy = np.empty(4)
-    orbit_block(2.0, 1.0, 1.0, 1.0, 0.3, 0.4, ox, oy)
-    al = np.full(4, 0.05 + 0.02j, dtype=np.complex128)
-    s = complex(math.cos(0.25), math.sin(0.25))
-    transfer_block(al, s, 1.0 + 0j, 0j, 0j, 1.0 + 0j, 0.0)
-    z = s * s
-    quad_block(al, z, 1.0 + 0j, 1.0 + 0j, 1.0 + 0j, 1.0 + 0j, 0.0)
-    prufer_block(al, z, 0.0, 0.0, z, np.empty(4, dtype=np.complex128))
+    """Run the orbit step and the engine once on tiny inputs."""
+    orbit_block(2.0, 1.0, 1.0, 1.0, 0.3, 0.4, np.empty(4), np.empty(4))
+    state = np.ones((2, 1, 1), dtype=np.complex128)
+    monic_scan(np.full((1, 4), 0.05 + 0.02j), 1j, state[0], state[1], record=True)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import warmup
 from .cmv_operator import ConstructionError, build, eigenpairs
 from .experiments import (
     ExperimentPlan,
@@ -864,7 +863,6 @@ _SELFTEST_CHECKS = (
 
 
 def _cmd_selftest(run: RunConfig) -> int:
-    warmup()
     rng = np.random.default_rng(run.seed)
     lines = []
     failures = 0

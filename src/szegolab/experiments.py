@@ -17,10 +17,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.stats
+import scipy.special
 
 from .cmv_operator import build, eigenpairs
-from .prufer import default_decorrelation_time, expansion_diagnostics, zeta_trace
+from .prufer import circle_variables, default_decorrelation_time, expansion_diagnostics
 from .sampling import (
     TrigPolynomial,
     autocorrelation_exact,
@@ -34,11 +34,16 @@ from .szego_cocycle import (
     lyapunov_norm,
     lyapunov_poly,
     lyapunov_poly_many,
+    lyapunov_poly_rows,
 )
-from .torus_dynamics import CAT_MAP, ToralAutomorphism, TorusPoint, orbit_arrays
+from .torus_dynamics import CAT_MAP, TWO_PI, ToralAutomorphism, TorusPoint, orbit_arrays
 from .verblunsky import VerblunskyConfig
 
 MC_CHUNK = 512
+# orbit points (samples x N) handled together inside a chunk: each array of
+# a pass then takes 512 KiB, and N <= 512 still gives the engine a batch of
+# at least 64 samples
+MC_PASS_POINTS = 1 << 15
 CONFIDENCE = 0.95
 
 
@@ -290,7 +295,7 @@ class DeviationRow:
         if self.count == self.samples:
             return 1.0
         return float(
-            scipy.stats.beta.ppf(CONFIDENCE, self.count + 1, self.samples - self.count)
+            scipy.special.betaincinv(self.count + 1, self.samples - self.count, CONFIDENCE)
         )
 
 
@@ -343,32 +348,115 @@ def _fit_positive_cells(rows: list[DeviationRow]) -> FitResult | None:
     return linear_fit([p[0] for p in pts], [math.log(p[1]) for p in pts])
 
 
-def _deviation_chunk(args) -> tuple[int, list[float]]:
+PRUFER_FAMILIES = ("fsq", "mixed", "corr", "zeta2")
+
+
+def _birkhoff_stats(plan, lam, N, F):
+    # builtin abs, not np.abs: the vectorized complex modulus can differ in
+    # the last bit, and the table stays bit for bit what it was
+    return {"birkhoff": np.array([abs(m) for m in np.mean(F, axis=1).tolist()])}
+
+
+def _lyapunov_stats(plan, lam, N, F):
+    eta = plan.etas[0]
+    pred = 0.5 * lam * lam * float(spectral_function(plan.alpha, plan.autom, eta))
+    L = lyapunov_poly_rows(lam * F, SpectralPoint(eta=eta, branch=1))
+    return {"lyapunov": np.abs(L - pred)}
+
+
+def _prufer_lag(plan: ExperimentPlan, lam: float) -> int:
+    probe = VerblunskyConfig(
+        lam=lam, base=TorusPoint.from_radians(0.5, 0.5), autom=plan.autom, alpha=plan.alpha
+    )
+    return default_decorrelation_time(probe)
+
+
+def _prufer_stats(plan, lam, N, F):
+    z = SpectralPoint(eta=plan.etas[0], branch=1).z
+    T = _prufer_lag(plan, lam)
+    corr_limit = sum(
+        (z**sh * autocorrelation_exact(plan.alpha, plan.autom, sh)).real
+        for sh in range(1, T + 1)
+    )
+    top = np.ones((F.shape[0], 1), dtype=np.complex128)
+    bot = np.ones((F.shape[0], 1), dtype=np.complex128)
+    zetas = circle_variables(lam * F, z, top, bot)[0][:, :-1]
+    corr = sum(
+        np.mean((z**sh * np.conj(F[:, : N - sh]) * F[:, sh:]).real, axis=1)
+        for sh in range(1, T + 1)
+    )
+    mixed = np.mean((z**T * zetas[:, : N - T] * F[:, T:]).real, axis=1)
+    return {
+        "fsq": np.abs(np.mean(np.abs(F) ** 2, axis=1) - plan.alpha.mean_square()),
+        "mixed": np.abs(mixed),
+        "corr": np.abs(corr - corr_limit),
+        "zeta2": 0.5 * np.abs(np.mean((zetas**2 * F**2).real, axis=1)),
+    }
+
+
+# family -> statistics of a (samples, N) array of orbit samples, by name
+# in row order
+_STATISTICS = {
+    "birkhoff": _birkhoff_stats,
+    "lyapunov": _lyapunov_stats,
+    "prufer": _prufer_stats,
+}
+
+
+def _deviation_chunk(args) -> dict[str, list[float]]:
     """One deterministic chunk of Monte Carlo samples for one cell.
 
-    Returns the exceedance count and the raw statistic values (the
-    latter feed the q95 calibration column).
+    Draws the chunk's base points, builds the unscaled orbit samples F
+    one orbit at a time, and hands them to the family's statistics in
+    passes of at most MC_PASS_POINTS orbit points. Returns every
+    statistic's raw values.
     """
-    plan, family, cell_index, chunk_index, lam, N, threshold = args
+    plan, family, cell_index, chunk_index, lam, N = args
     lo = chunk_index * MC_CHUNK
     hi = min(lo + MC_CHUNK, plan.samples)
-    rng = plan.rng(cell_index, chunk_index)
-    eta = plan.etas[0]
-    s = SpectralPoint(eta=eta, branch=1)
-    stats: list[float] = []
-    if family == "lyapunov":
-        pred = 0.5 * lam * lam * float(spectral_function(plan.alpha, plan.autom, eta))
-    for _ in range(lo, hi):
-        base = TorusPoint.random(rng)
-        if family == "birkhoff":
-            xs, ys = orbit_arrays(plan.autom, base, N)
-            value = abs(np.mean(evaluate_many(plan.alpha, xs, ys)))
-        else:
-            cfg = VerblunskyConfig(lam=lam, base=base, autom=plan.autom, alpha=plan.alpha)
-            value = abs(lyapunov_poly(cfg, s, N) - pred)
-        stats.append(float(value))
-    count = sum(1 for v in stats if v > threshold)
-    return count, stats
+    bases = plan.rng(cell_index, chunk_index).uniform(0.0, TWO_PI, size=(hi - lo, 2))
+    out: dict[str, list[float]] = {}
+    width = max(1, MC_PASS_POINTS // N)
+    for start in range(0, hi - lo, width):
+        pass_bases = bases[start : start + width].tolist()
+        orbits = np.array([orbit_arrays(plan.autom, TorusPoint(x, y), N) for x, y in pass_bases])
+        F = evaluate_many(plan.alpha, orbits[:, 0], orbits[:, 1])
+        for name, values in _STATISTICS[family](plan, lam, N, F).items():
+            out.setdefault(name, []).extend(values.tolist())
+    return out
+
+
+def _deviation_rows(plan: ExperimentPlan, family: str, threshold_fn, jobs: int):
+    """Rows of every (lambda, N) cell and statistic of the family.
+
+    Chunks run through the pool in a layout fixed by the plan, and are
+    merged in that order, so the rows never depend on jobs.
+    """
+    n_chunks = (plan.samples + MC_CHUNK - 1) // MC_CHUNK
+    cells = [(lam, N, float(threshold_fn(lam))) for lam in plan.lams for N in plan.Ns]
+    work = [
+        (plan, family, ci, c, lam, N)
+        for ci, (lam, N, _) in enumerate(cells)
+        for c in range(n_chunks)
+    ]
+    results = _pool_map(_deviation_chunk, work, jobs)
+    rows = []
+    for ci, (lam, N, thr) in enumerate(cells):
+        chunks = results[ci * n_chunks : (ci + 1) * n_chunks]
+        for name in chunks[0]:
+            stats = np.array([v for chunk in chunks for v in chunk[name]])
+            rows.append(
+                DeviationRow(
+                    family=name,
+                    lam=lam,
+                    N=N,
+                    count=int(np.count_nonzero(stats > thr)),
+                    samples=plan.samples,
+                    threshold=thr,
+                    q95=float(np.quantile(stats, CONFIDENCE)),
+                )
+            )
+    return rows
 
 
 def ldt_deviation(
@@ -392,88 +480,8 @@ def ldt_deviation(
         raise ValueError("family must be 'birkhoff' or 'lyapunov'")
     if threshold_fn is None:
         threshold_fn = (lambda lam: 0.2) if family == "birkhoff" else (lambda lam: lam**3)
-    n_chunks = (plan.samples + MC_CHUNK - 1) // MC_CHUNK
-    rows = []
-    work = []
-    cell_index = 0
-    for lam in plan.lams:
-        for N in plan.Ns:
-            thr = float(threshold_fn(lam))
-            for c in range(n_chunks):
-                work.append((plan, family, cell_index, c, lam, N, thr))
-            cell_index += 1
-    results = _pool_map(_deviation_chunk, work, jobs)
-    per_cell: dict[int, tuple[int, list[float]]] = {}
-    for (plan_, fam_, ci, _, lam, N, thr), (cnt, stats) in zip(work, results):
-        cur = per_cell.setdefault(ci, (0, []))
-        per_cell[ci] = (cur[0] + cnt, cur[1] + stats)
-    cell_index = 0
-    for lam in plan.lams:
-        for N in plan.Ns:
-            thr = float(threshold_fn(lam))
-            cnt, stats = per_cell[cell_index]
-            q95 = float(np.quantile(np.array(stats), CONFIDENCE)) if stats else math.nan
-            rows.append(
-                DeviationRow(
-                    family=family,
-                    lam=lam,
-                    N=N,
-                    count=cnt,
-                    samples=plan.samples,
-                    threshold=thr,
-                    q95=q95,
-                )
-            )
-            cell_index += 1
+    rows = _deviation_rows(plan, family, threshold_fn, jobs)
     return DeviationResult(family=family, rows=tuple(rows), fit=_fit_positive_cells(rows))
-
-
-PRUFER_FAMILIES = ("fsq", "mixed", "corr", "zeta2")
-
-
-def _prufer_chunk(args) -> dict[str, tuple[int, list[float]]]:
-    plan, cell_index, chunk_index, lam, N, threshold = args
-    lo = chunk_index * MC_CHUNK
-    hi = min(lo + MC_CHUNK, plan.samples)
-    rng = plan.rng(cell_index, chunk_index)
-    eta = plan.etas[0]
-    s = SpectralPoint(eta=eta, branch=1)
-    z = s.z
-    c0 = plan.alpha.mean_square()
-    out = {f: (0, []) for f in PRUFER_FAMILIES}
-    probe = VerblunskyConfig(
-        lam=lam, base=TorusPoint.from_radians(0.5, 0.5), autom=plan.autom, alpha=plan.alpha
-    )
-    T = default_decorrelation_time(probe)
-    corr_limit = sum(
-        (z**sh * autocorrelation_exact(plan.alpha, plan.autom, sh)).real
-        for sh in range(1, T + 1)
-    )
-    for _ in range(lo, hi):
-        base = TorusPoint.random(rng)
-        cfg = VerblunskyConfig(lam=lam, base=base, autom=plan.autom, alpha=plan.alpha)
-        xs, ys = orbit_arrays(plan.autom, base, N)
-        F = evaluate_many(plan.alpha, xs, ys)
-        zetas, _ = zeta_trace(cfg, s, N)
-        vals = {
-            "fsq": abs(float(np.mean(np.abs(F) ** 2)) - c0),
-            "mixed": abs(float(np.mean((z**T * zetas[: N - T] * F[T:]).real)))
-            if N > T
-            else 0.0,
-            "corr": abs(
-                sum(
-                    float(np.mean((z**sh * np.conj(F[: N - sh]) * F[sh:]).real))
-                    for sh in range(1, T + 1)
-                )
-                - corr_limit
-            ),
-            "zeta2": 0.5 * abs(float(np.mean((zetas**2 * F**2).real))),
-        }
-        for f, v in vals.items():
-            cnt, lst = out[f]
-            lst.append(v)
-            out[f] = (cnt + (1 if v > threshold else 0), lst)
-    return out
 
 
 def prufer_term_ldt(
@@ -487,45 +495,17 @@ def prufer_term_ldt(
     mean; "mixed" the lagged phase-weighted average Re(z^T zeta_{n-T}
     F_n); "corr" the short-lag correlation sum against its exact limit;
     "zeta2" the squared-phase average Re(zeta_n^2 F_n^2) / 2. All four
-    share the threshold threshold_fn(lambda), default lambda^3.
+    share the threshold threshold_fn(lambda), default lambda^3. Every N
+    must exceed the lag T of the expansion, or the lagged terms have no
+    samples.
     """
     if threshold_fn is None:
         threshold_fn = lambda lam: lam**3
-    n_chunks = (plan.samples + MC_CHUNK - 1) // MC_CHUNK
-    work = []
-    cell_index = 0
     for lam in plan.lams:
-        for N in plan.Ns:
-            thr = float(threshold_fn(lam))
-            for c in range(n_chunks):
-                work.append((plan, cell_index, c, lam, N, thr))
-            cell_index += 1
-    results = _pool_map(_prufer_chunk, work, jobs)
-    merged: dict[tuple[int, str], tuple[int, list[float]]] = {}
-    for (plan_, ci, _, lam, N, thr), res in zip(work, results):
-        for f in PRUFER_FAMILIES:
-            cur = merged.setdefault((ci, f), (0, []))
-            merged[(ci, f)] = (cur[0] + res[f][0], cur[1] + res[f][1])
-    rows = []
-    cell_index = 0
-    for lam in plan.lams:
-        for N in plan.Ns:
-            thr = float(threshold_fn(lam))
-            for f in PRUFER_FAMILIES:
-                cnt, stats = merged[(cell_index, f)]
-                q95 = float(np.quantile(np.array(stats), CONFIDENCE)) if stats else math.nan
-                rows.append(
-                    DeviationRow(
-                        family=f,
-                        lam=lam,
-                        N=N,
-                        count=cnt,
-                        samples=plan.samples,
-                        threshold=thr,
-                        q95=q95,
-                    )
-                )
-            cell_index += 1
+        T = _prufer_lag(plan, lam)
+        if min(plan.Ns) <= T:
+            raise ValueError(f"N = {min(plan.Ns)} must exceed the lag T = {T} at lambda = {lam}")
+    rows = _deviation_rows(plan, "prufer", threshold_fn, jobs)
     per_family = tuple(
         (f, _fit_positive_cells([r for r in rows if r.family == f]))
         for f in PRUFER_FAMILIES

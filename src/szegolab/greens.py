@@ -15,13 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
+from ._kernels import monic_scan
 from .cmv_operator import FiniteCMV, N_BANDS_UP, build, _check_unimodular
 from .szego_cocycle import SpectralPoint
 from .verblunsky import VerblunskyConfig, coefficient, rho, sequence
 
 DIRECT_RESIDUAL_TOL = 1e-10
 BLOWUP_DISTANCE = 1e-12
-RENORM_CAP = 1e100
 
 
 class ResolventBlowupError(Exception):
@@ -112,7 +112,8 @@ def _solve_column(op: FiniteCMV, z: complex, col: int) -> np.ndarray:
         u = sla.solve_banded((N_BANDS_UP, N_BANDS_UP), ab, e)
     except np.linalg.LinAlgError as exc:
         raise ResolventBlowupError(f"singular solve: {exc}", 0.0) from exc
-    norm = float(np.linalg.norm(u))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(u))
     if not math.isfinite(norm) or norm * BLOWUP_DISTANCE > 1.0:
         dist = 0.0 if not math.isfinite(norm) or norm == 0.0 else 1.0 / norm
         raise ResolventBlowupError("resolvent norm blowup", dist)
@@ -136,31 +137,22 @@ def green_direct(q: GreenQuery) -> complex:
 # modulus formula
 
 
-def _monic_scan(alphas: np.ndarray, z: complex, stops: list[int]):
+def _monic_pairs(alphas: np.ndarray, z: complex, stops: list[int]):
     """Renormalized monic pairs after k recursion steps, k in stops.
 
-    State after k steps is (Phi_k, Phi*_k, log_scale) with the true
-    values Phi e^{log_scale}; step k consumes alphas[k]. Returns a dict
-    keyed by the requested step counts.
+    The pair after k steps is (Phi_k, Phi*_k, log_scale) with the true
+    values Phi e^{log_scale}: the monic product of alphas[:k] applied to
+    (1, 1). Returns a dict keyed by the requested step counts.
     """
-    want = set(stops)
-    kmax = max(stops)
-    out = {}
-    phi = 1.0 + 0.0j
-    phs = 1.0 + 0.0j
+    top = np.ones((1, 1), dtype=np.complex128)
+    bot = np.ones((1, 1), dtype=np.complex128)
     ls = 0.0
-    for k in range(kmax + 1):
-        if k in want:
-            out[k] = (phi, phs, ls)
-        if k == kmax:
-            break
-        a = complex(alphas[k])
-        phi, phs = z * phi - a.conjugate() * phs, phs - a * z * phi
-        big = max(abs(phi), abs(phs))
-        if big > RENORM_CAP:
-            phi /= big
-            phs /= big
-            ls += math.log(big)
+    done = 0
+    out = {}
+    for k in sorted(set(stops)):
+        ls += float(monic_scan(alphas[None, done:k], z, top, bot)[0])
+        done = k
+        out[k] = (complex(top[0, 0]), complex(bot[0, 0]), ls)
     return out
 
 
@@ -179,7 +171,7 @@ def _log_green_formula(
     n2: int,
 ) -> float:
     gbar = complex(gamma).conjugate()
-    base = _monic_scan(alphas, z, [n1, n2, b])
+    base = _monic_pairs(alphas, z, [n1, n2, b])
     p1, q1, l1 = base[n1]
     log_det1 = math.log(max(abs(p1), 5e-324)) + l1 if p1 != 0 else -math.inf
     pN, qN, lN = base[b]
@@ -191,41 +183,31 @@ def _log_green_formula(
     if n2 == b:
         log_det2 = 0.0
     else:
-        p2, q2, l2 = base[n2]
-        vals = {}
-        for v in (1.0, -1.0):
-            den = _edge_det(p2, q2, complex(v).conjugate(), z)
-            if den == 0:
-                raise ResolventBlowupError("interior splitting underflow", 0.0)
-            # continue the recursion through the replaced coefficient v
-            suffix = np.concatenate(([v], alphas[n2 + 1 : b]))
-            pv, qv, lv = _resume_scan(p2, q2, l2, suffix, z)
-            num = _edge_det(pv, qv, gbar, z)
-            vals[v] = (num / den, lv - l2)
+        p2, q2, _ = base[n2]
+        splits = np.array([1.0, -1.0])
+        dens = _edge_det(p2, q2, splits, z)
+        if np.any(dens == 0):
+            raise ResolventBlowupError("interior splitting underflow", 0.0)
+        # continue the recursion from the checkpoint through the replaced
+        # coefficient v = +-1 (unimodular, so rho = 0) and on to b
+        rows = np.empty((2, b - n2), dtype=np.complex128)
+        rows[:, 0] = splits
+        rows[:, 1:] = alphas[n2 + 1 : b]
+        top = np.full((2, 1), p2, dtype=np.complex128)
+        bot = np.full((2, 1), q2, dtype=np.complex128)
+        lv = monic_scan(rows, z, top, bot)
+        m_ls = float(lv.max())
+        # det2 is affine in the replaced coefficient: weights 1 - w and w
+        # on v = 1 and v = -1 give its value at alpha_{n2}
         w = (1.0 - complex(alphas[n2])) / 2.0
-        m_ls = max(vals[1.0][1], vals[-1.0][1])
-        det2 = (1 - w) * vals[1.0][0] * math.exp(vals[1.0][1] - m_ls) + w * vals[-1.0][
-            0
-        ] * math.exp(vals[-1.0][1] - m_ls)
+        ratios = _edge_det(top[:, 0], bot[:, 0], gbar, z) / dens
+        det2 = complex(np.sum(np.array([1 - w, w]) * ratios * np.exp(lv - m_ls)))
         if det2 == 0:
             raise ResolventBlowupError("interior determinant underflow", 0.0)
         log_det2 = math.log(abs(det2)) + m_ls
 
     log_rho = float(np.sum(np.log(rhos[n1:n2]))) if n2 > n1 else 0.0
     return log_det1 + log_det2 - log_det3 + log_rho
-
-
-def _resume_scan(phi: complex, phs: complex, ls: float, alphas: np.ndarray, z: complex):
-    """Continue the renormalized monic recursion from a checkpoint."""
-    for a in alphas:
-        a = complex(a)
-        phi, phs = z * phi - a.conjugate() * phs, phs - a * z * phi
-        big = max(abs(phi), abs(phs))
-        if big > RENORM_CAP:
-            phi /= big
-            phs /= big
-            ls += math.log(big)
-    return phi, phs, ls
 
 
 def green_modulus_formula(q: GreenQuery) -> float:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import loop_input, prufer_block
+from ._kernels import monic_scan
 from .sampling import evaluate_many
 from .szego_cocycle import SpectralPoint
 from .torus_dynamics import orbit_blocks
@@ -84,64 +84,72 @@ class PruferTrace:
     final: PruferState
 
 
+def circle_variables(alphas: np.ndarray, z, top: np.ndarray, bot: np.ndarray):
+    """The Prufer terms of a (rows, n) coefficient block.
+
+    top and bot, of shape (rows, 1), carry the polynomial pair
+    (phi_n, phi*_n) into the block and are advanced past it. Returns the
+    circle variables zeta = z phi / phi*, shape (rows, n + 1), seen by every
+    step plus the one after the block, and the half log H_n and dtheta_n
+    of every step, shape (rows, n).
+    """
+    _, ratio = monic_scan(alphas, z, top, bot, record=True)
+    zetas = z * np.concatenate([ratio, top / bot], axis=1)
+    zetas /= np.abs(zetas)
+    az = alphas * zetas[:, :-1]
+    aa = alphas.real**2 + alphas.imag**2
+    half_log_h = 0.5 * np.log((1.0 + aa - 2.0 * az.real) / (1.0 - aa))
+    # |alpha| < 1 forces Re(1 - alpha zeta) > 0, so the principal branch
+    # realizes the |dtheta| < pi normalization directly
+    dtheta = -np.angle(1.0 - az)
+    return zetas, half_log_h, dtheta
+
+
 def run(cfg: VerblunskyConfig, s: SpectralPoint, N: int, thin: int = 1) -> PruferTrace:
     """Iterate the recursion N steps, recording every thin-th state."""
     if N < 0:
         raise ValueError("step count must be nonnegative")
     if thin < 1:
         raise ValueError("thinning stride must be positive")
-    state = init(s)
-    count = N // thin + 1
-    steps = np.empty(count, dtype=np.int64)
-    log_rs = np.empty(count)
-    thetas = np.empty(count)
-    zetas = np.empty(count, dtype=np.complex128)
-    steps[0] = 0
-    log_rs[0], thetas[0], zetas[0] = state.log_r, state.theta, state.zeta
-    filled = 1
-    log_r, theta, zeta = state.log_r, state.theta, state.zeta
+    top = np.ones((1, 1), dtype=np.complex128)
+    bot = np.ones((1, 1), dtype=np.complex128)
+    parts = [(np.zeros(1), np.zeros(1), np.array([s.z]))]
+    log_r, theta, zeta = 0.0, 0.0, s.z
     done = 0
-    empty = np.empty(0, dtype=np.complex128)
     for alphas in iter_blocks(cfg, N):
-        # advance in sub-blocks so every thin boundary lands on a kernel exit
-        offset = 0
-        blen = len(alphas)
-        while offset < blen:
-            next_mark = ((done // thin) + 1) * thin
-            take = min(blen - offset, next_mark - done)
-            block = loop_input(alphas[offset : offset + take])
-            log_r, theta, zeta = prufer_block(block, s.z, log_r, theta, zeta, empty)
-            done += take
-            offset += take
-            if done % thin == 0 and filled < count:
-                steps[filled] = done
-                log_rs[filled] = log_r
-                thetas[filled] = theta
-                zetas[filled] = zeta
-                filled += 1
-    final = PruferState(log_r=log_r, theta=theta, zeta=zeta, n=N)
+        zs, half_log_h, dtheta = circle_variables(alphas[None, :], s.z, top, bot)
+        cum_r = log_r + np.cumsum(half_log_h[0])
+        cum_theta = theta + np.cumsum(dtheta[0])
+        # the thin marks inside this block, as step counts past its start
+        local = np.arange(thin - done % thin, len(alphas) + 1, thin)
+        parts.append((cum_r[local - 1], cum_theta[local - 1], zs[0, local]))
+        log_r, theta, zeta = float(cum_r[-1]), float(cum_theta[-1]), complex(zs[0, -1])
+        done += len(alphas)
+    log_rs, thetas, zetas = (np.concatenate(column) for column in zip(*parts))
     return PruferTrace(
-        steps=steps[:filled],
-        log_r=log_rs[:filled],
-        theta=thetas[:filled],
-        zeta=zetas[:filled],
+        steps=np.arange(0, N + 1, thin, dtype=np.int64),
+        log_r=log_rs,
+        theta=thetas,
+        zeta=zetas,
         thin=thin,
-        final=final,
+        final=PruferState(log_r=log_r, theta=theta, zeta=zeta, n=N),
     )
 
 
 def zeta_trace(cfg: VerblunskyConfig, s: SpectralPoint, N: int) -> tuple[np.ndarray, float]:
     """Circle variables zeta_0 .. zeta_{N-1} (value seen by step n) together
-    with the final log-radius. Materializes N complex values."""
+    with the final log-radius, log r_N = sum of log(H_n) / 2 along the
+    trace. Materializes N complex values."""
+    top = np.ones((1, 1), dtype=np.complex128)
+    bot = np.ones((1, 1), dtype=np.complex128)
     zetas = np.empty(N, dtype=np.complex128)
-    log_r, theta, zeta = 0.0, 0.0, s.z
+    log_r = 0.0
     pos = 0
     for alphas in iter_blocks(cfg, N):
-        blen = len(alphas)
-        log_r, theta, zeta = prufer_block(
-            loop_input(alphas), s.z, log_r, theta, zeta, zetas[pos : pos + blen]
-        )
-        pos += blen
+        zs, half_log_h, _ = circle_variables(alphas[None, :], s.z, top, bot)
+        zetas[pos : pos + len(alphas)] = zs[0, :-1]
+        log_r += float(half_log_h.sum())
+        pos += len(alphas)
     return zetas, log_r
 
 

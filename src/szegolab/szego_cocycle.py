@@ -8,10 +8,11 @@ One step of the cocycle is the determinant-one matrix
 with s a fixed square root of the spectral parameter z on the unit circle.
 Products over the coefficient sequence are accumulated in scaled form
 (matrix times exp(log_scale)) so runs of 10^7 steps neither overflow nor
-lose the exponent. The same module carries the scalar recursion for the
+lose the exponent. The same module carries the recursion for the
 orthogonal polynomials of the first and second kind, which gives an
 independent route to the Lyapunov exponent and a cross-check identity
-tying the product to the polynomials.
+tying the product to the polynomials. Both run on the monic engine of
+_kernels; step_matrix stays as the per-step oracle.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import loop_input, quad_block, transfer_block
+from ._kernels import monic_scan
 from .verblunsky import VerblunskyConfig, iter_blocks
 
 TWO_PI = 2.0 * math.pi
@@ -79,7 +80,7 @@ class ScaledProduct:
     """Product of cocycle steps stored as matrix * exp(log_scale).
 
     The stored matrix has max-entry modulus one by construction (the
-    kernel renormalizes every step), so all the growth lives in log_scale.
+    engine renormalizes the product), so all the growth lives in log_scale.
     """
 
     matrix: np.ndarray
@@ -110,18 +111,29 @@ class ScaledProduct:
         return self.matrix * math.exp(self.log_scale)
 
 
+def _log_rho(alphas: np.ndarray) -> np.ndarray:
+    """Sum of log rho_n = log sqrt(1 - |alpha_n|^2) along the last axis."""
+    aa = alphas.real**2 + alphas.imag**2
+    if not np.all(aa < 1.0):
+        raise ValueError("coefficients must lie strictly inside the unit disk")
+    return 0.5 * np.log1p(-aa).sum(axis=-1)
+
+
 def transfer(cfg: VerblunskyConfig, s: SpectralPoint, N: int) -> ScaledProduct:
-    """N-step cocycle product, later steps multiplying from the left."""
+    """N-step cocycle product, later steps multiplying from the left.
+
+    A(alpha, s) is the monic step P(alpha, z) over rho s, so the product is
+    s^{-N} prod(1/rho) times the monic product started from the identity.
+    """
     if N < 0:
         raise ValueError("step count must be nonnegative")
-    m00, m01, m10, m11 = 1.0 + 0j, 0j, 0j, 1.0 + 0j
+    top = np.array([[1.0, 0.0]], dtype=np.complex128)
+    bot = np.array([[0.0, 1.0]], dtype=np.complex128)
     log_scale = 0.0
-    sq = s.sqrt_z
     for alphas in iter_blocks(cfg, N):
-        m00, m01, m10, m11, log_scale = transfer_block(
-            loop_input(alphas), sq, m00, m01, m10, m11, log_scale
-        )
-    matrix = np.array([[m00, m01], [m10, m11]], dtype=np.complex128)
+        block = alphas[None, :]
+        log_scale += float(monic_scan(block, s.z, top, bot)[0] - _log_rho(block)[0])
+    matrix = s.phase_power(-N) * np.vstack([top, bot])
     return ScaledProduct(matrix=matrix, log_scale=log_scale, steps=N)
 
 
@@ -144,23 +156,42 @@ class PolynomialQuad:
         return self.log_r + math.log(abs(self.psi))
 
 
+def _poly_run(blocks, z, batch: int):
+    """The four-polynomial recursion over a stream of (1 or batch, n)
+    coefficient blocks: the monic product applied to the columns
+    (phi, phi*) = (1, 1) and (psi, -psi*) = (1, -1). Returns the stored
+    tops (phi, psi), bottoms (phi*, -psi*) and their shared log scale."""
+    top = np.ones((batch, 2), dtype=np.complex128)
+    bot = np.ones((batch, 2), dtype=np.complex128)
+    bot[:, 1] = -1.0
+    log_r = np.zeros(batch)
+    for alphas in blocks:
+        log_r += monic_scan(alphas, z, top, bot) - _log_rho(alphas)
+    return top, bot, log_r
+
+
+def _growth(top: np.ndarray, log_r: np.ndarray, N: int) -> np.ndarray:
+    """(1/2N) log(|phi_N|^2 + |psi_N|^2) per row."""
+    return (log_r + 0.5 * np.log(np.abs(top[:, 0]) ** 2 + np.abs(top[:, 1]) ** 2)) / N
+
+
 def polynomials(cfg: VerblunskyConfig, s: SpectralPoint, N: int) -> PolynomialQuad:
-    """Run the scalar recursion for (phi, phi*, psi, psi*) up to step N.
+    """Run the recursion for (phi, phi*, psi, psi*) up to step N.
 
     The second-kind pair evolves with the sign-flipped coefficients. All
     four values share one running scale factor exp(log_r).
     """
     if N < 0:
         raise ValueError("step count must be nonnegative")
-    z = s.z
-    phi, phi_s, psi, psi_s = 1.0 + 0j, 1.0 + 0j, 1.0 + 0j, 1.0 + 0j
-    log_r = 0.0
-    for alphas in iter_blocks(cfg, N):
-        phi, phi_s, psi, psi_s, log_r = quad_block(
-            loop_input(alphas), z, phi, phi_s, psi, psi_s, log_r
-        )
+    blocks = (alphas[None, :] for alphas in iter_blocks(cfg, N))
+    top, bot, log_r = _poly_run(blocks, s.z, 1)
     return PolynomialQuad(
-        phi=phi, phi_star=phi_s, psi=psi, psi_star=psi_s, log_r=log_r, n=N
+        phi=complex(top[0, 0]),
+        phi_star=complex(bot[0, 0]),
+        psi=complex(top[0, 1]),
+        psi_star=complex(-bot[0, 1]),
+        log_r=float(log_r[0]),
+        n=N,
     )
 
 
@@ -192,46 +223,31 @@ def transfer_identity_residual(cfg: VerblunskyConfig, s: SpectralPoint, N: int) 
 def lyapunov_poly(cfg: VerblunskyConfig, s: SpectralPoint, N: int) -> float:
     """Finite-volume Lyapunov exponent from the polynomial route,
     (1/2N) log(|phi_N|^2 + |psi_N|^2)."""
-    if N <= 0:
-        raise ValueError("need at least one step")
-    quad = polynomials(cfg, s, N)
-    inside = abs(quad.phi) ** 2 + abs(quad.psi) ** 2
-    return (quad.log_r + 0.5 * math.log(inside)) / N
+    return float(lyapunov_poly_many(cfg, [s], N)[0])
 
 
 def lyapunov_poly_many(
     cfg: VerblunskyConfig, points: list[SpectralPoint], N: int
 ) -> np.ndarray:
-    """lyapunov_poly at every point, agreeing with it to rounding.
+    """lyapunov_poly at every point.
 
     The coefficient stream is generated once and the polynomial recursion
-    advances all points together, one vectorized update per step with the
-    points on a batch axis; rows of the state are (phi, psi, phi*, psi*).
-    The 1/rho factors are dropped from the steps and their logs summed
-    per block instead.
+    advances all points together, with the points on the batch axis.
     """
     if N <= 0:
         raise ValueError("need at least one step")
     z = np.array([s.z for s in points], dtype=np.complex128)
     if z.size == 0:
         return np.empty(0)
-    state = np.ones((4, z.size), dtype=np.complex128)
-    log_r = np.zeros(z.size)
-    for alphas in iter_blocks(cfg, N):
-        log_r -= 0.5 * np.log1p(-np.abs(alphas) ** 2).sum()
-        for a in alphas.tolist():
-            ac = a.conjugate()
-            zp = z * state[:2]
-            new = np.empty_like(state)
-            new[0] = zp[0] - ac * state[2]
-            new[1] = zp[1] + ac * state[3]
-            new[2] = state[2] - a * zp[0]
-            new[3] = state[3] + a * zp[1]
-            mx = np.abs(new).max(axis=0)
-            state = new / mx
-            log_r += np.log(mx)
-    inside = np.abs(state[0]) ** 2 + np.abs(state[1]) ** 2
-    return (log_r + 0.5 * np.log(inside)) / N
+    blocks = (alphas[None, :] for alphas in iter_blocks(cfg, N))
+    top, _, log_r = _poly_run(blocks, z, z.size)
+    return _growth(top, log_r, N)
+
+
+def lyapunov_poly_rows(alphas: np.ndarray, s: SpectralPoint) -> np.ndarray:
+    """lyapunov_poly of every row of a (rows, N) coefficient array."""
+    top, _, log_r = _poly_run([alphas], s.z, alphas.shape[0])
+    return _growth(top, log_r, alphas.shape[1])
 
 
 def lyapunov_norm(cfg: VerblunskyConfig, s: SpectralPoint, N: int) -> float:

@@ -1,15 +1,10 @@
-"""Shared test configuration: compiled-kernel warmup and hypothesis profile.
+"""Shared test configuration: the hypothesis profile.
 
-The first call into any compiled kernel pays JIT latency (cache-cold) or
-cache-load latency (cache-warm); timed tests must not foot that bill, so a
-session fixture warms everything up front. The hypothesis profile is
-derandomized so a given checkout always runs the same examples.
+The profile is derandomized so a given checkout always runs the same
+examples, and has no deadline because some examples run long recursions.
 """
 
 import hypothesis
-import pytest
-
-from szegolab._kernels import warmup
 
 hypothesis.settings.register_profile(
     "ci",
@@ -18,8 +13,3 @@ hypothesis.settings.register_profile(
     derandomize=True,
 )
 hypothesis.settings.load_profile("ci")
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    warmup()

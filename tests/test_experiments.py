@@ -159,11 +159,14 @@ def test_family_validation():
         ldt_deviation(_small_plan(), "bogus")
 
 
-def test_deviation_csv_identical_across_jobs():
+@pytest.mark.parametrize("family", ["birkhoff", "lyapunov", "prufer"])
+def test_deviation_csv_identical_across_jobs(family):
     plan = _small_plan(samples=1100, Ns=(50,))
-    csv1 = ldt_deviation(plan, "birkhoff", jobs=1).csv()
-    csv2 = ldt_deviation(plan, "birkhoff", jobs=2).csv()
-    assert csv1 == csv2
+    if family == "prufer":
+        run = lambda jobs: prufer_term_ldt(plan, jobs=jobs)
+    else:
+        run = lambda jobs: ldt_deviation(plan, family, jobs=jobs)
+    assert run(1).csv() == run(2).csv()
 
 
 def test_clopper_pearson_upper_bound():
@@ -179,6 +182,17 @@ def test_clopper_pearson_upper_bound():
     assert full.upper95 == 1.0
 
 
+@pytest.mark.parametrize("samples", [1, 7, 50, 500])
+def test_upper95_equals_beta_quantile_at_every_count(samples):
+    # the bound is the beta quantile, computed without importing scipy.stats
+    for count in range(samples):
+        row = DeviationRow(
+            family="birkhoff", lam=0.1, N=50, count=count, samples=samples,
+            threshold=0.2, q95=0.1,
+        )
+        assert row.upper95 == float(scipy.stats.beta.ppf(0.95, count + 1, samples - count))
+
+
 def test_prufer_term_table():
     plan = _small_plan(samples=32, Ns=(400,))
     res = prufer_term_ldt(plan)
@@ -192,6 +206,12 @@ def test_prufer_term_table():
     assert res.fit is None
     assert dict(res.per_family).keys() == set(PRUFER_FAMILIES)
     assert res.csv() == prufer_term_ldt(plan).csv()
+
+
+def test_prufer_terms_need_orbits_longer_than_the_lag():
+    # lambda = 0.01 puts the lag at T = 5: lags up to T need N > T samples
+    with pytest.raises(ValueError, match="lag"):
+        prufer_term_ldt(_small_plan(lams=(0.01,), Ns=(5, 50)))
 
 
 def test_prufer_terms_all_quiet_under_huge_threshold():
