@@ -18,6 +18,14 @@ The restricted matrix is pentadiagonal, stored in solve_banded layout (row
 u + i - j holds entry (i, j), with u = l = 2). Characteristic polynomial
 values are computed from a banded LU factorization in log-scale so windows
 of thousands of sites neither overflow nor underflow.
+
+Eigenpairs come from the Hermitian pentadiagonal H = C + C*: C is unitary,
+hence normal, so its eigenvectors are eigenvectors of H with eigenvalue
+2 cos eta. eig_banded solves H; the Rayleigh quotient v* C v of each vector
+gives its eigenvalue on the circle and a residual against C. eta and
+2 pi - eta share cos eta, so nearly colliding pairs come back mixed and are
+separated again by Rayleigh-Ritz on the small cluster. Dense complex Schur
+of the window is the oracle in the tests.
 """
 
 from __future__ import annotations
@@ -146,10 +154,12 @@ def bands_to_sparse(bands: np.ndarray) -> sp.csr_matrix:
 
 
 def band_matvec(bands: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Pentadiagonal matrix times vector."""
+    """Pentadiagonal matrix times a vector (m,) or a block of columns (m, k)."""
+    v = np.asarray(v)
     m = bands.shape[1]
-    out = np.zeros(m, dtype=np.complex128)
-    out += bands[N_BANDS_UP] * v
+    if v.ndim == 2:
+        bands = bands[:, :, None]
+    out = bands[N_BANDS_UP] * v
     for off in range(1, N_BANDS_UP + 1):
         # superdiagonal off: entry (i, i+off) stored at [u - off, i + off]
         out[: m - off] += bands[N_BANDS_UP - off, off:] * v[off:]
@@ -376,32 +386,81 @@ class EigenDecomposition:
         return len(self.eigenvalues)
 
 
-def eigenpairs(op: FiniteCMV, tol: float = 1e-8) -> EigenDecomposition:
-    """Full eigendecomposition through a complex Schur form.
+def _hermitian_part(bands: np.ndarray) -> np.ndarray:
+    """Upper bands of H = C + C* in eig_banded's layout.
 
-    For a unitary matrix the Schur form is diagonal, so the Schur vectors
-    are eigenvectors; each pair is verified against the banded matrix and
-    carries its residual.
+    Row u - k, column i + k holds H[i, i+k] = C[i, i+k] + conj(C[i+k, i]);
+    row u holds the real diagonal 2 Re C[i, i].
     """
-    dense = op.dense()
-    T, Z = sla.schur(dense, output="complex")
-    vals = np.diag(T).copy()
-    mods = np.abs(vals)
-    if np.any(np.abs(mods - 1.0) > 1e-6):
-        raise ConstructionError("eigenvalue far from the unit circle")
+    m = bands.shape[1]
+    upper = np.zeros((N_BANDS_UP + 1, m), dtype=np.complex128)
+    upper[N_BANDS_UP] = 2.0 * bands[N_BANDS_UP].real
+    for k in range(1, N_BANDS_UP + 1):
+        upper[N_BANDS_UP - k, k:] = bands[N_BANDS_UP - k, k:] + np.conj(
+            bands[N_BANDS_UP + k, : m - k]
+        )
+    return upper
+
+
+def _cluster_runs(h_vals: np.ndarray, bad: np.ndarray) -> list[tuple[int, int]]:
+    """Index runs [s, e) of H-eigenvalues that must be resolved together.
+
+    Each pair over tolerance is joined to its nearest neighbour in the
+    sorted H-spectrum; the runs are the connected groups with at least
+    two members.
+    """
+    gaps = np.diff(h_vals)
+    if gaps.size == 0:
+        return []
+    padded = np.concatenate(([np.inf], gaps, [np.inf]))
+    # link i -- i+1 when one end is bad and the other is its nearest neighbour
+    up = bad[:-1] & (padded[1:-1] <= padded[:-2])
+    down = bad[1:] & (padded[1:-1] <= padded[2:])
+    link = np.concatenate(([False], up | down, [False])).astype(np.int8)
+    edges = np.diff(link)
+    starts = np.flatnonzero(edges == 1)
+    stops = np.flatnonzero(edges == -1) + 1
+    return list(zip(starts.tolist(), stops.tolist()))
+
+
+def eigenpairs(op: FiniteCMV, tol: float = 1e-8) -> EigenDecomposition:
+    """Full eigendecomposition through the banded Hermitian part of C.
+
+    C is unitary, hence normal, so every eigenvector of C is one of the
+    Hermitian pentadiagonal H = C + C*, with eigenvalue 2 cos eta.
+    eig_banded solves H; each unit vector v then gets the Rayleigh
+    quotient z = v* C v as its eigenvalue and the residual
+    ||C v - z v||_2, both from one banded product C V.
+
+    eta and 2 pi - eta share cos eta, so where such a pair is close the
+    solver can hand back a mix of the two vectors. Every pair over tol is
+    grouped with its nearest neighbours in the H-spectrum, and the group
+    is rotated by the complex Schur form of the small matrix Vc* C Vc
+    (Rayleigh-Ritz), which separates the two eigenvalues again. Pairs
+    still over tol after that are flagged in ok, not dropped. Dense
+    complex Schur of the whole window is the oracle in the tests.
+    """
+    m = op.m
+    if m > DENSE_CAP:
+        raise ValueError(f"eigenpairs capped at {DENSE_CAP} sites, window has {m}")
+    h_vals, vectors = sla.eig_banded(_hermitian_part(op.bands), overwrite_a_band=True)
+    cv = band_matvec(op.bands, vectors)
+    vals = np.einsum("ij,ij->j", vectors.conj(), cv)
+    residuals = np.linalg.norm(cv - vectors * vals, axis=0)
+    for s, e in _cluster_runs(h_vals, residuals > tol):
+        vc, cvc = vectors[:, s:e], cv[:, s:e]
+        T, Q = sla.schur(vc.conj().T @ cvc, output="complex")
+        vectors[:, s:e] = vc @ Q
+        cv[:, s:e] = cvc @ Q
+        vals[s:e] = np.diag(T)
+        residuals[s:e] = np.linalg.norm(cv[:, s:e] - vectors[:, s:e] * vals[s:e], axis=0)
     etas = np.angle(vals) % (2.0 * math.pi)
     order = np.argsort(etas)
-    vals = vals[order]
-    etas = etas[order]
-    vectors = Z[:, order]
-    residuals = np.empty(len(vals))
-    for j in range(len(vals)):
-        xi = vectors[:, j]
-        residuals[j] = np.linalg.norm(band_matvec(op.bands, xi) - vals[j] * xi)
+    residuals = residuals[order]
     return EigenDecomposition(
-        eigenvalues=vals,
-        etas=etas,
-        vectors=vectors,
+        eigenvalues=vals[order],
+        etas=etas[order],
+        vectors=vectors[:, order],
         residuals=residuals,
         ok=residuals <= tol,
     )
@@ -414,7 +473,7 @@ def eigenvalues_by_scan(
 ) -> np.ndarray:
     """Spectral angles located as minima of |det(z - C)| on the circle.
 
-    Independent of the dense eigensolver: scans an oversampled angle grid,
+    Independent of the banded eigensolver: scans an oversampled angle grid,
     brackets every local minimum of the log-determinant modulus and
     refines it by golden-section search. Intended as an oracle for modest
     sizes; cost grows like oversample * m^2.

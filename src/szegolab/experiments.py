@@ -533,8 +533,19 @@ class LocalizationRow:
 
 @dataclass(frozen=True)
 class LocalizationResult:
+    """Matched rows plus what the run dropped or flagged.
+
+    fits_skipped counts in-window eigenvectors whose decay fit failed (no
+    row); eigen_over_tol counts in-window eigenpairs over their residual
+    tolerance (kept, with a row when the fit succeeds); worst_eigen_residual
+    is the largest residual among in-window pairs.
+    """
+
     rows: tuple[LocalizationRow, ...]
     window: tuple[tuple[float, float], ...]
+    fits_skipped: int = 0
+    eigen_over_tol: int = 0
+    worst_eigen_residual: float = 0.0
 
     CSV_HEADER = "lambda,N,eta,decay_rate,r2,localization_length,L,ratio"
 
@@ -570,6 +581,9 @@ class LocalizationResult:
             "rows": len(self.rows),
             "median_ratio": self.median_ratio(),
             "window": [list(w) for w in self.window],
+            "fits_skipped": self.fits_skipped,
+            "eigen_over_tol": self.eigen_over_tol,
+            "worst_eigen_residual": self.worst_eigen_residual,
         }
 
 
@@ -613,7 +627,9 @@ def localization(
     spectral function level set unless an explicit window is given),
     fit each eigenvector's exponential profile, and compare the decay
     rate with the growth rate at the matching angle. No in-window
-    eigenvalues yields an empty result, not an error.
+    eigenvalues yields an empty result, not an error. In-window pairs over
+    the eigen-residual tolerance are fitted like the rest and counted;
+    failed fits are skipped and counted.
     """
     if window is None:
         win = tuple(spectral_window(plan.alpha, plan.autom, delta, c))
@@ -622,6 +638,8 @@ def localization(
     rows: list[LocalizationRow] = []
     if not win:
         return LocalizationResult(rows=(), window=win)
+    skipped = over_tol = 0
+    worst = 0.0
     cell = 0
     for lam in plan.lams:
         for N in plan.Ns:
@@ -641,10 +659,12 @@ def localization(
                 eta_j = float(dec.etas[j])
                 if not any(lo <= eta_j <= hi for lo, hi in win):
                     continue
+                over_tol += int(not dec.ok[j])
+                worst = max(worst, float(dec.residuals[j]))
                 try:
                     fitted.append((eta_j, eigenvector_decay_fit(dec.vectors[:, j])))
                 except ValueError:
-                    continue
+                    skipped += 1
             points = [SpectralPoint(eta=eta_j, branch=1) for eta_j, _ in fitted]
             lyaps = lyapunov_poly_many(cfg, points, lyap_N).tolist()
             for (eta_j, fit), L in zip(fitted, lyaps):
@@ -662,7 +682,13 @@ def localization(
                     )
                 )
             cell += 1
-    return LocalizationResult(rows=tuple(rows), window=win)
+    return LocalizationResult(
+        rows=tuple(rows),
+        window=win,
+        fits_skipped=skipped,
+        eigen_over_tol=over_tol,
+        worst_eigen_residual=worst,
+    )
 
 
 def summary_json(result) -> str:

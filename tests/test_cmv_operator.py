@@ -1,22 +1,29 @@
 """Tests for finite unitary windows: assembly against an independent dense
 factor product, characteristic values against the monic recursion, and the
-two eigenvalue routes against each other."""
+banded eigensolver against dense complex Schur and the determinant scan."""
 
 import cmath
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from szegolab.cmv_operator import (
+    DENSE_CAP,
     ConstructionError,
+    _hermitian_part,
+    band_matvec,
     build,
     char_poly,
     eigenpairs,
     eigenvalues_by_scan,
     restricted_char_poly,
 )
-from szegolab.verblunsky import sequence
+from szegolab.experiments import ExperimentPlan
+from szegolab.sampling import preset
+from szegolab.torus_dynamics import CAT_MAP, TorusPoint
+from szegolab.verblunsky import VerblunskyConfig, sequence
 
 from helpers import free_config, random_config
 
@@ -131,6 +138,27 @@ def test_apply_matches_dense():
     assert np.linalg.norm(got) == pytest.approx(np.linalg.norm(v), rel=1e-12)
     with pytest.raises(ValueError):
         op.apply(np.ones(op.m + 1))
+
+
+def test_band_matvec_takes_a_block_of_columns():
+    rng = np.random.default_rng(15)
+    op = build(random_config(rng), 2, 30, 1.0, 1j)
+    V = rng.standard_normal((op.m, 4)) + 1j * rng.standard_normal((op.m, 4))
+    got = band_matvec(op.bands, V)
+    assert got.shape == V.shape
+    assert np.allclose(got, op.dense() @ V, rtol=1e-12, atol=1e-12)
+    for k in range(V.shape[1]):
+        assert np.array_equal(got[:, k], band_matvec(op.bands, V[:, k]))
+
+
+def test_hermitian_part_is_c_plus_c_star():
+    rng = np.random.default_rng(16)
+    op = build(random_config(rng), 1, 20, 1j, -1.0)
+    d = op.dense()
+    H = d + d.conj().T
+    upper = _hermitian_part(op.bands)
+    for k in range(3):
+        assert np.allclose(upper[2 - k, k:], np.diag(H, k), rtol=0.0, atol=1e-15)
 
 
 def test_entries_csv_shape():
@@ -258,6 +286,84 @@ def _angle_hausdorff(x, y):
     d = np.abs(x[:, None] - y[None, :])
     d = np.minimum(d, 2.0 * math.pi - d)
     return max(d.min(axis=0).max(), d.min(axis=1).max())
+
+
+def _schur_etas(op):
+    """Spectral angles of the dense complex Schur form, the oracle."""
+    T, _ = sla.schur(op.dense(), output="complex")
+    vals = np.diag(T)
+    assert np.max(np.abs(np.abs(vals) - 1.0)) <= 1e-12
+    return np.sort(np.angle(vals) % (2.0 * math.pi))
+
+
+def _unrepaired_over_tol(op, tol=1e-8):
+    """Pairs of the raw banded solve of H whose residual misses tol."""
+    _, V = sla.eig_banded(_hermitian_part(op.bands))
+    cv = band_matvec(op.bands, V)
+    z = np.sum(V.conj() * cv, axis=0)
+    return int(np.sum(np.linalg.norm(cv - V * z, axis=0) > tol))
+
+
+def _circle_mismatch(x, y):
+    """Largest angle gap of a one-to-one pairing of two sorted angle lists.
+
+    A root at angle 0 may sort first in one list and last (as 2 pi - 0)
+    in the other, so shifts by one place are tried as well.
+    """
+    assert len(x) == len(y)
+    worst = math.inf
+    for shift in (-1, 0, 1):
+        d = np.abs(x - np.roll(y, shift))
+        worst = min(worst, float(np.max(np.minimum(d, 2.0 * math.pi - d))))
+    return worst
+
+
+def _assert_matches_schur(op, dec, eta_tol):
+    assert dec.count == op.m
+    assert _circle_mismatch(dec.etas, _schur_etas(op)) <= eta_tol
+    assert np.all(dec.ok), f"worst residual {dec.residuals.max():.1e}"
+    assert np.all(dec.residuals <= 1e-8)
+    assert np.max(np.abs(np.abs(dec.eigenvalues) - 1.0)) <= 1e-12
+    gram = dec.vectors.conj().T @ dec.vectors
+    assert np.max(np.abs(gram - np.eye(op.m))) <= 1e-8
+    # each column really is an eigenvector with its angle
+    got = band_matvec(op.bands, dec.vectors)
+    want = dec.vectors * np.exp(1j * dec.etas)
+    assert np.max(np.linalg.norm(got - want, axis=0)) <= 1e-8
+
+
+def test_eigenpairs_match_schur_on_criterion_08_window():
+    plan = ExperimentPlan(lams=(0.5,), etas=(0.5 * math.pi,), Ns=(400,), seed=3)
+    op = build(plan.config(0.5, 0, 0), 0, 400, None, 1.0)
+    _assert_matches_schur(op, eigenpairs(op), 1e-10)
+
+
+def test_eigenpairs_repair_mixed_pairs_near_free():
+    # criterion 08's negative control: eta and 2 pi - eta nearly collide,
+    # so the banded solve of H mixes almost every pair
+    cfg = VerblunskyConfig(
+        lam=1e-8,
+        base=TorusPoint.random(np.random.default_rng(np.random.SeedSequence(3))),
+        autom=CAT_MAP,
+        alpha=preset("alpha0"),
+    )
+    op = build(cfg, 0, 400, None, 1.0)
+    assert _unrepaired_over_tol(op) >= op.m // 2
+    _assert_matches_schur(op, eigenpairs(op), 1e-10)
+
+
+def test_eigenpairs_repair_degenerate_pairs_free():
+    # C is real to working precision: eta and 2 pi - eta coincide exactly
+    op = build(free_config(), 0, 200, None, 1.0)
+    assert _unrepaired_over_tol(op) >= op.m // 2
+    _assert_matches_schur(op, eigenpairs(op), 1e-10)
+
+
+def test_eigenpairs_reject_windows_over_the_cap():
+    op = build(free_config(), 0, DENSE_CAP, None, 1.0)
+    assert op.m == DENSE_CAP + 1
+    with pytest.raises(ValueError, match="capped"):
+        eigenpairs(op)
 
 
 def test_scan_agrees_with_dense_eigenvalues_free():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from szegolab import experiments
 from szegolab.experiments import (
     PRUFER_FAMILIES,
     DeviationRow,
@@ -245,6 +246,43 @@ def test_localization_small_run():
             assert row.localization_length == pytest.approx(1.0 / row.decay_rate)
     assert math.isfinite(res.median_ratio())
     assert json.loads(summary_json(res)) == res.summary()
+
+
+def test_localization_counts_what_it_drops(monkeypatch):
+    # one in-window pair is flagged over tolerance and another has a
+    # vector no fit can use; both are counted, only the second loses its row
+    plan = ExperimentPlan(lams=(0.7,), etas=(1.5708,), Ns=(200,), seed=0)
+    window = ((1.0, 2.0),)
+    clean = localization(plan, window=window, lyap_N=5_000)
+    assert clean.fits_skipped == 0
+    assert clean.eigen_over_tol == 0
+    assert 0.0 < clean.worst_eigen_residual <= 1e-8
+
+    real = experiments.eigenpairs
+    picked = {}
+
+    def tampered(op):
+        dec = real(op)
+        inside = np.flatnonzero((dec.etas >= 1.0) & (dec.etas <= 2.0))
+        flagged, unfit = int(inside[0]), int(inside[1])
+        dec.ok[flagged] = False
+        dec.residuals[flagged] = 0.5
+        dec.vectors[:, unfit] = 0.0
+        dec.vectors[0, unfit] = 1.0
+        picked.update(flagged=float(dec.etas[flagged]), unfit=float(dec.etas[unfit]))
+        return dec
+
+    monkeypatch.setattr(experiments, "eigenpairs", tampered)
+    res = localization(plan, window=window, lyap_N=5_000)
+    assert res.fits_skipped == 1
+    assert res.eigen_over_tol == 1
+    assert res.worst_eigen_residual == 0.5
+    etas = [r.eta for r in res.rows]
+    assert len(etas) == len(clean.rows) - 1
+    assert picked["flagged"] in etas and picked["unfit"] not in etas
+    summary = json.loads(summary_json(res))
+    assert (summary["fits_skipped"], summary["eigen_over_tol"]) == (1, 1)
+    assert summary["worst_eigen_residual"] == 0.5
 
 
 def test_localization_empty_window():
