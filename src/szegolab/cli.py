@@ -707,6 +707,7 @@ def _cmd_green(run: RunConfig) -> int:
                 "slope": profile.slope,
                 "intercept": profile.intercept,
                 "r2": profile.r2,
+                "columns_skipped": profile.columns_skipped,
                 "rows": [
                     {"n1": n1, "n2": n2, "log_abs_G": lg}
                     for n1, n2, lg in profile.rows

@@ -6,13 +6,22 @@ unitaries built from 2x2 blocks
     Theta_j = [[conj(a_j), r_j], [r_j, -a_j]],   r_j = sqrt(1 - |a_j|^2),
 
 where Theta_j occupies rows and columns (j, j+1); L carries the even j
-blocks, M the odd ones plus a 1x1 identity at index 0. Restricting to a
-window [a, b] is done by assembling L and M on a slightly larger window,
-multiplying, and projecting the product; this is exact for the rows and
-columns kept. Setting the coefficient at index a-1 (for a >= 1) and at
-index b to unimodular values decouples the window from the rest of the
-half line and makes the restriction unitary; those two values are the
-boundary data of the finite matrix.
+blocks, M the odd ones plus a 1x1 identity at index 0. Writing that unit
+entry as -alpha_{-1} with alpha_{-1} = -1 (rho_{-1} = 0), every entry of
+C is one product of a coefficient or a radius:
+
+    even i:  C[i, i-1] = conj(a_i) r_{i-1}     C[i, i]   = -conj(a_i) a_{i-1}
+             C[i, i+1] = r_i conj(a_{i+1})     C[i, i+2] = r_i r_{i+1}
+    odd i:   C[i, i-2] = r_{i-1} r_{i-2}       C[i, i-1] = -r_{i-1} a_{i-2}
+             C[i, i]   = -a_{i-1} conj(a_i)    C[i, i+1] = -a_{i-1} r_i
+
+A window [a, b] fills its bands straight from these formulas and keeps
+the entries whose row and column both lie in the window. Setting the
+coefficient at index a-1 (for a >= 1) and at index b to unimodular values
+decouples the window from the rest of the half line and makes the
+restriction unitary; those two values are the boundary data of the
+finite matrix. The dense factor product L M, projected onto the window,
+is the oracle in the tests.
 
 The restricted matrix is pentadiagonal, stored in solve_banded layout (row
 u + i - j holds entry (i, j), with u = l = 2). Characteristic polynomial
@@ -36,7 +45,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 from scipy.linalg import lapack as _lapack
 
 from .verblunsky import VerblunskyConfig, sequence
@@ -52,77 +60,50 @@ class ConstructionError(Exception):
     """Raised when an assembled matrix fails its structural checks."""
 
 
-def _rho_of(a: complex) -> float:
-    m2 = a.real * a.real + a.imag * a.imag
-    if m2 > 1.0 + 1e-12:
-        raise ConstructionError(f"coefficient modulus exceeds 1: {a}")
-    return math.sqrt(max(1.0 - m2, 0.0))
+def _radii(alphas: np.ndarray) -> np.ndarray:
+    """Complementary radii sqrt(1 - |alpha|^2), elementwise."""
+    m2 = alphas.real * alphas.real + alphas.imag * alphas.imag
+    if np.any(m2 > 1.0 + 1e-12):
+        raise ConstructionError(f"coefficient modulus exceeds 1: {alphas[np.argmax(m2)]}")
+    return np.sqrt(np.maximum(1.0 - m2, 0.0))
 
 
-def assemble_factors(alphas: np.ndarray, size: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Half-line factors L (even blocks) and M (odd blocks) on [0, size).
+def _window_bands(alphas: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Bands of C = L M on the window [a, b], entry by entry in closed form.
 
-    alphas[j] feeds block Theta_j; blocks are placed for every j with
-    j + 1 < size plus the trailing partial block at j = size - 1 when a
-    coefficient for it is supplied.
+    alphas must cover coefficient indices 0 .. b+1 (already carrying any
+    boundary modifications). Indices below 0 read alpha = -1, rho = 0:
+    alpha_{-1} = -1 is M's lone unit entry, and alpha_{-2} only feeds
+    entries outside the window.
     """
-    rows_l, cols_l, vals_l = [], [], []
-    rows_m, cols_m, vals_m = [], [], []
-    # index 0 of M is not covered by any odd block
-    rows_m.append(0)
-    cols_m.append(0)
-    vals_m.append(1.0 + 0.0j)
-    nblocks = min(len(alphas), size)
-    for j in range(nblocks):
-        a = complex(alphas[j])
-        r = _rho_of(a)
-        rows, cols, vals = (rows_l, cols_l, vals_l) if j % 2 == 0 else (
-            rows_m,
-            cols_m,
-            vals_m,
-        )
-        rows.append(j)
-        cols.append(j)
-        vals.append(np.conj(a))
-        if j + 1 < size:
-            rows.append(j)
-            cols.append(j + 1)
-            vals.append(r)
-            rows.append(j + 1)
-            cols.append(j)
-            vals.append(r)
-            rows.append(j + 1)
-            cols.append(j + 1)
-            vals.append(-a)
-    L = sp.csr_matrix(
-        (np.array(vals_l, dtype=np.complex128), (rows_l, cols_l)), shape=(size, size)
-    )
-    M = sp.csr_matrix(
-        (np.array(vals_m, dtype=np.complex128), (rows_m, cols_m)), shape=(size, size)
-    )
-    return L, M
-
-
-def _product_window_bands(alphas_ext: np.ndarray, a: int, b: int) -> np.ndarray:
-    """Bands of P (L M) P* on the window [a, b].
-
-    alphas_ext must cover coefficient indices 0 .. b+1 (already carrying
-    any boundary modifications). Assembles the factors on [0, b+3), whose
-    product is exact on the kept rows and columns, then projects.
-    """
-    size = b + 3
-    if len(alphas_ext) < b + 2:
+    if len(alphas) < b + 2:
         raise ValueError("need coefficients up to index b+1")
-    L, M = assemble_factors(np.asarray(alphas_ext)[: b + 2], size)
-    C = (L @ M).tocoo()
     m = b - a + 1
+    pad = max(2 - a, 0)
+    ext = np.concatenate((np.full(pad, -1.0 + 0.0j), alphas[a - 2 + pad : b + 2]))
+    rho = _radii(ext)
+    # row i of the window sees alpha_{i-2+k} as al[k] and likewise rho
+    al = [ext[k : k + m] for k in range(4)]
+    r = [rho[k : k + m] for k in range(4)]
+    even = np.arange(a, b + 1) % 2 == 0
     bands = np.zeros((N_BANDS_UP + N_BANDS_LOW + 1, m), dtype=np.complex128)
-    for i, j, v in zip(C.row, C.col, C.data):
-        if a <= i <= b and a <= j <= b:
-            li, lj = i - a, j - a
-            if abs(li - lj) > N_BANDS_UP:
-                raise ConstructionError("entry outside pentadiagonal band")
-            bands[N_BANDS_UP + li - lj, lj] += v
+    # C[i, i] = conj(alpha_i) * (-alpha_{i-1}) in either parity; spelled out
+    # in real arithmetic, as the factor product rounds it
+    xr, xi = al[2].real, -al[2].imag
+    yr, yi = -al[1].real, -al[1].imag
+    bands[N_BANDS_UP].real = xr * yr - xi * yi
+    bands[N_BANDS_UP].imag = xr * yi + xi * yr
+    off_diagonals = {
+        2: np.where(even, r[2] * r[3], 0.0),
+        1: np.where(even, r[2] * np.conj(al[3]), -al[1] * r[2]),
+        -1: np.where(even, np.conj(al[2]) * r[1], -r[1] * al[0]),
+        -2: np.where(even, 0.0, r[1] * r[0]),
+    }
+    for d, vals in off_diagonals.items():
+        # entry (i, i+d) sits at band row u - d, column i + d
+        bands[N_BANDS_UP - d, max(d, 0) : m + min(d, 0)] = vals[max(-d, 0) : m - max(d, 0)]
+    # the factor product sums onto +0.0; match its signed zeros too
+    bands += 0.0
     return bands
 
 
@@ -130,27 +111,10 @@ def bands_to_dense(bands: np.ndarray) -> np.ndarray:
     m = bands.shape[1]
     out = np.zeros((m, m), dtype=np.complex128)
     for off in range(-N_BANDS_LOW, N_BANDS_UP + 1):
-        row = N_BANDS_UP - off
-        for j in range(m):
-            i = j + off
-            if 0 <= i < m:
-                out[i, j] = bands[N_BANDS_UP + i - j, j]
+        # entry (j + off, j) sits at band row u + off, column j
+        j = np.arange(max(-off, 0), m - max(off, 0))
+        out[j + off, j] = bands[N_BANDS_UP + off, j]
     return out
-
-
-def bands_to_sparse(bands: np.ndarray) -> sp.csr_matrix:
-    m = bands.shape[1]
-    diags = []
-    offsets = []
-    for off in range(-N_BANDS_LOW, N_BANDS_UP + 1):
-        if m - abs(off) < 1:
-            continue
-        if off >= 0:
-            diags.append(bands[N_BANDS_UP - off, off:m])
-        else:
-            diags.append(bands[N_BANDS_UP - off, : m + off])
-        offsets.append(off)
-    return sp.diags(diags, offsets, shape=(m, m), format="csr", dtype=np.complex128)
 
 
 def band_matvec(bands: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -200,25 +164,20 @@ class FiniteCMV:
         return band_matvec(self.bands, v)
 
     def unitarity_defect(self) -> float:
-        C = bands_to_sparse(self.bands)
-        E = (C.getH() @ C - sp.identity(self.m, format="csr")).tocoo()
-        return float(np.max(np.abs(E.data))) if E.nnz else 0.0
+        """max |C*C - I|, read off the bands.
 
-    def rho_mod(self, j: int) -> float:
-        return _rho_of(complex(self.alphas_mod[j]))
-
-    def entries_csv(self) -> str:
-        """Entry dump, one line per stored entry: row,col,re,im."""
-        lines = ["row,col,re,im"]
-        m = self.m
-        for j in range(m):
-            for off in range(-N_BANDS_LOW, N_BANDS_UP + 1):
-                i = j + off
-                if 0 <= i < m:
-                    v = self.bands[N_BANDS_UP + i - j, j]
-                    if v != 0:
-                        lines.append(f"{i},{j},{float(v.real)!r},{float(v.imag)!r}")
-        return "\n".join(lines) + "\n"
+        (C*C)[j, j+d] = sum_s conj(B[s, j]) B[s-d, j+d] over band rows s;
+        C*C is Hermitian, so the offsets d = 0 .. 4 cover every entry.
+        """
+        B = self.bands
+        depth = B.shape[0]
+        worst = 0.0
+        for d in range(min(depth, self.m)):
+            g = np.einsum("sj,sj->j", B[d:, : self.m - d].conj(), B[: depth - d, d:])
+            if d == 0:
+                g -= 1.0
+            worst = max(worst, float(np.max(np.abs(g))))
+        return worst
 
 
 def _check_unimodular(name: str, value: complex) -> complex:
@@ -255,7 +214,7 @@ def build(
     if use_beta is not None:
         alphas[a - 1] = use_beta
     alphas[b] = gamma
-    bands = _product_window_bands(alphas, a, b)
+    bands = _window_bands(alphas, a, b)
     op = FiniteCMV(a=a, b=b, alphas_mod=alphas, beta=use_beta, gamma=gamma, bands=bands)
     defect = op.unitarity_defect()
     if defect > UNITARITY_HARD_TOL:
@@ -319,15 +278,17 @@ def _shifted_bands(bands: np.ndarray, z: complex) -> np.ndarray:
     return out
 
 
+def _char_value(bands: np.ndarray, window_alphas: np.ndarray, z: complex) -> CharPolyValue:
+    """det(z - C) from the bands, normalized by the window's nonzero radii."""
+    log_abs, phase = _banded_logdet(_shifted_bands(bands, complex(z)))
+    r = _radii(window_alphas)
+    log_norm = log_abs - float(np.sum(np.log(r[r > 0.0])))
+    return CharPolyValue(log_abs=log_abs, phase=phase, log_abs_normalized=log_norm)
+
+
 def char_poly(op: FiniteCMV, z: complex) -> CharPolyValue:
     """det(z - C) for the finite matrix, with the radius-normalized form."""
-    log_abs, phase = _banded_logdet(_shifted_bands(op.bands, complex(z)))
-    log_norm = log_abs
-    for j in range(op.a, op.b + 1):
-        r = op.rho_mod(j)
-        if r > 0.0:
-            log_norm -= math.log(r)
-    return CharPolyValue(log_abs=log_abs, phase=phase, log_abs_normalized=log_norm)
+    return _char_value(op.bands, op.alphas_mod[op.a : op.b + 1], z)
 
 
 def restricted_char_poly(
@@ -356,14 +317,7 @@ def restricted_char_poly(
         alphas[a - 1] = complex(left)
     if right is not None:
         alphas[b] = complex(right)
-    bands = _product_window_bands(alphas, a, b)
-    log_abs, phase = _banded_logdet(_shifted_bands(bands, complex(z)))
-    log_norm = log_abs
-    for j in range(a, b + 1):
-        r = _rho_of(complex(alphas[j]))
-        if r > 0.0:
-            log_norm -= math.log(r)
-    return CharPolyValue(log_abs=log_abs, phase=phase, log_abs_normalized=log_norm)
+    return _char_value(_window_bands(alphas, a, b), alphas[a : b + 1], z)
 
 
 @dataclass(frozen=True)
@@ -390,7 +344,10 @@ def _hermitian_part(bands: np.ndarray) -> np.ndarray:
     """Upper bands of H = C + C* in eig_banded's layout.
 
     Row u - k, column i + k holds H[i, i+k] = C[i, i+k] + conj(C[i+k, i]);
-    row u holds the real diagonal 2 Re C[i, i].
+    row u holds the real diagonal 2 Re C[i, i]. Entries within eps max|H|
+    of zero are flushed to zero: that is inside the solver's own backward
+    error, and left in place (tiny coefficients, e.g. 1e-300) they drive
+    LAPACK into slow subnormal arithmetic.
     """
     m = bands.shape[1]
     upper = np.zeros((N_BANDS_UP + 1, m), dtype=np.complex128)
@@ -399,6 +356,8 @@ def _hermitian_part(bands: np.ndarray) -> np.ndarray:
         upper[N_BANDS_UP - k, k:] = bands[N_BANDS_UP - k, k:] + np.conj(
             bands[N_BANDS_UP + k, : m - k]
         )
+    mags = np.abs(upper)
+    upper[mags <= np.finfo(np.float64).eps * mags.max()] = 0.0
     return upper
 
 

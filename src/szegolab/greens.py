@@ -332,13 +332,15 @@ class DecayProfile:
     """Least-squares decay fit of log|G| against -|n1 - n2|.
 
     slope is the empirical decay rate (positive means decay), rows
-    holds the sampled (n1, n2, log|G|) triples behind the fit.
+    holds the sampled (n1, n2, log|G|) triples behind the fit, and
+    columns_skipped counts the sampled columns whose solve blew up.
     """
 
     slope: float
     intercept: float
     r2: float
     rows: tuple[tuple[int, int, float], ...]
+    columns_skipped: int
 
     def csv(self) -> str:
         lines = ["n1,n2,log_abs_G"]
@@ -363,10 +365,10 @@ def decay_profile(
     Samples evenly spaced resolvent columns over the middle of the
     window, keeps every finite log-modulus in the interior, and fits
     log|G(n1, n2)| = intercept - slope |n1 - n2|. Columns whose solve
-    blows up are skipped; fewer than MIN_FIT_PAIRS surviving entries
-    abort the fit. The caller is responsible for keeping z away from
-    the window spectrum (the experiment layer picks z inside a spectral
-    window and at a checked distance).
+    blows up are skipped and counted; fewer than MIN_FIT_PAIRS surviving
+    entries abort the fit. The caller is responsible for keeping z away
+    from the window spectrum (the experiment layer picks z inside a
+    spectral window and at a checked distance).
     """
     z = _as_z(z)
     op = build(cfg, 0, N, None, gamma)
@@ -374,10 +376,12 @@ def decay_profile(
     lo, hi = m // 8, (7 * m) // 8
     step = max(1, (hi - lo) // max(1, columns - 1))
     rows: list[tuple[int, int, float]] = []
+    skipped = 0
     for n2 in range(lo, hi + 1, step):
         try:
             u = _solve_column(op, z, n2)
         except ResolventBlowupError:
+            skipped += 1
             continue
         mags = np.abs(u[lo : hi + 1])
         with np.errstate(divide="ignore"):
@@ -403,4 +407,5 @@ def decay_profile(
         intercept=float(intercept),
         r2=r2,
         rows=tuple(rows),
+        columns_skipped=skipped,
     )

@@ -26,10 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import monic_scan
-from .sampling import evaluate_many
 from .szego_cocycle import SpectralPoint
-from .torus_dynamics import orbit_blocks
-from .verblunsky import VerblunskyConfig, iter_blocks
+from .verblunsky import VerblunskyConfig, iter_blocks, sampled_values_blocks
 
 
 @dataclass(frozen=True)
@@ -153,6 +151,27 @@ def zeta_trace(cfg: VerblunskyConfig, s: SpectralPoint, N: int) -> tuple[np.ndar
     return zetas, log_r
 
 
+def _samples_and_zeta_trace(
+    cfg: VerblunskyConfig, s: SpectralPoint, N: int
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """zeta_trace together with the unscaled samples F_n (sign folded in,
+    alpha_n = lam * F_n) that drive it, from one pass over the orbit."""
+    top = np.ones((1, 1), dtype=np.complex128)
+    bot = np.ones((1, 1), dtype=np.complex128)
+    F = np.empty(N, dtype=np.complex128)
+    zetas = np.empty(N, dtype=np.complex128)
+    log_r = 0.0
+    pos = 0
+    for Fb in sampled_values_blocks(cfg, N):
+        F[pos : pos + len(Fb)] = Fb
+        Fb *= cfg.lam  # the block's coefficients, scaled in place
+        zs, half_log_h, _ = circle_variables(Fb[None, :], s.z, top, bot)
+        zetas[pos : pos + len(Fb)] = zs[0, :-1]
+        log_r += float(half_log_h.sum())
+        pos += len(Fb)
+    return F, zetas, log_r
+
+
 def default_decorrelation_time(cfg: VerblunskyConfig) -> int:
     """Number of steps after which the expansion treats the circle variable
     as decoupled from the sample, ceil(log(1/lam) / log rho)."""
@@ -218,13 +237,7 @@ def expansion_diagnostics(
         raise ValueError("need 1 <= T < N")
     lam = cfg.lam
     z = s.z
-    # unscaled samples with the sign folded in, so alpha_n = lam * F[n]
-    F = np.empty(N, dtype=np.complex128)
-    pos = 0
-    for bx, by in orbit_blocks(cfg.autom, cfg.base, N):
-        F[pos : pos + len(bx)] = cfg.sign * evaluate_many(cfg.alpha, bx, by)
-        pos += len(bx)
-    zetas, log_r = zeta_trace(cfg, s, N)
+    F, zetas, log_r = _samples_and_zeta_trace(cfg, s, N)
 
     zF = zetas * F
     I1 = (lam**2 / (2.0 * N)) * float(np.sum(np.abs(F) ** 2))

@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import szegolab
 from szegolab.cli import EMPTY_WINDOW_MARKER, main, parse
 from szegolab.experiments import ExperimentPlan, lyapunov_scaling
 
@@ -228,6 +232,42 @@ def test_green_csv_smoke(capsys):
     n1, n2, lg = lines[1].split(",")
     assert int(n1) >= 0 and int(n2) >= 0
     assert math.isfinite(float(lg))
+
+
+def test_green_json_counts_skipped_columns(capsys, monkeypatch):
+    from szegolab import greens
+
+    solve = greens._solve_column
+    first = 121 // 8  # the first sampled column of the 121-site window
+
+    def blow_up_first(op, z, col):
+        if col == first:
+            raise greens.ResolventBlowupError("forced", 0.0)
+        return solve(op, z, col)
+
+    args = ["green", "--lambda", "0.5", "--eta", "1.5708", "--N", "120",
+            "--seed", "2", "--columns", "6", "--format", "json"]
+    assert main(args) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["columns_skipped"] == 0
+    monkeypatch.setattr(greens, "_solve_column", blow_up_first)
+    assert main(args) == 0
+    skipped = json.loads(capsys.readouterr().out)
+    assert skipped["columns_skipped"] == 1
+    assert skipped["rows"] == [r for r in payload["rows"] if r["n2"] != first]
+
+
+def test_import_leaves_scipy_sparse_out():
+    src = os.path.dirname(os.path.dirname(szegolab.__file__))
+    probe = "import sys, szegolab.cli; print('scipy.sparse' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "False"
 
 
 def test_selftest_passes(capsys):

@@ -3,6 +3,7 @@ factor product, characteristic values against the monic recursion, and the
 banded eigensolver against dense complex Schur and the determinant scan."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -73,15 +74,32 @@ def test_free_five_site_window_is_a_cycle():
     assert np.allclose(op.dense(), perm, atol=1e-12)
 
 
-@pytest.mark.parametrize("a,b", [(0, 5), (1, 7), (4, 40)])
+@pytest.mark.parametrize(
+    "a,b",
+    [
+        (0, 5),
+        (1, 7),
+        (4, 40),
+        # three sites, from each parity of start
+        (0, 2),
+        (1, 3),
+        (2, 4),
+        # beta sits at index 0; ends of both parities
+        (1, 8),
+        (1, 9),
+        (3, 16),
+        (3, 17),
+    ],
+)
 def test_window_matches_dense_factor_product(a, b):
     rng = np.random.default_rng(a + b)
-    cfg = random_config(rng)
     beta = cmath.exp(0.4j)
     gamma = cmath.exp(-1.1j)
-    op = build(cfg, a, b, beta, gamma)
-    want = _dense_window_oracle(_modified_alphas(cfg, a, b, beta, gamma), a, b)
-    assert np.allclose(op.dense(), want, atol=1e-14)
+    # moderate coefficients, then coefficients close to the unit circle
+    for cfg in (random_config(rng), random_config(rng, lam_hi_frac=0.999)):
+        op = build(cfg, a, b, beta, gamma)
+        want = _dense_window_oracle(_modified_alphas(cfg, a, b, beta, gamma), a, b)
+        assert np.allclose(op.dense(), want, atol=1e-14)
 
 
 def test_window_is_pentadiagonal():
@@ -128,6 +146,48 @@ def test_unitarity_defect_small():
         assert op.unitarity_defect() <= 1e-12
 
 
+def _dense_defect(d):
+    return float(np.max(np.abs(d.conj().T @ d - np.eye(d.shape[0]))))
+
+
+def test_unitarity_defect_matches_dense():
+    rng = np.random.default_rng(24)
+    for k in range(8):
+        cfg = random_config(rng, lam_hi_frac=0.999 if k % 2 else 0.9)
+        a = int(rng.integers(0, 4))
+        b = a + int(rng.integers(2, 80))
+        op = build(cfg, a, b, cmath.exp(0.7j * k), cmath.exp(-1.3j * k))
+        assert abs(op.unitarity_defect() - _dense_defect(op.dense())) <= 1e-15
+
+
+def test_unitarity_defect_sees_one_bad_entry():
+    rng = np.random.default_rng(25)
+    cases = [
+        (build(random_config(rng), 1, 30, 1.0, 1j), [(2, 10), (0, 29), (4, 0), (3, 5)]),
+        # the free window is a permutation: 1e-8 at C[4, 2] (band row 4)
+        # meets row 4's unit entry in column 6, so it shows only in
+        # (C*C)[2, 6], four places off the diagonal
+        (build(free_config(), 0, 8, None, 1.0), [(4, 2)]),
+    ]
+    for op, entries in cases:
+        assert op.unitarity_defect() <= 1e-14
+        for row, col in entries:
+            bands = op.bands.copy()
+            bands[row, col] += 1e-8
+            bad = dataclasses.replace(op, bands=bands)
+            assert bad.unitarity_defect() > 1e-9
+            assert abs(bad.unitarity_defect() - _dense_defect(bad.dense())) <= 1e-15
+
+
+def test_bands_hold_no_negative_zero():
+    # the factor product sums every entry onto +0.0; real factors such as
+    # alpha_{-1} = -1 or gamma = 1 make -0.0 imaginary parts that must not
+    # leak into the bands
+    op = build(random_config(np.random.default_rng(27)), 0, 12, None, 1.0)
+    for part in (op.bands.real, op.bands.imag):
+        assert not np.any(np.signbit(part) & (part == 0.0))
+
+
 def test_apply_matches_dense():
     rng = np.random.default_rng(13)
     cfg = random_config(rng)
@@ -159,19 +219,6 @@ def test_hermitian_part_is_c_plus_c_star():
     upper = _hermitian_part(op.bands)
     for k in range(3):
         assert np.allclose(upper[2 - k, k:], np.diag(H, k), rtol=0.0, atol=1e-15)
-
-
-def test_entries_csv_shape():
-    rng = np.random.default_rng(14)
-    cfg = random_config(rng)
-    op = build(cfg, 0, 4, None, 1.0)
-    lines = op.entries_csv().strip().split("\n")
-    assert lines[0] == "row,col,re,im"
-    row, col, re, im = lines[1].split(",")
-    d = op.dense()
-    assert complex(float(re), float(im)) == d[int(row), int(col)]
-    nnz = int(np.count_nonzero(d))
-    assert len(lines) == nnz + 1
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +289,17 @@ def test_left_replacement_needs_interior_window():
     cfg = random_config(rng)
     with pytest.raises(ValueError):
         restricted_char_poly(cfg, 0, 4, 1.0, left=1.0)
+
+
+def test_replacement_outside_the_disk_rejected():
+    rng = np.random.default_rng(26)
+    cfg = random_config(rng)
+    with pytest.raises(ConstructionError, match="exceeds 1"):
+        restricted_char_poly(cfg, 2, 6, 1.0, left=1.5)
+    with pytest.raises(ConstructionError, match="exceeds 1"):
+        restricted_char_poly(cfg, 0, 6, 1.0, right=1.0 + 1e-11)
+    # unimodular up to rounding is still a legal boundary value
+    restricted_char_poly(cfg, 0, 6, 1.0, right=1.0 + 1e-13)
 
 
 def test_normalization_divides_window_radii():
@@ -354,7 +412,7 @@ def test_eigenpairs_repair_mixed_pairs_near_free():
 
 def test_eigenpairs_repair_degenerate_pairs_free():
     # C is real to working precision: eta and 2 pi - eta coincide exactly
-    op = build(free_config(), 0, 200, None, 1.0)
+    op = build(free_config(), 0, 400, None, 1.0)
     assert _unrepaired_over_tol(op) >= op.m // 2
     _assert_matches_schur(op, eigenpairs(op), 1e-10)
 

@@ -18,7 +18,7 @@ from szegolab.prufer import (
 from szegolab.sampling import preset
 from szegolab.szego_cocycle import SpectralPoint, polynomials
 from szegolab.torus_dynamics import CAT_MAP, TorusPoint
-from szegolab.verblunsky import VerblunskyConfig, coefficient
+from szegolab.verblunsky import VerblunskyConfig, coefficient, sampled_values_blocks
 
 from helpers import free_config, random_config, random_eta
 
@@ -163,6 +163,20 @@ def test_diagnostics_validation():
         expansion_diagnostics(cfg, s, 100, T=0)
     with pytest.raises(ValueError):
         expansion_diagnostics(cfg, s, 100, T=100)
+
+
+def test_diagnostics_read_the_zeta_trace():
+    # one orbit pass feeds both the samples and the circle variables; it
+    # must give what zeta_trace gives, across a block boundary and with
+    # the sign flipped
+    cfg = _cfg(0.3).flipped()
+    s = SpectralPoint(2.2)
+    N = (1 << 16) + 917
+    d = expansion_diagnostics(cfg, s, N, T=2)
+    zetas, log_r = zeta_trace(cfg, s, N)
+    F = np.concatenate(list(sampled_values_blocks(cfg, N)))
+    assert d.lhs == log_r / N
+    assert d.I2 == -(cfg.lam / N) * float(np.sum((zetas * F).real))
 
 
 def test_second_order_residual_small():
