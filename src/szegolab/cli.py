@@ -16,6 +16,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -70,7 +71,7 @@ class ConfigError(Exception):
 # value coercion (shared between flags and config file entries)
 
 
-def _float_of(key: str, value) -> float:
+def _co_float(key: str, value) -> float:
     try:
         x = float(value)
     except (TypeError, ValueError):
@@ -80,65 +81,51 @@ def _float_of(key: str, value) -> float:
     return x
 
 
-def _co_float(key: str, value) -> float:
-    return _float_of(key, value)
-
-
 def _co_pos_float(key: str, value) -> float:
-    x = _float_of(key, value)
+    x = _co_float(key, value)
     if x <= 0.0:
         raise ConfigError(f"{key}: value must be positive, got {x}")
     return x
 
 
-def _int_of(key: str, value) -> int:
-    x = _float_of(key, value)
-    if x != int(x):
-        raise ConfigError(f"{key}: expected an integer, got {value!r}")
-    return int(x)
+def _co_int_from(lowest: int):
+    """Coercer to integers of at least lowest."""
+
+    def coerce(key: str, value) -> int:
+        x = _co_float(key, value)
+        if x != int(x):
+            raise ConfigError(f"{key}: expected an integer, got {value!r}")
+        if x < lowest:
+            raise ConfigError(f"{key}: value must be at least {lowest}, got {int(x)}")
+        return int(x)
+
+    return coerce
 
 
-def _co_pos_int(key: str, value) -> int:
-    i = _int_of(key, value)
-    if i < 1:
-        raise ConfigError(f"{key}: value must be at least 1, got {i}")
-    return i
+def _co_list_of(item):
+    """Coercer to a nonempty tuple of items, from a list or 'a,b,..'."""
+
+    def coerce(key: str, value) -> tuple:
+        if isinstance(value, (list, tuple)):
+            parts = list(value)
+        else:
+            parts = [p for p in str(value).split(",") if p.strip()]
+        if not parts:
+            raise ConfigError(f"{key}: empty list")
+        return tuple(item(key, p) for p in parts)
+
+    return coerce
 
 
-def _co_nonneg_int(key: str, value) -> int:
-    i = _int_of(key, value)
-    if i < 0:
-        raise ConfigError(f"{key}: value must be nonnegative, got {i}")
-    return i
+def _co_choice(*names: str):
+    """Coercer to one of the given names."""
 
+    def coerce(key: str, value) -> str:
+        if str(value) not in names:
+            raise ConfigError(f"{key}: expected one of {', '.join(names)}, got {value!r}")
+        return str(value)
 
-def _co_count(key: str, value) -> int:
-    i = _int_of(key, value)
-    if i < 2:
-        raise ConfigError(f"{key}: length must be at least 2, got {i}")
-    return i
-
-
-def _split_list(key: str, value) -> list:
-    if isinstance(value, (list, tuple)):
-        items = list(value)
-    else:
-        items = [p for p in str(value).split(",") if p.strip()]
-    if not items:
-        raise ConfigError(f"{key}: empty list")
-    return items
-
-
-def _co_float_list(key: str, value) -> tuple[float, ...]:
-    return tuple(_float_of(key, p) for p in _split_list(key, value))
-
-
-def _co_pos_float_list(key: str, value) -> tuple[float, ...]:
-    return tuple(_co_pos_float(key, p) for p in _split_list(key, value))
-
-
-def _co_count_list(key: str, value) -> tuple[int, ...]:
-    return tuple(_co_count(key, p) for p in _split_list(key, value))
+    return coerce
 
 
 def _co_matrix(key: str, value) -> ToralAutomorphism:
@@ -176,34 +163,11 @@ def _co_alpha(key: str, value) -> TrigPolynomial:
         raise ConfigError(f"{key}: {exc}") from None
 
 
-def _co_preset(key: str, value) -> str:
-    name = str(value)
-    if name not in PRESETS:
-        raise ConfigError(f"{key}: unknown preset {name!r}; choices: {sorted(PRESETS)}")
-    return name
-
-
 def _co_complex(key: str, value) -> complex:
     try:
         return complex(str(value).replace(" ", ""))
     except ValueError:
         raise ConfigError(f"{key}: expected a complex number, got {value!r}") from None
-
-
-def _co_fmt(key: str, value) -> str:
-    v = str(value)
-    if v not in ("csv", "json"):
-        raise ConfigError(f"{key}: expected csv or json, got {value!r}")
-    return v
-
-
-def _co_family(key: str, value) -> str:
-    v = str(value)
-    if v not in ("birkhoff", "lyapunov", "prufer"):
-        raise ConfigError(
-            f"{key}: expected birkhoff, lyapunov or prufer, got {value!r}"
-        )
-    return v
 
 
 def _co_str(key: str, value) -> str:
@@ -235,34 +199,71 @@ def _co_tol(value) -> dict[str, float]:
     return out
 
 
-_COERCERS = {
-    "A": _co_matrix,
-    "preset": _co_preset,
-    "alpha": _co_alpha,
-    "lam": _co_pos_float,
-    "lam_grid": _co_pos_float_list,
-    "eta": _co_float,
-    "eta_grid": _co_float_list,
-    "N": _co_count,
-    "N_grid": _co_count_list,
-    "samples": _co_pos_int,
-    "seed": _co_nonneg_int,
-    "jobs": _co_pos_int,
-    "out": _co_str,
-    "fmt": _co_fmt,
-    "family": _co_family,
-    "threshold": _co_pos_float,
-    "delta": _co_pos_float,
-    "c": _co_pos_float,
-    "gamma": _co_complex,
-    "lyap_N": _co_pos_int,
-    "columns": _co_pos_int,
-    "points": _co_pos_int,
+# ---------------------------------------------------------------------------
+# the options
+
+
+class _Option(NamedTuple):
+    flag: str
+    key: str
+    coerce: Callable
+    default: object
+    metavar: str
+    help: str
+
+
+_FAMILIES = ("birkhoff", "lyapunov", "prufer")
+
+# Every option but --config and --tol, in --help order. A config file
+# names an option by its key or by its flag without the leading dashes,
+# '-' and '_' alike.
+_OPTIONS = tuple(
+    _Option(*row)
+    for row in (
+        ("--A", "A", _co_matrix, CAT_MAP, "a,b,c,d",
+         "automorphism entries, row major, det 1, |trace| > 2 (default 2,1,1,1)"),
+        ("--preset", "preset", _co_choice(*PRESETS), "alpha0", "NAME",
+         "sampling function preset, alpha0 or alpha1 (default alpha0)"),
+        ("--alpha", "alpha", _co_alpha, None, "SPEC",
+         "custom sampling function, ';'-separated k1,k2:coeff terms"),
+        ("--lambda", "lam", _co_pos_float, None, "X", "coupling (default 0.1)"),
+        ("--lambda-grid", "lam_grid", _co_list_of(_co_pos_float), None, "X,..",
+         "coupling grid"),
+        ("--eta", "eta", _co_float, None, "X", "spectral angle in radians (default pi/2)"),
+        ("--eta-grid", "eta_grid", _co_list_of(_co_float), None, "X,..", "angle grid"),
+        ("--N", "N", _co_int_from(2), None, "K", "orbit/window length (default 1000)"),
+        ("--N-grid", "N_grid", _co_list_of(_co_int_from(2)), None, "K,..", "length grid"),
+        ("--samples", "samples", _co_int_from(1), 10_000, "M",
+         "Monte Carlo samples per cell (default 10000)"),
+        ("--seed", "seed", _co_int_from(0), None, "S",
+         "master seed (default: SZEGO_LAB_SEED, then 0)"),
+        ("--jobs", "jobs", _co_int_from(1), None, "J",
+         "worker processes (default: all available cores)"),
+        ("--out", "out", _co_str, None, "FILE", "write output to FILE, not stdout"),
+        ("--format", "fmt", _co_choice("csv", "json"), "csv", "{csv,json}",
+         "output format (default csv)"),
+        ("--family", "family", _co_choice(*_FAMILIES), "birkhoff",
+         "{" + ",".join(_FAMILIES) + "}", "ldt statistic family (default birkhoff)"),
+        ("--threshold", "threshold", _co_pos_float, None, "T",
+         "ldt constant threshold override (default: 0.2 birkhoff, lambda^3 else)"),
+        ("--delta", "delta", _co_pos_float, 0.3, "D",
+         "localize: guard around {0, pi} (default 0.3)"),
+        ("--c", "c", _co_pos_float, 0.05, "C", "localize: spectral level cut (default 0.05)"),
+        ("--gamma", "gamma", _co_complex, 1.0 + 0.0j, "G",
+         "right boundary value, unimodular, e.g. 1 or 0.6+0.8j (default 1)"),
+        ("--lyap-N", "lyap_N", _co_int_from(1), 200_000, "K",
+         "localize: reference growth-rate orbit length (default 200000)"),
+        ("--columns", "columns", _co_int_from(1), 12, "K",
+         "green: resolvent columns sampled (default 12)"),
+        ("--points", "points", _co_int_from(1), 256, "K",
+         "jspec: default angle grid size (default 256)"),
+    )
+)
+
+_BY_KEY = {o.key: o for o in _OPTIONS}
+_FILE_KEYS = {"tol": "tol"} | {
+    name: o.key for o in _OPTIONS for name in (o.key, o.flag[2:].replace("-", "_"))
 }
-
-_ALIASES = {"lambda": "lam", "lambda_grid": "lam_grid", "format": "fmt"}
-
-_KNOWN_KEYS = set(_COERCERS) | {"tol"}
 
 # Pairs where at most one member may be given; a command line member
 # silently displaces the other member coming from the config file.
@@ -273,50 +274,16 @@ _EXCLUSIVE = (
     ("preset", "alpha"),
 )
 
-_FLAG_NAME = {
-    "lam": "--lambda",
-    "lam_grid": "--lambda-grid",
-    "eta": "--eta",
-    "eta_grid": "--eta-grid",
-    "N": "--N",
-    "N_grid": "--N-grid",
-    "preset": "--preset",
-    "alpha": "--alpha",
-}
-
-_DEFAULTS = {
-    "A": CAT_MAP,
-    "preset": "alpha0",
-    "alpha": None,
-    "lam": None,
-    "lam_grid": None,
-    "eta": None,
-    "eta_grid": None,
-    "N": None,
-    "N_grid": None,
-    "samples": 10_000,
-    "seed": None,
-    "jobs": None,
-    "out": None,
-    "fmt": "csv",
-    "family": "birkhoff",
-    "threshold": None,
-    "delta": 0.3,
-    "c": 0.05,
-    "gamma": 1.0 + 0.0j,
-    "lyap_N": 200_000,
-    "columns": 12,
-    "points": 256,
-}
-
 
 # ---------------------------------------------------------------------------
 # config file loading
 
 
-def _canon_key(key: str) -> str:
-    k = key.strip().replace("-", "_")
-    return _ALIASES.get(k, k)
+def _file_key(where: str, key: str) -> str:
+    ck = _FILE_KEYS.get(key.strip().replace("-", "_"))
+    if ck is None:
+        raise ConfigError(f"{where}: unknown key {key.strip()!r}")
+    return ck
 
 
 def _load_config_file(path: str) -> dict:
@@ -332,13 +299,7 @@ def _load_config_file(path: str) -> dict:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from None
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: JSON config must be a single object")
-        out = {}
-        for key, value in data.items():
-            ck = _canon_key(key)
-            if ck not in _KNOWN_KEYS:
-                raise ConfigError(f"{path}: unknown key {key!r}")
-            out[ck] = value
-        return out
+        return {_file_key(path, key): value for key, value in data.items()}
     out = {}
     for ln, line in enumerate(text.splitlines(), 1):
         s = line.strip()
@@ -347,9 +308,7 @@ def _load_config_file(path: str) -> dict:
         key, sep, value = s.partition("=")
         if not sep:
             raise ConfigError(f"{path}:{ln}: expected key=value, got {s!r}")
-        ck = _canon_key(key)
-        if ck not in _KNOWN_KEYS:
-            raise ConfigError(f"{path}:{ln}: unknown key {key.strip()!r}")
+        ck = _file_key(f"{path}:{ln}", key)
         if ck in out:
             raise ConfigError(f"{path}:{ln}: duplicate key {key.strip()!r}")
         out[ck] = value.strip()
@@ -407,85 +366,13 @@ def _common_options() -> argparse.ArgumentParser:
     )
     g = common.add_argument_group("options")
     g.add_argument("--config", metavar="FILE", help="key=value or JSON config file")
-    g.add_argument(
-        "--A",
-        metavar="a,b,c,d",
-        help="automorphism entries, row major, det 1, |trace| > 2 (default 2,1,1,1)",
-    )
-    g.add_argument(
-        "--preset",
-        metavar="NAME",
-        help="sampling function preset, alpha0 or alpha1 (default alpha0)",
-    )
-    g.add_argument(
-        "--alpha",
-        metavar="SPEC",
-        help="custom sampling function, ';'-separated k1,k2:coeff terms",
-    )
-    g.add_argument("--lambda", dest="lam", metavar="X", help="coupling (default 0.1)")
-    g.add_argument(
-        "--lambda-grid", dest="lam_grid", metavar="X,..", help="coupling grid"
-    )
-    g.add_argument(
-        "--eta", metavar="X", help="spectral angle in radians (default pi/2)"
-    )
-    g.add_argument("--eta-grid", dest="eta_grid", metavar="X,..", help="angle grid")
-    g.add_argument("--N", metavar="K", help="orbit/window length (default 1000)")
-    g.add_argument("--N-grid", dest="N_grid", metavar="K,..", help="length grid")
-    g.add_argument(
-        "--samples", metavar="M", help="Monte Carlo samples per cell (default 10000)"
-    )
-    g.add_argument(
-        "--seed", metavar="S", help="master seed (default: SZEGO_LAB_SEED, then 0)"
-    )
-    g.add_argument(
-        "--jobs", metavar="J", help="worker processes (default: all available cores)"
-    )
-    g.add_argument("--out", metavar="FILE", help="write output to FILE, not stdout")
-    g.add_argument(
-        "--format",
-        dest="fmt",
-        choices=("csv", "json"),
-        help="output format (default csv)",
-    )
+    for o in _OPTIONS:
+        g.add_argument(o.flag, dest=o.key, metavar=o.metavar, help=o.help)
     g.add_argument(
         "--tol",
         action="append",
         metavar="NAME=V",
         help="selftest tolerance override, repeatable",
-    )
-    g.add_argument(
-        "--family",
-        choices=("birkhoff", "lyapunov", "prufer"),
-        help="ldt statistic family (default birkhoff)",
-    )
-    g.add_argument(
-        "--threshold",
-        metavar="T",
-        help="ldt constant threshold override (default: 0.2 birkhoff, lambda^3 else)",
-    )
-    g.add_argument(
-        "--delta", metavar="D", help="localize: guard around {0, pi} (default 0.3)"
-    )
-    g.add_argument(
-        "--c", metavar="C", help="localize: spectral level cut (default 0.05)"
-    )
-    g.add_argument(
-        "--gamma",
-        metavar="G",
-        help="right boundary value, unimodular, e.g. 1 or 0.6+0.8j (default 1)",
-    )
-    g.add_argument(
-        "--lyap-N",
-        dest="lyap_N",
-        metavar="K",
-        help="localize: reference growth-rate orbit length (default 200000)",
-    )
-    g.add_argument(
-        "--columns", metavar="K", help="green: resolvent columns sampled (default 12)"
-    )
-    g.add_argument(
-        "--points", metavar="K", help="jspec: default angle grid size (default 256)"
     )
     return common
 
@@ -520,6 +407,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# RunConfig fields that take an option's value as it is
+_PLAIN_FIELDS = (
+    "samples", "seed", "out", "fmt", "family", "threshold", "delta", "c", "gamma",
+    "lyap_N", "columns", "points",
+)
+
+
 def parse(argv) -> RunConfig:
     args = build_parser().parse_args(argv)
     cli = {k: v for k, v in vars(args).items() if k != "command"}
@@ -536,16 +430,16 @@ def parse(argv) -> RunConfig:
     given = set(file_vals) | set(cli)
     for a, b in _EXCLUSIVE:
         if a in given and b in given:
-            raise ConfigError(f"give only one of {_FLAG_NAME[a]} and {_FLAG_NAME[b]}")
+            raise ConfigError(f"give only one of {_BY_KEY[a].flag} and {_BY_KEY[b].flag}")
 
-    vals = dict(_DEFAULTS)
+    vals = {o.key: o.default for o in _OPTIONS}
     for source in (file_vals, cli):
         for key, value in source.items():
-            vals[key] = _COERCERS[key](key, value)
+            vals[key] = _BY_KEY[key].coerce(_BY_KEY[key].flag, value)
 
     if "seed" not in given:
         env = os.environ.get("SZEGO_LAB_SEED")
-        vals["seed"] = _co_nonneg_int("SZEGO_LAB_SEED", env) if env else 0
+        vals["seed"] = _BY_KEY["seed"].coerce("SZEGO_LAB_SEED", env) if env else 0
 
     alpha = vals["alpha"] if vals["alpha"] is not None else preset(vals["preset"])
     lams = vals["lam_grid"] or ((vals["lam"],) if vals["lam"] is not None else (0.1,))
@@ -559,20 +453,9 @@ def parse(argv) -> RunConfig:
         lams=lams,
         etas=etas,
         Ns=Ns,
-        samples=vals["samples"],
-        seed=vals["seed"],
         jobs=vals["jobs"] if vals["jobs"] is not None else _default_jobs(),
-        out=vals["out"],
-        fmt=vals["fmt"],
         tol=tol,
-        family=vals["family"],
-        threshold=vals["threshold"],
-        delta=vals["delta"],
-        c=vals["c"],
-        gamma=vals["gamma"],
-        lyap_N=vals["lyap_N"],
-        columns=vals["columns"],
-        points=vals["points"],
+        **{name: vals[name] for name in _PLAIN_FIELDS},
     )
 
 
@@ -597,6 +480,17 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _emit_table(run: RunConfig, csv_text, payload) -> int:
+    """Emit csv_text() or, under --format json, the JSON of payload()
+    tagged with the command; only the chosen one is built."""
+    if run.fmt == "csv":
+        text = csv_text()
+    else:
+        text = _json_text({"command": run.command, **payload()})
+    _emit(run.out, text)
+    return 0
+
+
 def _plan(run: RunConfig) -> ExperimentPlan:
     try:
         return ExperimentPlan(
@@ -614,18 +508,14 @@ def _plan(run: RunConfig) -> ExperimentPlan:
 
 def _cmd_lyapunov(run: RunConfig) -> int:
     result = lyapunov_scaling(_plan(run), jobs=run.jobs)
-    if run.fmt == "csv":
-        text = result.csv()
-    else:
-        text = _json_text(
-            {
-                "command": "lyapunov",
-                "rows": [dataclasses.asdict(r) for r in result.rows],
-                "summary": result.summary(),
-            }
-        )
-    _emit(run.out, text)
-    return 0
+    return _emit_table(
+        run,
+        result.csv,
+        lambda: {
+            "rows": [dataclasses.asdict(r) for r in result.rows],
+            "summary": result.summary(),
+        },
+    )
 
 
 def _cmd_jspec(run: RunConfig) -> int:
@@ -638,17 +528,11 @@ def _cmd_jspec(run: RunConfig) -> int:
         (eta, float(spectral_function(run.alpha, run.autom, eta, spectrum=spec)))
         for eta in etas
     ]
-    if run.fmt == "csv":
-        text = _csv("eta,J", rows)
-    else:
-        text = _json_text(
-            {
-                "command": "jspec",
-                "rows": [{"eta": eta, "J": val} for eta, val in rows],
-            }
-        )
-    _emit(run.out, text)
-    return 0
+    return _emit_table(
+        run,
+        lambda: _csv("eta,J", rows),
+        lambda: {"rows": [{"eta": eta, "J": val} for eta, val in rows]},
+    )
 
 
 def _cmd_ldt(run: RunConfig) -> int:
@@ -658,35 +542,21 @@ def _cmd_ldt(run: RunConfig) -> int:
         result = prufer_term_ldt(plan, threshold_fn=thr, jobs=run.jobs)
     else:
         result = ldt_deviation(plan, family=run.family, threshold_fn=thr, jobs=run.jobs)
-    if run.fmt == "csv":
-        text = result.csv()
-    else:
-        text = _json_text(
-            {
-                "command": "ldt",
-                "rows": [
-                    {
-                        "family": r.family,
-                        "lambda": r.lam,
-                        "N": r.N,
-                        "count": r.count,
-                        "samples": r.samples,
-                        "fraction": r.fraction,
-                        "stderr": r.stderr,
-                        "upper95": r.upper95,
-                        "q95": r.q95,
-                        "threshold": r.threshold,
-                    }
-                    for r in result.rows
-                ],
-                "summary": result.summary(),
-            }
-        )
-    _emit(run.out, text)
-    return 0
+    names = result.CSV_HEADER.split(",")
+    return _emit_table(
+        run,
+        result.csv,
+        lambda: {
+            "rows": [dict(zip(names, values)) for values in result.table()],
+            "summary": result.summary(),
+        },
+    )
 
 
 def _cmd_green(run: RunConfig) -> int:
+    for flag, grid in (("--lambda", run.lams), ("--eta", run.etas or ()), ("--N", run.Ns)):
+        if len(grid) > 1:
+            raise ConfigError(f"green runs one window: give one {flag}, not {len(grid)}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(run.seed)))
     cfg = VerblunskyConfig(
         lam=run.lams[0],
@@ -698,24 +568,19 @@ def _cmd_green(run: RunConfig) -> int:
     profile = decay_profile(
         cfg, SpectralPoint(eta=eta), run.Ns[0], None, run.gamma, columns=run.columns
     )
-    if run.fmt == "csv":
-        text = profile.csv()
-    else:
-        text = _json_text(
-            {
-                "command": "green",
-                "slope": profile.slope,
-                "intercept": profile.intercept,
-                "r2": profile.r2,
-                "columns_skipped": profile.columns_skipped,
-                "rows": [
-                    {"n1": n1, "n2": n2, "log_abs_G": lg}
-                    for n1, n2, lg in profile.rows
-                ],
-            }
-        )
-    _emit(run.out, text)
-    return 0
+    return _emit_table(
+        run,
+        profile.csv,
+        lambda: {
+            "slope": profile.slope,
+            "intercept": profile.intercept,
+            "r2": profile.r2,
+            "columns_skipped": profile.columns_skipped,
+            "rows": [
+                {"n1": n1, "n2": n2, "log_abs_G": lg} for n1, n2, lg in profile.rows
+            ],
+        },
+    )
 
 
 def _cmd_localize(run: RunConfig) -> int:
@@ -723,21 +588,16 @@ def _cmd_localize(run: RunConfig) -> int:
     result = localization(
         plan, delta=run.delta, c=run.c, gamma=run.gamma, lyap_N=run.lyap_N
     )
-    if run.fmt == "csv":
-        text = result.csv()
-        if result.empty:
-            text += EMPTY_WINDOW_MARKER + "\n"
-    else:
-        payload = {
-            "command": "localize",
+    marker = {"marker": EMPTY_WINDOW_MARKER} if result.empty else {}
+    return _emit_table(
+        run,
+        lambda: result.csv() + "".join(v + "\n" for v in marker.values()),
+        lambda: {
             "rows": [dataclasses.asdict(r) for r in result.rows],
             "summary": result.summary(),
-        }
-        if result.empty:
-            payload["marker"] = EMPTY_WINDOW_MARKER
-        text = _json_text(payload)
-    _emit(run.out, text)
-    return 0
+            **marker,
+        },
+    )
 
 
 # ---------------------------------------------------------------------------

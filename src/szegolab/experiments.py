@@ -11,7 +11,6 @@ never changes the output.
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -45,6 +44,7 @@ MC_CHUNK = 512
 # at least 64 samples
 MC_PASS_POINTS = 1 << 15
 CONFIDENCE = 0.95
+GOOD_R2 = 0.8
 
 
 @dataclass(frozen=True)
@@ -308,25 +308,16 @@ class DeviationResult:
 
     CSV_HEADER = "family,lambda,N,count,samples,fraction,stderr,upper95,q95,threshold"
 
+    def table(self) -> list[tuple]:
+        """The rows' values in CSV_HEADER order."""
+        return [
+            (r.family, r.lam, r.N, r.count, r.samples, r.fraction, r.stderr,
+             r.upper95, r.q95, r.threshold)
+            for r in self.rows
+        ]
+
     def csv(self) -> str:
-        return _csv(
-            self.CSV_HEADER,
-            [
-                (
-                    r.family,
-                    r.lam,
-                    r.N,
-                    r.count,
-                    r.samples,
-                    r.fraction,
-                    r.stderr,
-                    r.upper95,
-                    r.q95,
-                    r.threshold,
-                )
-                for r in self.rows
-            ],
-        )
+        return _csv(self.CSV_HEADER, self.table())
 
     def summary(self) -> dict:
         out = {
@@ -432,6 +423,8 @@ def _deviation_rows(plan: ExperimentPlan, family: str, threshold_fn, jobs: int):
     Chunks run through the pool in a layout fixed by the plan, and are
     merged in that order, so the rows never depend on jobs.
     """
+    if family != "birkhoff" and len(plan.etas) > 1:
+        raise ValueError(f"the {family} family runs at one eta, got {len(plan.etas)}")
     n_chunks = (plan.samples + MC_CHUNK - 1) // MC_CHUNK
     cells = [(lam, N, float(threshold_fn(lam))) for lam in plan.lams for N in plan.Ns]
     work = [
@@ -538,7 +531,8 @@ class LocalizationResult:
     fits_skipped counts in-window eigenvectors whose decay fit failed (no
     row); eigen_over_tol counts in-window eigenpairs over their residual
     tolerance (kept, with a row when the fit succeeds); worst_eigen_residual
-    is the largest residual among in-window pairs.
+    is the largest residual among in-window pairs. The summary's good_fits
+    counts rows with r2 >= GOOD_R2 and a positive decay rate.
     """
 
     rows: tuple[LocalizationRow, ...]
@@ -580,6 +574,7 @@ class LocalizationResult:
         return {
             "rows": len(self.rows),
             "median_ratio": self.median_ratio(),
+            "good_fits": sum(r.r2 >= GOOD_R2 and r.decay_rate > 0.0 for r in self.rows),
             "window": [list(w) for w in self.window],
             "fits_skipped": self.fits_skipped,
             "eigen_over_tol": self.eigen_over_tol,
@@ -689,8 +684,3 @@ def localization(
         eigen_over_tol=over_tol,
         worst_eigen_residual=worst,
     )
-
-
-def summary_json(result) -> str:
-    """JSON summary for any result object exposing summary()."""
-    return json.dumps(result.summary(), indent=2, sort_keys=True) + "\n"

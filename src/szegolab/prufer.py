@@ -27,7 +27,7 @@ import numpy as np
 
 from ._kernels import monic_scan
 from .szego_cocycle import SpectralPoint
-from .verblunsky import VerblunskyConfig, iter_blocks, sampled_values_blocks
+from .verblunsky import VerblunskyConfig, sampled_values_blocks
 
 
 @dataclass(frozen=True)
@@ -69,19 +69,6 @@ def step(state: PruferState, alpha_n: complex, s: SpectralPoint) -> PruferState:
     )
 
 
-@dataclass(frozen=True)
-class PruferTrace:
-    """Thinned history of a Prufer run: entry i holds the state at step
-    i * thin, the first entry being the initial state."""
-
-    steps: np.ndarray
-    log_r: np.ndarray
-    theta: np.ndarray
-    zeta: np.ndarray
-    thin: int
-    final: PruferState
-
-
 def circle_variables(alphas: np.ndarray, z, top: np.ndarray, bot: np.ndarray):
     """The Prufer terms of a (rows, n) coefficient block.
 
@@ -103,52 +90,11 @@ def circle_variables(alphas: np.ndarray, z, top: np.ndarray, bot: np.ndarray):
     return zetas, half_log_h, dtheta
 
 
-def run(cfg: VerblunskyConfig, s: SpectralPoint, N: int, thin: int = 1) -> PruferTrace:
-    """Iterate the recursion N steps, recording every thin-th state."""
-    if N < 0:
-        raise ValueError("step count must be nonnegative")
-    if thin < 1:
-        raise ValueError("thinning stride must be positive")
-    top = np.ones((1, 1), dtype=np.complex128)
-    bot = np.ones((1, 1), dtype=np.complex128)
-    parts = [(np.zeros(1), np.zeros(1), np.array([s.z]))]
-    log_r, theta, zeta = 0.0, 0.0, s.z
-    done = 0
-    for alphas in iter_blocks(cfg, N):
-        zs, half_log_h, dtheta = circle_variables(alphas[None, :], s.z, top, bot)
-        cum_r = log_r + np.cumsum(half_log_h[0])
-        cum_theta = theta + np.cumsum(dtheta[0])
-        # the thin marks inside this block, as step counts past its start
-        local = np.arange(thin - done % thin, len(alphas) + 1, thin)
-        parts.append((cum_r[local - 1], cum_theta[local - 1], zs[0, local]))
-        log_r, theta, zeta = float(cum_r[-1]), float(cum_theta[-1]), complex(zs[0, -1])
-        done += len(alphas)
-    log_rs, thetas, zetas = (np.concatenate(column) for column in zip(*parts))
-    return PruferTrace(
-        steps=np.arange(0, N + 1, thin, dtype=np.int64),
-        log_r=log_rs,
-        theta=thetas,
-        zeta=zetas,
-        thin=thin,
-        final=PruferState(log_r=log_r, theta=theta, zeta=zeta, n=N),
-    )
-
-
 def zeta_trace(cfg: VerblunskyConfig, s: SpectralPoint, N: int) -> tuple[np.ndarray, float]:
     """Circle variables zeta_0 .. zeta_{N-1} (value seen by step n) together
     with the final log-radius, log r_N = sum of log(H_n) / 2 along the
-    trace. Materializes N complex values."""
-    top = np.ones((1, 1), dtype=np.complex128)
-    bot = np.ones((1, 1), dtype=np.complex128)
-    zetas = np.empty(N, dtype=np.complex128)
-    log_r = 0.0
-    pos = 0
-    for alphas in iter_blocks(cfg, N):
-        zs, half_log_h, _ = circle_variables(alphas[None, :], s.z, top, bot)
-        zetas[pos : pos + len(alphas)] = zs[0, :-1]
-        log_r += float(half_log_h.sum())
-        pos += len(alphas)
-    return zetas, log_r
+    trace. Materializes 2N complex values: the trace and its samples."""
+    return _samples_and_zeta_trace(cfg, s, N)[1:]
 
 
 def _samples_and_zeta_trace(

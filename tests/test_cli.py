@@ -3,15 +3,34 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import szegolab
+from szegolab import cli
 from szegolab.cli import EMPTY_WINDOW_MARKER, main, parse
 from szegolab.experiments import ExperimentPlan, lyapunov_scaling
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# the checked-in studies: subcommand and the settings each file pins
+STUDIES = {
+    "lyapunov_scaling": ("lyapunov", dict(
+        lams=(0.05, 0.1, 0.2), etas=(0.5 * math.pi,), Ns=(1_000_000,), seed=0)),
+    "ldt_sweep": ("ldt", dict(
+        lams=(0.3,), etas=None, Ns=(50, 100, 200, 400), seed=0, samples=10_000,
+        family="birkhoff")),
+    "green_profile": ("green", dict(
+        lams=(0.5,), etas=(1.5708,), Ns=(300,), seed=2, columns=12)),
+    "localization": ("localize", dict(
+        lams=(0.5,), etas=None, Ns=(400,), seed=3, lyap_N=200_000)),
+}
 
 
 @pytest.fixture(autouse=True)
@@ -89,6 +108,26 @@ def test_nonpositive_lambda_rejected(capsys):
     capsys.readouterr()
 
 
+def test_help_lists_every_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ldt", "--help"])
+    assert exc.value.code == 0
+    listed = re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.MULTILINE)
+    expected = ["--config", *(o.flag for o in cli._OPTIONS), "--tol"]
+    assert sorted(listed) == sorted(expected)
+    assert len(listed) == 24
+
+
+@pytest.mark.parametrize("key,value", [("format", "xml"), ("family", "foo")])
+def test_bad_choice_rejected_from_flag_and_file(tmp_path, capsys, key, value):
+    assert main(["ldt", f"--{key}", value]) == 2
+    assert "error:" in capsys.readouterr().err
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+    assert main(["ldt", "--config", str(cfg)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # config files
 
@@ -118,6 +157,18 @@ def test_flat_and_json_config_agree(tmp_path):
     assert run_flat.lams == (0.05, 0.1)
     assert run_flat.seed == 9
     assert run_flat.fmt == "json"
+
+
+def test_every_study_config_is_checked():
+    assert sorted(p.stem for p in CONFIGS.glob("*.cfg")) == sorted(STUDIES)
+
+
+@pytest.mark.parametrize("name", sorted(STUDIES))
+def test_study_config_pins_its_settings(name):
+    command, want = STUDIES[name]
+    run = parse([command, "--config", str(CONFIGS / f"{name}.cfg")])
+    assert run.command == command
+    assert {field: getattr(run, field) for field in want} == want
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
@@ -232,6 +283,21 @@ def test_green_csv_smoke(capsys):
     n1, n2, lg = lines[1].split(",")
     assert int(n1) >= 0 and int(n2) >= 0
     assert math.isfinite(float(lg))
+
+
+def test_green_refuses_grids(capsys):
+    # green runs one window; a second grid value would be dropped
+    argv = ["green", "--lambda-grid", "0.3,0.5", "--eta-grid", "1.0,2.0",
+            "--N-grid", "120,200"]
+    assert main(argv) == 2
+    assert "one window" in capsys.readouterr().err
+
+
+def test_ldt_angle_family_refuses_eta_grid(capsys):
+    argv = ["ldt", "--family", "lyapunov", "--eta-grid", "1.0,2.0", "--N", "50",
+            "--samples", "8"]
+    assert main(argv) == 2
+    assert "one eta" in capsys.readouterr().err
 
 
 def test_green_json_counts_skipped_columns(capsys, monkeypatch):

@@ -19,7 +19,6 @@ from szegolab.experiments import (
     localization,
     lyapunov_scaling,
     prufer_term_ldt,
-    summary_json,
 )
 from szegolab.sampling import preset, spectral_function, spectral_window
 from szegolab.torus_dynamics import CAT_MAP
@@ -113,7 +112,7 @@ def test_lyapunov_scaling_single_cell():
     fields = lines[1].split(",")
     assert len(fields) == 7
     assert float(fields[0]) == 0.1
-    assert json.loads(summary_json(res)) == res.summary()
+    assert json.loads(json.dumps(res.summary())) == res.summary()
 
 
 def test_prediction_comes_from_spectral_function():
@@ -141,6 +140,16 @@ def _small_plan(**kw):
     base = dict(lams=(0.1,), etas=(1.5708,), Ns=(50, 100), samples=64, seed=0)
     base.update(kw)
     return ExperimentPlan(**base)
+
+
+@pytest.mark.parametrize("family", ["lyapunov", "prufer"])
+def test_angle_families_refuse_an_eta_grid(family):
+    # these statistics run at one angle; a second eta would be dropped
+    plan = _small_plan(etas=(1.0, 2.0))
+    run = prufer_term_ldt if family == "prufer" else ldt_deviation
+    kwargs = {} if family == "prufer" else {"family": family}
+    with pytest.raises(ValueError, match="one eta"):
+        run(plan, **kwargs)
 
 
 def test_threshold_too_large_reports_bounds():
@@ -219,7 +228,7 @@ def test_prufer_terms_all_quiet_under_huge_threshold():
     plan = _small_plan(samples=32, Ns=(400,))
     res = prufer_term_ldt(plan, threshold_fn=lambda lam: 1e9)
     assert all(row.count == 0 for row in res.rows)
-    assert json.loads(summary_json(res)) == res.summary()
+    assert json.loads(json.dumps(res.summary())) == res.summary()
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +254,9 @@ def test_localization_small_run():
         if row.decay_rate > 0:
             assert row.localization_length == pytest.approx(1.0 / row.decay_rate)
     assert math.isfinite(res.median_ratio())
-    assert json.loads(summary_json(res)) == res.summary()
+    assert json.loads(json.dumps(res.summary())) == res.summary()
+    good = [r for r in res.rows if r.r2 >= 0.8 and r.decay_rate > 0.0]
+    assert res.summary()["good_fits"] == len(good) > 0
 
 
 def test_localization_counts_what_it_drops(monkeypatch):
@@ -280,7 +291,8 @@ def test_localization_counts_what_it_drops(monkeypatch):
     etas = [r.eta for r in res.rows]
     assert len(etas) == len(clean.rows) - 1
     assert picked["flagged"] in etas and picked["unfit"] not in etas
-    summary = json.loads(summary_json(res))
+    summary = res.summary()
+    assert json.loads(json.dumps(summary)) == summary
     assert (summary["fits_skipped"], summary["eigen_over_tol"]) == (1, 1)
     assert summary["worst_eigen_residual"] == 0.5
 

@@ -8,17 +8,17 @@ import numpy as np
 import pytest
 
 from szegolab.prufer import (
+    circle_variables,
     default_decorrelation_time,
     expansion_diagnostics,
     init,
-    run,
     step,
     zeta_trace,
 )
 from szegolab.sampling import preset
 from szegolab.szego_cocycle import SpectralPoint, polynomials
 from szegolab.torus_dynamics import CAT_MAP, TorusPoint
-from szegolab.verblunsky import VerblunskyConfig, coefficient, sampled_values_blocks
+from szegolab.verblunsky import VerblunskyConfig, coefficient, sampled_values_blocks, sequence
 
 from helpers import free_config, random_config, random_eta
 
@@ -72,7 +72,18 @@ def test_one_step_matches_first_polynomial():
 
 
 # ---------------------------------------------------------------------------
-# runs and traces
+# traces
+
+
+def _circle_trace(cfg, s, N):
+    """zeta_0 .. zeta_N, theta_0 .. theta_N and log r_0 .. log r_N of one
+    block through circle_variables."""
+    alphas = sequence(cfg, N)[0][None, :]
+    top = np.ones((1, 1), dtype=np.complex128)
+    bot = np.ones((1, 1), dtype=np.complex128)
+    zetas, half_log_h, dtheta = circle_variables(alphas, s.z, top, bot)
+    trace = [np.concatenate([[0.0], np.cumsum(d[0])]) for d in (dtheta, half_log_h)]
+    return zetas[0], *trace
 
 
 def test_radius_matches_polynomial_recursion():
@@ -80,53 +91,40 @@ def test_radius_matches_polynomial_recursion():
     for n_steps in (2000, 10_000):
         cfg = random_config(rng)
         s = SpectralPoint(random_eta(rng))
-        got = run(cfg, s, n_steps).final.log_r
+        _, got = zeta_trace(cfg, s, n_steps)
         want = polynomials(cfg, s, n_steps).log_abs_phi()
         assert got == pytest.approx(want, rel=1e-8, abs=1e-10)
 
 
 def test_free_run_keeps_zero_radius():
-    tr = run(free_config(), SpectralPoint(1.0), 500)
-    assert tr.final.log_r == 0.0
-    assert np.all(tr.log_r == 0.0)
-
-
-@pytest.mark.parametrize("n_steps,thin", [(10, 1), (10, 3), (9, 3), (7, 10), (0, 4)])
-def test_trace_length(n_steps, thin):
-    rng = np.random.default_rng(11)
-    cfg = random_config(rng)
-    tr = run(cfg, SpectralPoint(1.3), n_steps, thin=thin)
-    assert len(tr.log_r) == n_steps // thin + 1
-    assert list(tr.steps) == [i * thin for i in range(n_steps // thin + 1)]
-    assert tr.final.n == n_steps
-
-
-def test_run_validation():
-    rng = np.random.default_rng(13)
-    cfg = random_config(rng)
-    with pytest.raises(ValueError):
-        run(cfg, SpectralPoint(1.0), -1)
-    with pytest.raises(ValueError):
-        run(cfg, SpectralPoint(1.0), 10, thin=0)
+    _, log_r = zeta_trace(free_config(), SpectralPoint(1.0), 500)
+    assert log_r == 0.0
+    _, _, log_rs = _circle_trace(free_config(), SpectralPoint(1.0), 500)
+    assert np.all(log_rs == 0.0)
 
 
 def test_zeta_trace_matches_run():
+    # against a run of the scalar step, the per-step oracle
     rng = np.random.default_rng(17)
     cfg = random_config(rng)
     s = SpectralPoint(random_eta(rng))
     N = 200
     zetas, log_r = zeta_trace(cfg, s, N)
-    tr = run(cfg, s, N)
+    state = init(s)
+    want = []
+    for n in range(N):
+        want.append(state.zeta)
+        state = step(state, coefficient(cfg, n), s)
     assert len(zetas) == N
-    assert np.allclose(zetas, tr.zeta[:N], atol=1e-12)
-    assert log_r == pytest.approx(tr.final.log_r, rel=1e-12, abs=1e-12)
+    assert np.allclose(zetas, want, atol=1e-12)
+    assert log_r == pytest.approx(state.log_r, rel=1e-12, abs=1e-12)
 
 
 def test_zeta_stays_on_circle():
     rng = np.random.default_rng(19)
     cfg = random_config(rng)
-    tr = run(cfg, SpectralPoint(random_eta(rng)), 2000)
-    assert np.max(np.abs(np.abs(tr.zeta) - 1.0)) <= 1e-12
+    zetas, _ = zeta_trace(cfg, SpectralPoint(random_eta(rng)), 2000)
+    assert np.max(np.abs(np.abs(zetas) - 1.0)) <= 1e-12
 
 
 def test_zeta_phase_identity():
@@ -134,16 +132,16 @@ def test_zeta_phase_identity():
     # recursion, so the two integrations only drift by rounding
     cfg = _cfg(0.3)
     eta = 1.5708
-    tr = run(cfg, SpectralPoint(eta), 10_000)
-    expect = np.exp(1j * ((tr.steps + 1) * eta + 2.0 * tr.theta))
-    assert np.max(np.abs(tr.zeta - expect)) <= 1e-9
+    zetas, theta, _ = _circle_trace(cfg, SpectralPoint(eta), 10_000)
+    expect = np.exp(1j * ((np.arange(10_001) + 1) * eta + 2.0 * theta))
+    assert np.max(np.abs(zetas - expect)) <= 1e-9
 
 
 def test_phase_increments_below_pi():
     rng = np.random.default_rng(23)
     cfg = random_config(rng)
-    tr = run(cfg, SpectralPoint(random_eta(rng)), 5000)
-    assert np.max(np.abs(np.diff(tr.theta))) < math.pi
+    _, theta, _ = _circle_trace(cfg, SpectralPoint(random_eta(rng)), 5000)
+    assert np.max(np.abs(np.diff(theta))) < math.pi
 
 
 # ---------------------------------------------------------------------------
