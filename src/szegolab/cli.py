@@ -476,8 +476,21 @@ def _emit(out: str | None, text: str) -> None:
             fh.write(text)
 
 
+def _finite_or_null(value):
+    """value with every non-finite float in it replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Strict JSON: NaN and infinities are written as null."""
+    text = json.dumps(_finite_or_null(payload), indent=2, sort_keys=True, allow_nan=False)
+    return text + "\n"
 
 
 def _emit_table(run: RunConfig, csv_text, payload) -> int:

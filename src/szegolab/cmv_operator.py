@@ -107,16 +107,6 @@ def _window_bands(alphas: np.ndarray, a: int, b: int) -> np.ndarray:
     return bands
 
 
-def bands_to_dense(bands: np.ndarray) -> np.ndarray:
-    m = bands.shape[1]
-    out = np.zeros((m, m), dtype=np.complex128)
-    for off in range(-N_BANDS_LOW, N_BANDS_UP + 1):
-        # entry (j + off, j) sits at band row u + off, column j
-        j = np.arange(max(-off, 0), m - max(off, 0))
-        out[j + off, j] = bands[N_BANDS_UP + off, j]
-    return out
-
-
 def band_matvec(bands: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Pentadiagonal matrix times a vector (m,) or a block of columns (m, k)."""
     v = np.asarray(v)
@@ -153,9 +143,15 @@ class FiniteCMV:
         return self.b - self.a + 1
 
     def dense(self) -> np.ndarray:
-        if self.m > DENSE_CAP:
+        m = self.m
+        if m > DENSE_CAP:
             raise ValueError(f"dense form capped at {DENSE_CAP} sites")
-        return bands_to_dense(self.bands)
+        out = np.zeros((m, m), dtype=np.complex128)
+        for off in range(-N_BANDS_LOW, N_BANDS_UP + 1):
+            # entry (j + off, j) sits at band row u + off, column j
+            j = np.arange(max(-off, 0), m - max(off, 0))
+            out[j + off, j] = self.bands[N_BANDS_UP + off, j]
+        return out
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=np.complex128)
@@ -240,10 +236,6 @@ class CharPolyValue:
     def value(self) -> complex:
         return self.phase * math.exp(self.log_abs)
 
-    @property
-    def normalized(self) -> complex:
-        return self.phase * math.exp(self.log_abs_normalized)
-
 
 def _banded_logdet(bands: np.ndarray) -> tuple[float, complex]:
     """log|det| and phase of a pentadiagonal matrix via banded LU."""
@@ -272,15 +264,15 @@ def _banded_logdet(bands: np.ndarray) -> tuple[float, complex]:
 
 
 def _shifted_bands(bands: np.ndarray, z: complex) -> np.ndarray:
-    """Bands of (z - C) from the bands of C."""
-    out = -bands.copy()
-    out[N_BANDS_UP] += z
+    """Bands of C - z from the bands of C."""
+    out = bands.copy()
+    out[N_BANDS_UP] -= z
     return out
 
 
 def _char_value(bands: np.ndarray, window_alphas: np.ndarray, z: complex) -> CharPolyValue:
     """det(z - C) from the bands, normalized by the window's nonzero radii."""
-    log_abs, phase = _banded_logdet(_shifted_bands(bands, complex(z)))
+    log_abs, phase = _banded_logdet(-_shifted_bands(bands, complex(z)))
     r = _radii(window_alphas)
     log_norm = log_abs - float(np.sum(np.log(r[r > 0.0])))
     return CharPolyValue(log_abs=log_abs, phase=phase, log_abs_normalized=log_norm)

@@ -45,6 +45,8 @@ MC_CHUNK = 512
 MC_PASS_POINTS = 1 << 15
 CONFIDENCE = 0.95
 GOOD_R2 = 0.8
+# minimum distance every eta of a plan keeps from the degenerate angles {0, pi}
+ETA_GUARD = 0.05
 
 
 @dataclass(frozen=True)
@@ -52,8 +54,7 @@ class ExperimentPlan:
     """Grids and bookkeeping shared by the experiment drivers.
 
     base_points is the number of independent orbit starts averaged
-    inside each Lyapunov cell; eta_guard is the minimum distance every
-    eta in the grid must keep from the degenerate angles {0, pi}.
+    inside each Lyapunov cell.
     """
 
     lams: tuple[float, ...]
@@ -64,7 +65,6 @@ class ExperimentPlan:
     autom: ToralAutomorphism = CAT_MAP
     alpha: TrigPolynomial = field(default_factory=lambda: preset("alpha0"))
     base_points: int = 8
-    eta_guard: float = 0.05
 
     def __post_init__(self):
         if not self.lams or not self.etas or not self.Ns:
@@ -78,8 +78,8 @@ class ExperimentPlan:
         for eta in self.etas:
             d = min(abs(eta % (2 * math.pi)), abs(eta % (2 * math.pi) - math.pi),
                     abs(eta % (2 * math.pi) - 2 * math.pi))
-            if d < self.eta_guard:
-                raise ValueError(f"eta = {eta} within {self.eta_guard} of a degenerate angle")
+            if d < ETA_GUARD:
+                raise ValueError(f"eta = {eta} within {ETA_GUARD} of a degenerate angle")
         for N in self.Ns:
             if N < 2:
                 raise ValueError("N grid entries must be at least 2")
@@ -162,6 +162,11 @@ def _csv(header: str, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _prediction(plan: ExperimentPlan, lam: float, eta: float) -> float:
+    """The small coupling law lambda^2 J(eta) / 2 for the Lyapunov exponent."""
+    return 0.5 * lam * lam * float(spectral_function(plan.alpha, plan.autom, eta))
+
+
 def _pool_map(fn, args_list, jobs: int):
     if jobs <= 1 or len(args_list) <= 1:
         return [fn(a) for a in args_list]
@@ -209,7 +214,7 @@ class LyapunovScalingResult:
 
 def _lyapunov_cell(args) -> LyapunovCell:
     plan, cell_index, lam, eta, N = args
-    s = SpectralPoint(eta=eta, branch=1)
+    s = SpectralPoint(eta=eta)
     values = []
     cross = 0.0
     for r in range(plan.base_points):
@@ -224,7 +229,7 @@ def _lyapunov_cell(args) -> LyapunovCell:
         if r == 0:
             cross = abs(lyapunov_poly(cfg, s, N) - lyapunov_norm(cfg, s, N))
     L_N = float(np.mean(values))
-    prediction = 0.5 * lam * lam * float(spectral_function(plan.alpha, plan.autom, eta))
+    prediction = _prediction(plan, lam, eta)
     return LyapunovCell(
         lam=lam,
         eta=eta,
@@ -350,21 +355,14 @@ def _birkhoff_stats(plan, lam, N, F):
 
 def _lyapunov_stats(plan, lam, N, F):
     eta = plan.etas[0]
-    pred = 0.5 * lam * lam * float(spectral_function(plan.alpha, plan.autom, eta))
-    L = lyapunov_poly_rows(lam * F, SpectralPoint(eta=eta, branch=1))
+    pred = _prediction(plan, lam, eta)
+    L = lyapunov_poly_rows(lam * F, SpectralPoint(eta=eta))
     return {"lyapunov": np.abs(L - pred)}
 
 
-def _prufer_lag(plan: ExperimentPlan, lam: float) -> int:
-    probe = VerblunskyConfig(
-        lam=lam, base=TorusPoint.from_radians(0.5, 0.5), autom=plan.autom, alpha=plan.alpha
-    )
-    return default_decorrelation_time(probe)
-
-
 def _prufer_stats(plan, lam, N, F):
-    z = SpectralPoint(eta=plan.etas[0], branch=1).z
-    T = _prufer_lag(plan, lam)
+    z = SpectralPoint(eta=plan.etas[0]).z
+    T = default_decorrelation_time(lam, plan.autom)
     corr_limit = sum(
         (z**sh * autocorrelation_exact(plan.alpha, plan.autom, sh)).real
         for sh in range(1, T + 1)
@@ -495,7 +493,7 @@ def prufer_term_ldt(
     if threshold_fn is None:
         threshold_fn = lambda lam: lam**3
     for lam in plan.lams:
-        T = _prufer_lag(plan, lam)
+        T = default_decorrelation_time(lam, plan.autom)
         if min(plan.Ns) <= T:
             raise ValueError(f"N = {min(plan.Ns)} must exceed the lag T = {T} at lambda = {lam}")
     rows = _deviation_rows(plan, "prufer", threshold_fn, jobs)
@@ -638,10 +636,7 @@ def localization(
     cell = 0
     for lam in plan.lams:
         for N in plan.Ns:
-            pred = 0.5 * lam * lam * max(
-                float(spectral_function(plan.alpha, plan.autom, 0.5 * (lo + hi)))
-                for lo, hi in win
-            )
+            pred = max(_prediction(plan, lam, 0.5 * (lo + hi)) for lo, hi in win)
             if 0.0 < pred * N < 20.0:
                 raise ValueError(
                     f"N = {N} gives only {pred * N:.1f} predicted e-foldings, need 20"
@@ -660,7 +655,7 @@ def localization(
                     fitted.append((eta_j, eigenvector_decay_fit(dec.vectors[:, j])))
                 except ValueError:
                     skipped += 1
-            points = [SpectralPoint(eta=eta_j, branch=1) for eta_j, _ in fitted]
+            points = [SpectralPoint(eta=eta_j) for eta_j, _ in fitted]
             lyaps = lyapunov_poly_many(cfg, points, lyap_N).tolist()
             for (eta_j, fit), L in zip(fitted, lyaps):
                 rate = fit.slope

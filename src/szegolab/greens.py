@@ -16,7 +16,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from ._kernels import monic_scan
-from .cmv_operator import FiniteCMV, N_BANDS_UP, build, _check_unimodular
+from .cmv_operator import FiniteCMV, N_BANDS_UP, build, _check_unimodular, _shifted_bands
+from .experiments import _csv, linear_fit
 from .szego_cocycle import SpectralPoint
 from .verblunsky import VerblunskyConfig, coefficient, rho, sequence
 
@@ -80,34 +81,13 @@ class GreenQuery:
             if not (self.a <= n <= self.b):
                 raise ValueError(f"{name} = {n} outside [{self.a}, {self.b}]")
 
-    @classmethod
-    def at_point(
-        cls,
-        cfg: VerblunskyConfig,
-        a: int,
-        b: int,
-        beta: complex | None,
-        gamma: complex,
-        s: SpectralPoint,
-        n1: int,
-        n2: int,
-    ) -> "GreenQuery":
-        return cls(cfg=cfg, a=a, b=b, beta=beta, gamma=gamma, z=s.z, n1=n1, n2=n2)
-
-
-def _resolvent_bands(bands: np.ndarray, z: complex) -> np.ndarray:
-    """Bands of (C - z) from the bands of C."""
-    out = bands.copy()
-    out[N_BANDS_UP] -= z
-    return out
-
 
 def _solve_column(op: FiniteCMV, z: complex, col: int) -> np.ndarray:
     """Column col (window-relative) of (C - z)^{-1}, with blowup checks."""
     m = op.m
     e = np.zeros(m, dtype=np.complex128)
     e[col] = 1.0
-    ab = _resolvent_bands(op.bands, z)
+    ab = _shifted_bands(op.bands, z)
     try:
         u = sla.solve_banded((N_BANDS_UP, N_BANDS_UP), ab, e)
     except np.linalg.LinAlgError as exc:
@@ -343,10 +323,7 @@ class DecayProfile:
     columns_skipped: int
 
     def csv(self) -> str:
-        lines = ["n1,n2,log_abs_G"]
-        for n1, n2, lg in self.rows:
-            lines.append(f"{n1},{n2},{float(lg)!r}")
-        return "\n".join(lines) + "\n"
+        return _csv("n1,n2,log_abs_G", self.rows)
 
 
 MIN_FIT_PAIRS = 10
@@ -362,8 +339,9 @@ def decay_profile(
 ) -> DecayProfile:
     """Decay-rate fit of resolvent entries over the window [0, N].
 
-    Samples evenly spaced resolvent columns over the middle of the
-    window, keeps every finite log-modulus in the interior, and fits
+    Samples min(columns, hi - lo + 1) evenly spaced resolvent columns
+    over the middle [lo, hi] of the window, keeps every finite log-modulus
+    in that interior, and fits
     log|G(n1, n2)| = intercept - slope |n1 - n2|. Columns whose solve
     blows up are skipped and counted; fewer than MIN_FIT_PAIRS surviving
     entries abort the fit. The caller is responsible for keeping z away
@@ -374,10 +352,14 @@ def decay_profile(
     op = build(cfg, 0, N, None, gamma)
     m = op.m
     lo, hi = m // 8, (7 * m) // 8
-    step = max(1, (hi - lo) // max(1, columns - 1))
+    k = min(columns, hi - lo + 1)
+    # a grid of step (hi - lo) // (k - 1) holds at least k columns; take k
+    # of them spread over it (all of them when it holds exactly k)
+    grid = range(lo, hi + 1, max(1, (hi - lo) // max(1, k - 1)))
     rows: list[tuple[int, int, float]] = []
     skipped = 0
-    for n2 in range(lo, hi + 1, step):
+    for j in range(k):
+        n2 = grid[j * (len(grid) - 1) // max(1, k - 1)]
         try:
             u = _solve_column(op, z, n2)
         except ResolventBlowupError:
@@ -391,21 +373,11 @@ def decay_profile(
                 rows.append((lo + i, n2, float(lg)))
     if len(rows) < MIN_FIT_PAIRS:
         raise GreenFitError(f"only {len(rows)} usable entries, need {MIN_FIT_PAIRS}")
-    dist = np.array([-abs(n1 - n2) for n1, n2, _ in rows], dtype=float)
-    vals = np.array([lg for _, _, lg in rows], dtype=float)
-    A = np.column_stack([dist, np.ones_like(dist)])
-    (slope, intercept), res, *_ = np.linalg.lstsq(A, vals, rcond=None)
-    pred = A @ np.array([slope, intercept])
-    ss_res = float(np.sum((vals - pred) ** 2))
-    ss_tot = float(np.sum((vals - vals.mean()) ** 2))
-    if ss_tot > 0.0:
-        r2 = max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
-    else:
-        r2 = 1.0 if ss_res <= 1e-12 else 0.0
+    fit = linear_fit([-abs(n1 - n2) for n1, n2, _ in rows], [lg for _, _, lg in rows])
     return DecayProfile(
-        slope=float(slope),
-        intercept=float(intercept),
-        r2=r2,
+        slope=fit.slope,
+        intercept=fit.intercept,
+        r2=fit.r2,
         rows=tuple(rows),
         columns_skipped=skipped,
     )

@@ -27,6 +27,7 @@ import numpy as np
 
 from ._kernels import monic_scan
 from .szego_cocycle import SpectralPoint
+from .torus_dynamics import ToralAutomorphism
 from .verblunsky import VerblunskyConfig, sampled_values_blocks
 
 
@@ -100,8 +101,8 @@ def zeta_trace(cfg: VerblunskyConfig, s: SpectralPoint, N: int) -> tuple[np.ndar
 def _samples_and_zeta_trace(
     cfg: VerblunskyConfig, s: SpectralPoint, N: int
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """zeta_trace together with the unscaled samples F_n (sign folded in,
-    alpha_n = lam * F_n) that drive it, from one pass over the orbit."""
+    """zeta_trace together with the unscaled samples F_n (alpha_n =
+    lam * F_n) that drive it, from one pass over the orbit."""
     top = np.ones((1, 1), dtype=np.complex128)
     bot = np.ones((1, 1), dtype=np.complex128)
     F = np.empty(N, dtype=np.complex128)
@@ -118,10 +119,10 @@ def _samples_and_zeta_trace(
     return F, zetas, log_r
 
 
-def default_decorrelation_time(cfg: VerblunskyConfig) -> int:
+def default_decorrelation_time(lam: float, autom: ToralAutomorphism) -> int:
     """Number of steps after which the expansion treats the circle variable
     as decoupled from the sample, ceil(log(1/lam) / log rho)."""
-    return max(1, math.ceil(math.log(1.0 / cfg.lam) / math.log(abs(cfg.autom.rho))))
+    return max(1, math.ceil(math.log(1.0 / lam) / autom.expansion_rate))
 
 
 @dataclass(frozen=True)
@@ -145,26 +146,6 @@ class ExpansionDiagnostics:
     residual_123: float
     residual_456: float
 
-    CSV_HEADER = "N,T,I1,I2,I3,I4,I5,I6,lhs,residual_123,residual_456"
-
-    def csv_row(self) -> str:
-        vals = [
-            self.N,
-            self.T,
-            self.I1,
-            self.I2,
-            self.I3,
-            self.I4,
-            self.I5,
-            self.I6,
-            self.lhs,
-            self.residual_123,
-            self.residual_456,
-        ]
-        return ",".join(
-            str(v) if isinstance(v, int) else repr(float(v)) for v in vals
-        )
-
 
 def expansion_diagnostics(
     cfg: VerblunskyConfig,
@@ -178,7 +159,7 @@ def expansion_diagnostics(
     step), so N around 10^6 is comfortable and 10^7 is the practical top.
     """
     if T is None:
-        T = default_decorrelation_time(cfg)
+        T = default_decorrelation_time(cfg.lam, cfg.autom)
     if not (1 <= T < N):
         raise ValueError("need 1 <= T < N")
     lam = cfg.lam

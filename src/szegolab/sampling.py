@@ -11,8 +11,8 @@ form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple
+from dataclasses import dataclass
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -201,7 +201,6 @@ class CorrelationSpectrum:
 
     correlations: np.ndarray
     cutoff: int
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def build(cls, alpha: TrigPolynomial, A: ToralAutomorphism) -> "CorrelationSpectrum":
@@ -212,24 +211,13 @@ class CorrelationSpectrum:
         )
         return cls(correlations=corr, cutoff=nc)
 
-    def lag(self, n: int) -> complex:
-        if abs(n) > self.cutoff:
-            return 0.0 + 0.0j
-        return complex(self.correlations[n + self.cutoff])
-
     def value(self, eta: float) -> float:
         """Spectral function at angle eta, sum_n e^{i n eta} corr(n)."""
-        key = float(eta)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
         n = np.arange(-self.cutoff, self.cutoff + 1)
-        total = complex(np.sum(np.exp(1j * n * key) * self.correlations))
+        total = complex(np.sum(np.exp(1j * n * float(eta)) * self.correlations))
         if abs(total.imag) > 1e-10:
             raise ValueError(f"spectral function not real at eta={eta}: {total}")
-        out = float(total.real)
-        self._cache[key] = out
-        return out
+        return float(total.real)
 
 
 def spectral_function(
@@ -247,18 +235,22 @@ def spectral_function(
     )
 
 
+WINDOW_GRID_STEP = 1e-3
+BISECT_TOL = 1e-12
+
+
 def spectral_window(
     alpha: TrigPolynomial,
     A: ToralAutomorphism,
     delta: float,
     c: float,
-    grid_step: float = 1e-3,
 ) -> list[tuple[float, float]]:
     """Subintervals of [delta, pi - delta] u [pi + delta, 2 pi - delta]
     where the spectral function exceeds c.
 
-    Endpoints interior to the scan ranges are located by bisection to about
-    1e-12; endpoints at the range boundary are kept as is.
+    The ranges are scanned in steps of WINDOW_GRID_STEP. Endpoints interior
+    to them are located by bisection to BISECT_TOL; endpoints at the range
+    boundary are kept as is.
     """
     if not (0.0 < delta < math.pi / 4):
         raise ValueError("delta must lie in (0, pi/4)")
@@ -271,7 +263,7 @@ def spectral_window(
 
     intervals: list[tuple[float, float]] = []
     for lo, hi in ((delta, math.pi - delta), (math.pi + delta, TWO_PI - delta)):
-        npts = max(2, int(math.ceil((hi - lo) / grid_step)) + 1)
+        npts = max(2, int(math.ceil((hi - lo) / WINDOW_GRID_STEP)) + 1)
         grid = np.linspace(lo, hi, npts)
         vals = np.array([f(g) for g in grid])
         above = vals > 0.0
@@ -287,11 +279,11 @@ def spectral_window(
     return intervals
 
 
-def _bisect(f, lo: float, hi: float, tol: float = 1e-12) -> float:
+def _bisect(f, lo: float, hi: float) -> float:
     flo = f(lo)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if hi - lo < tol:
+        if hi - lo < BISECT_TOL:
             return mid
         fm = f(mid)
         if (flo <= 0.0) == (fm <= 0.0):

@@ -31,20 +31,13 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class SpectralPoint:
-    """Point z = e^{i eta} on the unit circle with a chosen square root.
-
-    branch selects between the two square roots; the default is
-    s = e^{i eta / 2}. Flipping the branch multiplies an N-step product by
-    (-1)^N and is exposed for diagnostics only.
-    """
+    """Point z = e^{i eta} on the unit circle with the square root
+    s = e^{i eta / 2}."""
 
     eta: float
-    branch: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "eta", float(self.eta) % TWO_PI)
-        if self.branch not in (1, -1):
-            raise ValueError("branch must be +1 or -1")
 
     @property
     def z(self) -> complex:
@@ -52,14 +45,11 @@ class SpectralPoint:
 
     @property
     def sqrt_z(self) -> complex:
-        return self.branch * cmath.exp(0.5j * self.eta)
+        return cmath.exp(0.5j * self.eta)
 
     def phase_power(self, n: int) -> complex:
         """sqrt_z raised to the n-th power, evaluated stably for large n."""
-        out = cmath.exp(0.5j * ((n * self.eta) % (2.0 * TWO_PI)))
-        if self.branch == -1 and n % 2:
-            out = -out
-        return out
+        return cmath.exp(0.5j * ((n * self.eta) % (2.0 * TWO_PI)))
 
 
 def step_matrix(alpha_n: complex, s: SpectralPoint) -> np.ndarray:
@@ -152,9 +142,6 @@ class PolynomialQuad:
     def log_abs_phi(self) -> float:
         return self.log_r + math.log(abs(self.phi))
 
-    def log_abs_psi(self) -> float:
-        return self.log_r + math.log(abs(self.psi))
-
 
 def _poly_run(blocks, z, batch: int):
     """The four-polynomial recursion over a stream of (1 or batch, n)
@@ -178,8 +165,9 @@ def _growth(top: np.ndarray, log_r: np.ndarray, N: int) -> np.ndarray:
 def polynomials(cfg: VerblunskyConfig, s: SpectralPoint, N: int) -> PolynomialQuad:
     """Run the recursion for (phi, phi*, psi, psi*) up to step N.
 
-    The second-kind pair evolves with the sign-flipped coefficients. All
-    four values share one running scale factor exp(log_r).
+    The second-kind pair (the polynomials of the sign-flipped
+    coefficients) is the monic product applied to (1, -1). All four values
+    share one running scale factor exp(log_r).
     """
     if N < 0:
         raise ValueError("step count must be nonnegative")

@@ -193,14 +193,21 @@ def orbit_arrays(A: ToralAutomorphism, p: TorusPoint, n: int) -> tuple[np.ndarra
     return out_x, out_y
 
 
-def orbit_blocks(A: ToralAutomorphism, p: TorusPoint, n: int, block: int = 1 << 16):
-    """Yield the orbit of p in chunks of coordinate arrays, n points total."""
+# Points per orbit chunk. Fixed, not a parameter: every consumer feeds one
+# chunk at a time to the recursion engine, whose along-time schedule is cut
+# from the chunk length, so the size sets the output bits.
+ORBIT_BLOCK = 1 << 16
+
+
+def orbit_blocks(A: ToralAutomorphism, p: TorusPoint, n: int):
+    """Yield the orbit of p in ORBIT_BLOCK chunks of coordinate arrays, n
+    points total."""
     (a, b), (c, d) = A.entries
     af, bf, cf, df = float(a), float(b), float(c), float(d)
     x, y = p.x, p.y
     done = 0
     while done < n:
-        size = min(block, n - done)
+        size = min(ORBIT_BLOCK, n - done)
         out_x = np.empty(size)
         out_y = np.empty(size)
         x, y = orbit_block(af, bf, cf, df, x, y, out_x, out_y)

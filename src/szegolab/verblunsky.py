@@ -1,8 +1,8 @@
 """Verblunsky coefficients sampled along a hyperbolic torus orbit.
 
-The coefficient sequence is alpha_n = sign * lam * alpha(A^n p) where alpha
-is a zero-mean trigonometric polynomial, A a hyperbolic automorphism and p
-the orbit base point. The coupling keeps every coefficient strictly inside
+The coefficient sequence is alpha_n = lam * alpha(A^n p) where alpha is a
+zero-mean trigonometric polynomial, A a hyperbolic automorphism and p the
+orbit base point. The coupling keeps every coefficient strictly inside
 the unit disk because lam * sup_bound < 1 is enforced at construction.
 """
 
@@ -19,17 +19,13 @@ from .torus_dynamics import ToralAutomorphism, TorusPoint, iterate, orbit_blocks
 
 @dataclass(frozen=True)
 class VerblunskyConfig:
-    """Full description of one coefficient sequence.
-
-    lam is the coupling strength; sign flips the whole sequence (the
-    second member of the dual pair of recursions uses the flipped one).
-    """
+    """Full description of one coefficient sequence; lam is the coupling
+    strength."""
 
     lam: float
     base: TorusPoint
     autom: ToralAutomorphism
     alpha: TrigPolynomial
-    sign: int = 1
 
     def __post_init__(self):
         if not (self.lam > 0.0 and math.isfinite(self.lam)):
@@ -39,17 +35,6 @@ class VerblunskyConfig:
                 "lam * sup_bound must stay below 1, got "
                 f"{self.lam * self.alpha.sup_bound}"
             )
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-
-    def flipped(self) -> "VerblunskyConfig":
-        return VerblunskyConfig(
-            lam=self.lam,
-            base=self.base,
-            autom=self.autom,
-            alpha=self.alpha,
-            sign=-self.sign,
-        )
 
 
 def coefficient(cfg: VerblunskyConfig, n: int) -> complex:
@@ -57,7 +42,7 @@ def coefficient(cfg: VerblunskyConfig, n: int) -> complex:
     if n < 0:
         raise ValueError("coefficient index must be nonnegative")
     p = iterate(cfg.autom, cfg.base, n)
-    return cfg.sign * cfg.lam * evaluate(cfg.alpha, p)
+    return cfg.lam * evaluate(cfg.alpha, p)
 
 
 def rho(cfg: VerblunskyConfig, n: int) -> float:
@@ -66,29 +51,35 @@ def rho(cfg: VerblunskyConfig, n: int) -> float:
     return math.sqrt(1.0 - (a.real * a.real + a.imag * a.imag))
 
 
+def _samples(cfg: VerblunskyConfig, N: int):
+    """The unscaled samples F_n = alpha(A^n p), n < N, one orbit block at a
+    time; every streamer below reads them from here."""
+    for bx, by in orbit_blocks(cfg.autom, cfg.base, N):
+        yield evaluate_many(cfg.alpha, bx, by)
+
+
 def sequence(cfg: VerblunskyConfig, N: int) -> tuple[np.ndarray, np.ndarray]:
     """First N coefficients and their complementary radii as arrays."""
     if N < 0:
         raise ValueError("length must be nonnegative")
     alphas = np.empty(N, dtype=np.complex128)
     pos = 0
-    for bx, by in orbit_blocks(cfg.autom, cfg.base, N):
-        vals = evaluate_many(cfg.alpha, bx, by)
-        alphas[pos : pos + len(vals)] = vals
-        pos += len(vals)
-    alphas *= cfg.sign * cfg.lam
+    for F in _samples(cfg, N):
+        alphas[pos : pos + len(F)] = F
+        pos += len(F)
+    alphas *= cfg.lam
     rhos = np.sqrt(1.0 - np.abs(alphas) ** 2)
     return alphas, rhos
 
 
-def iter_blocks(cfg: VerblunskyConfig, N: int, block: int = 1 << 16):
+def iter_blocks(cfg: VerblunskyConfig, N: int):
     """Stream the first N coefficients in blocks without materializing N."""
-    for bx, by in orbit_blocks(cfg.autom, cfg.base, N, block=block):
-        yield (cfg.sign * cfg.lam) * evaluate_many(cfg.alpha, bx, by)
+    for F in _samples(cfg, N):
+        F *= cfg.lam
+        yield F
 
 
-def sampled_values_blocks(cfg: VerblunskyConfig, N: int, block: int = 1 << 16):
-    """Stream the unscaled samples F_n with the sign applied, so that the
-    coefficient sequence is lam times the streamed values."""
-    for bx, by in orbit_blocks(cfg.autom, cfg.base, N, block=block):
-        yield cfg.sign * evaluate_many(cfg.alpha, bx, by)
+def sampled_values_blocks(cfg: VerblunskyConfig, N: int):
+    """Stream the unscaled samples F_n, so that the coefficient sequence is
+    lam times the streamed values."""
+    yield from _samples(cfg, N)

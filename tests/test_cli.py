@@ -300,6 +300,45 @@ def test_ldt_angle_family_refuses_eta_grid(capsys):
     assert "one eta" in capsys.readouterr().err
 
 
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+# every subcommand with JSON output, at sizes that give a non-finite
+# figure where one can arise: two-point fits have infinite standard
+# errors, and an empty window has no median ratio
+JSON_RUNS = {
+    "lyapunov": ["--lambda-grid", "0.1,0.2", "--N", "2000"],
+    "jspec": ["--points", "8"],
+    "ldt": ["--lambda", "0.3", "--N-grid", "50,100", "--samples", "200",
+            "--threshold", "0.01"],
+    "green": ["--lambda", "0.5", "--eta", "1.3", "--N", "120", "--seed", "2"],
+    "localize": ["--lambda", "0.5", "--N", "400", "--c", "0.99"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(JSON_RUNS))
+def test_json_output_is_strict(capsys, command):
+    argv = [command, *JSON_RUNS[command], "--format", "json", "--jobs", "1"]
+    assert main(argv) == 0
+    payload = _strict_json(capsys.readouterr().out)
+    assert payload["command"] == command
+    if command == "lyapunov":
+        assert payload["summary"]["residual_fit"]["slope_stderr"] is None
+    if command == "ldt":
+        assert payload["summary"]["fit"]["intercept_stderr"] is None
+    if command == "localize":
+        assert payload["summary"]["median_ratio"] is None
+
+
+def test_json_text_writes_non_finite_as_null():
+    text = cli._json_text({"a": math.nan, "b": [math.inf, 1.5], "c": (-math.inf,)})
+    assert _strict_json(text) == {"a": None, "b": [None, 1.5], "c": [None]}
+
+
 def test_green_json_counts_skipped_columns(capsys, monkeypatch):
     from szegolab import greens
 

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from szegolab import greens
 from szegolab.cmv_operator import build, eigenpairs
 from szegolab.greens import (
     GreenFitError,
@@ -71,14 +72,6 @@ def test_query_validation():
         GreenQuery(cfg=cfg, a=2, b=6, beta=None, gamma=1.0, z=2.0, n1=2, n2=3)
     with pytest.raises(ValueError):
         GreenQuery(cfg=cfg, a=0, b=4, beta=None, gamma=1.0, z=2.0, n1=0, n2=5)
-
-
-def test_at_point_uses_circle_value():
-    rng = np.random.default_rng(5)
-    cfg = random_config(rng)
-    s = SpectralPoint(1.1)
-    q = GreenQuery.at_point(cfg, 0, 5, None, 1.0, s, 1, 3)
-    assert q.z == s.z
 
 
 # ---------------------------------------------------------------------------
@@ -210,3 +203,32 @@ def test_profile_csv_shape():
     assert len(lines) == len(prof.rows) + 1
     n1, n2, lg = lines[1].split(",")
     assert (int(n1), int(n2), float(lg)) == prof.rows[0]
+
+
+@pytest.mark.parametrize("N", [20, 120, 300])
+@pytest.mark.parametrize("K", [1, 2, 5, 12])
+def test_profile_samples_exactly_the_requested_columns(monkeypatch, N, K):
+    solved = []
+    solve = greens._solve_column
+
+    def record(op, z, col):
+        solved.append(col)
+        return solve(op, z, col)
+
+    monkeypatch.setattr(greens, "_solve_column", record)
+    cfg = random_config(np.random.default_rng(N + K))
+    prof = decay_profile(cfg, 0.7 * cmath.exp(1.3j), N, None, 1.0, columns=K)
+    m = N + 1
+    lo, hi = m // 8, (7 * m) // 8
+    assert len(solved) == min(K, hi - lo + 1)
+    assert solved == sorted(set(solved))
+    assert solved[0] == lo and solved[-1] <= hi
+    assert {n2 for _, n2, _ in prof.rows} == set(solved)
+    # spread over [lo, hi]: the last column lies within one grid step of hi
+    step = max(1, (hi - lo) // max(1, K - 1))
+    if K > 1:
+        assert hi - solved[-1] < step
+    # where the evenly stepped grid already holds K columns, they are it
+    grid = list(range(lo, hi + 1, step))
+    if len(grid) == K:
+        assert solved == grid

@@ -159,11 +159,12 @@ def test_birkhoff_needs_two_samples():
 
 
 def test_spectrum_lag_matches_exact():
+    # correlations[n + cutoff] is the lag n; beyond the cutoff it vanishes
     spec = CorrelationSpectrum.build(ALPHA1, CAT_MAP)
+    assert spec.correlations.shape == (2 * spec.cutoff + 1,)
     for n in range(-spec.cutoff - 3, spec.cutoff + 4):
-        assert spec.lag(n) == pytest.approx(
-            autocorrelation_exact(ALPHA1, CAT_MAP, n), abs=1e-15
-        )
+        lag = spec.correlations[n + spec.cutoff] if abs(n) <= spec.cutoff else 0.0
+        assert lag == pytest.approx(autocorrelation_exact(ALPHA1, CAT_MAP, n), abs=1e-15)
 
 
 def test_flat_density_for_alpha0():

@@ -37,24 +37,12 @@ def test_spectral_point_reduces_eta():
 
 def test_sqrt_z_squares_to_z():
     for eta in (0.1, 1.5708, 3.0, 5.9):
-        for branch in (1, -1):
-            s = SpectralPoint(eta, branch=branch)
-            assert s.sqrt_z**2 == pytest.approx(s.z, abs=1e-15)
-
-
-def test_branch_flips_square_root():
-    s_plus = SpectralPoint(1.3, branch=1)
-    s_minus = SpectralPoint(1.3, branch=-1)
-    assert s_minus.sqrt_z == pytest.approx(-s_plus.sqrt_z, abs=1e-15)
-
-
-def test_bad_branch_rejected():
-    with pytest.raises(ValueError):
-        SpectralPoint(1.0, branch=2)
+        s = SpectralPoint(eta)
+        assert s.sqrt_z**2 == pytest.approx(s.z, abs=1e-15)
 
 
 def test_phase_power_matches_small_powers():
-    s = SpectralPoint(2.1, branch=-1)
+    s = SpectralPoint(2.1)
     for n in (-5, -3, -1, 0, 1, 2, 7):
         assert s.phase_power(n) == pytest.approx(s.sqrt_z**n, abs=1e-12)
 
@@ -169,15 +157,6 @@ def test_product_norm_never_below_one():
         cfg = random_config(rng)
         prod = transfer(cfg, SpectralPoint(random_eta(rng)), 300)
         assert prod.log_norm() >= -1e-10
-
-
-def test_branch_flip_leaves_norm_alone():
-    rng = np.random.default_rng(37)
-    cfg = random_config(rng)
-    eta = random_eta(rng)
-    n_plus = transfer(cfg, SpectralPoint(eta, branch=1), 500).log_norm()
-    n_minus = transfer(cfg, SpectralPoint(eta, branch=-1), 500).log_norm()
-    assert abs(n_plus - n_minus) < 1e-12
 
 
 # ---------------------------------------------------------------------------

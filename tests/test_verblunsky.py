@@ -47,16 +47,6 @@ def test_period_three_zeros():
     assert coefficient(cfg, 2) == pytest.approx(-0.2, abs=1e-15)
 
 
-def test_sign_flip():
-    cfg = fixed_point_config(0.3)
-    flipped = cfg.flipped()
-    assert flipped.sign == -1
-    for n in range(4):
-        assert coefficient(flipped, n) == pytest.approx(-coefficient(cfg, n))
-        assert rho(flipped, n) == pytest.approx(rho(cfg, n))
-    assert flipped.flipped().sign == 1
-
-
 def test_negative_index_rejected():
     with pytest.raises(ValueError):
         coefficient(fixed_point_config(), -1)
@@ -70,14 +60,6 @@ def test_coupling_validation():
     with pytest.raises(ValueError):
         VerblunskyConfig(
             lam=-0.1, base=TorusPoint.from_radians(0, 0), autom=CAT_MAP, alpha=ALPHA0
-        )
-    with pytest.raises(ValueError):
-        VerblunskyConfig(
-            lam=0.1,
-            base=TorusPoint.from_radians(0, 0),
-            autom=CAT_MAP,
-            alpha=ALPHA0,
-            sign=2,
         )
 
 
@@ -114,15 +96,6 @@ def test_sequence_matches_pointwise():
         assert rhos[n] == pytest.approx(rho(cfg, n), abs=1e-9)
 
 
-def test_flipped_sequence_negates_alpha_only():
-    rng = np.random.default_rng(14)
-    cfg = random_config(rng)
-    a_plus, r_plus = sequence(cfg, 200)
-    a_minus, r_minus = sequence(cfg.flipped(), 200)
-    assert np.array_equal(a_minus, -a_plus)
-    assert np.array_equal(r_minus, r_plus)
-
-
 def test_sup_bound_strict():
     rng = np.random.default_rng(15)
     for _ in range(3):
@@ -153,4 +126,4 @@ def test_sampled_values_scale():
     cfg = random_config(rng)
     alphas, _ = sequence(cfg, 1000)
     values = np.concatenate(list(sampled_values_blocks(cfg, 1000)))
-    assert np.max(np.abs(cfg.lam * values - alphas)) <= 1e-15
+    assert np.array_equal(cfg.lam * values, alphas)
