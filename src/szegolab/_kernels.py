@@ -1,5 +1,11 @@
 """Orbit generation and the one recursion engine of the package.
 
+The orbit step is one Python loop over time. It advances a single start
+(scalars) or a batch of starts (arrays) with the same expression, and each
+batch member's points are bitwise those of its scalar run: the products and
+sums are elementwise IEEE operations, and np.remainder and float % both
+take fmod and apply the same sign fix.
+
 Every recursion (transfer products, the polynomials of both kinds, the
 Prufer circle variable, the resolvent formula's monic pairs) is a product of
 monic Szego steps P(alpha, z) = [[z, -conj(alpha)], [-alpha z, 1]] applied
@@ -30,7 +36,11 @@ WIDE_BATCH = 64
 
 def orbit_block(a00, a01, a10, a11, x, y, out_x, out_y):
     """Fill out_x/out_y with the orbit points starting at (x, y); return the
-    point following the last recorded one (the carry for the next block)."""
+    point following the last recorded one (the carry for the next block).
+
+    x and y are scalars with (n,) outputs, or (B,) arrays with (n, B)
+    outputs, one column per start; out_x[i] is the i-th point.
+    """
     n = out_x.shape[0]
     for i in range(n):
         out_x[i] = x

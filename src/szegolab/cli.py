@@ -549,6 +549,8 @@ def _cmd_jspec(run: RunConfig) -> int:
 
 
 def _cmd_ldt(run: RunConfig) -> int:
+    if run.family == "birkhoff" and run.etas is not None:
+        raise ConfigError("ldt --family birkhoff reads no angle: drop --eta/--eta-grid")
     plan = _plan(run)
     thr = None if run.threshold is None else (lambda lam: run.threshold)
     if run.family == "prufer":
@@ -738,22 +740,24 @@ _SELFTEST_CHECKS = (
 
 def _cmd_selftest(run: RunConfig) -> int:
     rng = np.random.default_rng(run.seed)
-    lines = []
-    failures = 0
+    checks = []
     for name, fn in _SELFTEST_CHECKS:
         tol = run.tol.get(name, SELFTEST_TOLS[name])
-        value = fn(rng, run)
-        ok = value <= tol
-        if not ok:
-            failures += 1
-        lines.append(f"{'ok  ' if ok else 'FAIL'} {name:<15} {value:.3e} <= {tol:.1e}")
-    passed = len(_SELFTEST_CHECKS) - failures
-    lines.append(
-        f"selftest: {'PASS' if failures == 0 else 'FAIL'}"
-        f" ({passed}/{len(_SELFTEST_CHECKS)} checks)"
-    )
-    _emit(run.out, "\n".join(lines) + "\n")
-    return 0 if failures == 0 else 1
+        value = float(fn(rng, run))
+        checks.append({"name": name, "value": value, "tol": tol, "ok": value <= tol})
+    passed = sum(c["ok"] for c in checks)
+    total = len(checks)
+
+    def text() -> str:
+        lines = [
+            f"{'ok  ' if c['ok'] else 'FAIL'} {c['name']:<15} {c['value']:.3e} <= {c['tol']:.1e}"
+            for c in checks
+        ]
+        lines.append(f"selftest: {'PASS' if passed == total else 'FAIL'} ({passed}/{total} checks)")
+        return "\n".join(lines) + "\n"
+
+    _emit_table(run, text, lambda: {"checks": checks, "passed": passed, "total": total})
+    return 0 if passed == total else 1
 
 
 _COMMANDS = {

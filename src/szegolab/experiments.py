@@ -35,13 +35,14 @@ from .szego_cocycle import (
     lyapunov_poly_many,
     lyapunov_poly_rows,
 )
-from .torus_dynamics import CAT_MAP, TWO_PI, ToralAutomorphism, TorusPoint, orbit_arrays
+from .torus_dynamics import CAT_MAP, TWO_PI, ToralAutomorphism, TorusPoint, orbit_rows
 from .verblunsky import VerblunskyConfig
 
 MC_CHUNK = 512
-# orbit points (samples x N) handled together inside a chunk: each array of
-# a pass then takes 512 KiB, and N <= 512 still gives the engine a batch of
-# at least 64 samples
+# orbit points (samples x N) handled together inside a chunk: every array of
+# a pass, the orbit coordinates as well as F, then holds at most this many
+# points (one orbit when N is larger), and N <= 512 still gives the engine a
+# batch of at least 64 samples
 MC_PASS_POINTS = 1 << 15
 CONFIDENCE = 0.95
 GOOD_R2 = 0.8
@@ -395,10 +396,11 @@ _STATISTICS = {
 def _deviation_chunk(args) -> dict[str, list[float]]:
     """One deterministic chunk of Monte Carlo samples for one cell.
 
-    Draws the chunk's base points, builds the unscaled orbit samples F
-    one orbit at a time, and hands them to the family's statistics in
-    passes of at most MC_PASS_POINTS orbit points. Returns every
-    statistic's raw values.
+    Draws the chunk's base points and works through them in passes of at
+    most MC_PASS_POINTS orbit points: each pass steps the orbits of all its
+    samples together, builds the unscaled orbit samples F from them, and
+    hands F to the family's statistics. Returns every statistic's raw
+    values.
     """
     plan, family, cell_index, chunk_index, lam, N = args
     lo = chunk_index * MC_CHUNK
@@ -407,9 +409,8 @@ def _deviation_chunk(args) -> dict[str, list[float]]:
     out: dict[str, list[float]] = {}
     width = max(1, MC_PASS_POINTS // N)
     for start in range(0, hi - lo, width):
-        pass_bases = bases[start : start + width].tolist()
-        orbits = np.array([orbit_arrays(plan.autom, TorusPoint(x, y), N) for x, y in pass_bases])
-        F = evaluate_many(plan.alpha, orbits[:, 0], orbits[:, 1])
+        xs, ys = orbit_rows(plan.autom, bases[start : start + width], N)
+        F = evaluate_many(plan.alpha, xs, ys)
         for name, values in _STATISTICS[family](plan, lam, N, F).items():
             out.setdefault(name, []).extend(values.tolist())
     return out

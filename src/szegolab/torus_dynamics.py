@@ -184,13 +184,19 @@ def iterate(A: ToralAutomorphism, p: TorusPoint, n: int) -> TorusPoint:
     return TorusPoint.from_radians(x, y)
 
 
-def orbit_arrays(A: ToralAutomorphism, p: TorusPoint, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """First n orbit points (starting at p itself) as coordinate arrays."""
-    out_x = np.empty(n)
-    out_y = np.empty(n)
+def orbit_rows(A: ToralAutomorphism, starts, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """First n orbit points of many starts, stepped together.
+
+    starts is a (B, 2) array of radian coordinates, reduced modulo 2 pi as
+    TorusPoint does. Returns C-contiguous (B, n) x and y arrays whose row b
+    is bitwise the orbit of starts[b] that orbit_blocks yields.
+    """
+    starts = np.asarray(starts, dtype=float) % TWO_PI
+    xs = np.empty((starts.shape[0], n))
+    ys = np.empty_like(xs)
     (a, b), (c, d) = A.entries
-    orbit_block(float(a), float(b), float(c), float(d), p.x, p.y, out_x, out_y)
-    return out_x, out_y
+    orbit_block(float(a), float(b), float(c), float(d), starts[:, 0], starts[:, 1], xs.T, ys.T)
+    return xs, ys
 
 
 # Points per orbit chunk. Fixed, not a parameter: every consumer feeds one

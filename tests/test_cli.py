@@ -300,6 +300,14 @@ def test_ldt_angle_family_refuses_eta_grid(capsys):
     assert "one eta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("angle", [["--eta", "1.0"], ["--eta-grid", "1.0,2.0"]])
+def test_ldt_birkhoff_refuses_an_angle(capsys, angle):
+    # the orbit average reads no angle, so a given one would be ignored
+    argv = ["ldt", "--family", "birkhoff", *angle, "--N", "50", "--samples", "8"]
+    assert main(argv) == 2
+    assert "reads no angle" in capsys.readouterr().err
+
+
 def _strict_json(text):
     def refuse(name):
         raise ValueError(f"not JSON: {name}")
@@ -317,6 +325,7 @@ JSON_RUNS = {
             "--threshold", "0.01"],
     "green": ["--lambda", "0.5", "--eta", "1.3", "--N", "120", "--seed", "2"],
     "localize": ["--lambda", "0.5", "--N", "400", "--c", "0.99"],
+    "selftest": ["--seed", "0"],
 }
 
 
@@ -332,6 +341,9 @@ def test_json_output_is_strict(capsys, command):
         assert payload["summary"]["fit"]["intercept_stderr"] is None
     if command == "localize":
         assert payload["summary"]["median_ratio"] is None
+    if command == "selftest":
+        assert payload["passed"] == payload["total"] == len(payload["checks"]) == 7
+        assert all(set(c) == {"name", "value", "tol", "ok"} and c["ok"] for c in payload["checks"])
 
 
 def test_json_text_writes_non_finite_as_null():
@@ -387,6 +399,11 @@ def test_selftest_fails_under_impossible_tolerance(capsys):
     out = capsys.readouterr().out
     assert "FAIL unitarity" in out
     assert "selftest: FAIL (6/7 checks)" in out
+    argv = ["selftest", "--seed", "0", "--tol", "unitarity=1e-20", "--format", "json"]
+    assert main(argv) == 1
+    payload = _strict_json(capsys.readouterr().out)
+    assert (payload["passed"], payload["total"]) == (6, 7)
+    assert [c["name"] for c in payload["checks"] if not c["ok"]] == ["unitarity"]
 
 
 def test_ldt_output_independent_of_jobs(tmp_path):

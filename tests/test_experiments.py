@@ -20,8 +20,8 @@ from szegolab.experiments import (
     lyapunov_scaling,
     prufer_term_ldt,
 )
-from szegolab.sampling import preset, spectral_function, spectral_window
-from szegolab.torus_dynamics import CAT_MAP
+from szegolab.sampling import evaluate_many, preset, spectral_function, spectral_window
+from szegolab.torus_dynamics import CAT_MAP, TWO_PI, TorusPoint, orbit_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +177,42 @@ def test_deviation_csv_identical_across_jobs(family):
     else:
         run = lambda jobs: ldt_deviation(plan, family, jobs=jobs)
     assert run(1).csv() == run(2).csv()
+
+
+def _chunk_one_orbit_at_a_time(plan, family, cell_index, chunk_index, lam, N):
+    """The oracle of _deviation_chunk: each sample's orbit built alone by
+    orbit_blocks, the pass's orbits stacked, then evaluate_many."""
+    lo = chunk_index * experiments.MC_CHUNK
+    hi = min(lo + experiments.MC_CHUNK, plan.samples)
+    bases = plan.rng(cell_index, chunk_index).uniform(0.0, TWO_PI, size=(hi - lo, 2))
+    out = {}
+    width = max(1, experiments.MC_PASS_POINTS // N)
+    for start in range(0, hi - lo, width):
+        orbits = []
+        for x, y in bases[start : start + width].tolist():
+            ((bx, by),) = orbit_blocks(plan.autom, TorusPoint(x, y), N)
+            orbits.append((bx, by))
+        orbits = np.array(orbits)
+        F = evaluate_many(plan.alpha, orbits[:, 0], orbits[:, 1])
+        for name, values in experiments._STATISTICS[family](plan, lam, N, F).items():
+            out.setdefault(name, []).extend(values.tolist())
+    return out
+
+
+@pytest.mark.parametrize("family", ["birkhoff", "lyapunov", "prufer"])
+@pytest.mark.parametrize("N", [50, 400])  # one pass per chunk, then several
+def test_deviation_chunk_bitwise_equal_to_one_orbit_at_a_time(family, N):
+    plan = _small_plan(lams=(0.3,), etas=(1.3,), Ns=(N,), samples=600, seed=4)
+    for chunk_index in (0, 1):
+        args = (plan, family, 2, chunk_index, 0.3, N)
+        got = experiments._deviation_chunk(args)
+        want = _chunk_one_orbit_at_a_time(*args)
+        assert list(got) == list(want)
+        for name in want:
+            assert len(got[name]) == len(want[name]) > 0
+            assert np.array_equal(
+                np.array(got[name]).view(np.uint64), np.array(want[name]).view(np.uint64)
+            )
 
 
 def test_clopper_pearson_upper_bound():

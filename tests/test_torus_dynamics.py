@@ -16,8 +16,8 @@ from szegolab.torus_dynamics import (
     frequency_pushforward,
     iterate,
     matrix_power,
-    orbit_arrays,
     orbit_blocks,
+    orbit_rows,
     validate,
 )
 
@@ -166,28 +166,57 @@ def test_pushforward_cap():
 def test_orbit_equidistributes():
     rng = np.random.default_rng(11)
     p = TorusPoint.random(rng)
-    xs, ys = orbit_arrays(CAT_MAP, p, 10_000)
-    avg = np.mean(np.exp(1j * (xs + ys)))
+    xs, ys = orbit_rows(CAT_MAP, [[p.x, p.y]], 10_000)
+    avg = np.mean(np.exp(1j * (xs[0] + ys[0])))
     assert abs(avg) <= 0.05
 
 
-def test_orbit_arrays_match_iterate():
+def test_orbit_rows_match_iterate():
     p = TorusPoint.from_radians(0.9, 0.4)
-    xs, ys = orbit_arrays(CAT_MAP, p, 6)
+    xs, ys = orbit_rows(CAT_MAP, [[p.x, p.y]], 6)
     for n in range(6):
         q = iterate(CAT_MAP, p, n)
-        assert xs[n] == pytest.approx(q.x, abs=1e-9)
-        assert ys[n] == pytest.approx(q.y, abs=1e-9)
+        assert xs[0, n] == pytest.approx(q.x, abs=1e-9)
+        assert ys[0, n] == pytest.approx(q.y, abs=1e-9)
 
 
 def test_orbit_blocks_concatenate():
     p = TorusPoint.from_radians(2.5, 0.1)
     n = 70_000
-    xs, ys = orbit_arrays(CAT_MAP, p, n)
+    xs, ys = orbit_rows(CAT_MAP, [[p.x, p.y]], n)
     bx = np.concatenate([b[0] for b in orbit_blocks(CAT_MAP, p, n)])
     by = np.concatenate([b[1] for b in orbit_blocks(CAT_MAP, p, n)])
-    assert np.array_equal(xs, bx)
-    assert np.array_equal(ys, by)
+    assert np.array_equal(xs[0], bx)
+    assert np.array_equal(ys[0], by)
+
+
+# start coordinates at and past the edges of [0, 2 pi)
+EDGE_STARTS = (0.0, np.nextafter(TWO_PI, 0.0), TWO_PI + 0.25, -0.75)
+
+
+@pytest.mark.parametrize(
+    "A",
+    # trace 3 with negative entries: the remainder's sign fix runs
+    [CAT_MAP, validate([[2, -1], [-1, 1]])],
+    ids=["cat", "signed"],
+)
+@pytest.mark.parametrize("B", [1, 7, 81, 512])
+@pytest.mark.parametrize("n", [0, 1, 2, 400])
+def test_orbit_rows_bitwise_equal_to_scalar_orbits(A, B, n):
+    rng = np.random.default_rng(B * 1000 + n)
+    starts = rng.uniform(-TWO_PI, 2.0 * TWO_PI, size=(B, 2))
+    k = min(B, len(EDGE_STARTS))
+    starts[:k, 0] = EDGE_STARTS[:k]
+    starts[:k, 1] = EDGE_STARTS[::-1][:k]
+    xs, ys = orbit_rows(A, starts, n)
+    assert xs.shape == ys.shape == (B, n)
+    assert xs.flags.c_contiguous and ys.flags.c_contiguous
+    for b, (x, y) in enumerate(starts.tolist()):
+        blocks = list(orbit_blocks(A, TorusPoint(x, y), n))
+        want_x = np.concatenate([bx for bx, _ in blocks]) if blocks else np.empty(0)
+        want_y = np.concatenate([by for _, by in blocks]) if blocks else np.empty(0)
+        assert np.array_equal(xs[b].view(np.uint64), want_x.view(np.uint64))
+        assert np.array_equal(ys[b].view(np.uint64), want_y.view(np.uint64))
 
 
 def test_torus_point_reduces_coordinates():
