@@ -203,6 +203,17 @@ def _co_tol(value) -> dict[str, float]:
 # the options
 
 
+_SUBCOMMANDS = (
+    ("lyapunov", "finite-N growth rates against the small coupling law"),
+    ("jspec", "spectral function table over the angle grid"),
+    ("ldt", "Monte Carlo deviation fractions along the N grid"),
+    ("green", "resolvent decay profile on one window"),
+    ("localize", "eigenfunction decay rates inside a spectral window"),
+    ("selftest", "fast invariant battery, exit 1 on numerical failure"),
+)
+_FAMILIES = ("birkhoff", "lyapunov", "prufer")
+
+
 class _Option(NamedTuple):
     flag: str
     key: str
@@ -210,9 +221,12 @@ class _Option(NamedTuple):
     default: object
     metavar: str
     help: str
+    # the subcommands that read the option; the others refuse it
+    commands: tuple[str, ...] = tuple(name for name, _ in _SUBCOMMANDS)
 
 
-_FAMILIES = ("birkhoff", "lyapunov", "prufer")
+_LAM_N = ("lyapunov", "ldt", "green", "localize")
+_ANGLE = ("lyapunov", "jspec", "ldt", "green")
 
 # Every option but --config and --tol, in --help order. A config file
 # names an option by its key or by its flag without the leading dashes,
@@ -226,15 +240,17 @@ _OPTIONS = tuple(
          "sampling function preset, alpha0 or alpha1 (default alpha0)"),
         ("--alpha", "alpha", _co_alpha, None, "SPEC",
          "custom sampling function, ';'-separated k1,k2:coeff terms"),
-        ("--lambda", "lam", _co_pos_float, None, "X", "coupling (default 0.1)"),
+        ("--lambda", "lam", _co_pos_float, None, "X", "coupling (default 0.1)", _LAM_N),
         ("--lambda-grid", "lam_grid", _co_list_of(_co_pos_float), None, "X,..",
-         "coupling grid"),
-        ("--eta", "eta", _co_float, None, "X", "spectral angle in radians (default pi/2)"),
-        ("--eta-grid", "eta_grid", _co_list_of(_co_float), None, "X,..", "angle grid"),
-        ("--N", "N", _co_int_from(2), None, "K", "orbit/window length (default 1000)"),
-        ("--N-grid", "N_grid", _co_list_of(_co_int_from(2)), None, "K,..", "length grid"),
+         "coupling grid", _LAM_N),
+        ("--eta", "eta", _co_float, None, "X",
+         "spectral angle in radians (default pi/2)", _ANGLE),
+        ("--eta-grid", "eta_grid", _co_list_of(_co_float), None, "X,..", "angle grid", _ANGLE),
+        ("--N", "N", _co_int_from(2), None, "K", "orbit/window length (default 1000)", _LAM_N),
+        ("--N-grid", "N_grid", _co_list_of(_co_int_from(2)), None, "K,..",
+         "length grid", _LAM_N),
         ("--samples", "samples", _co_int_from(1), 10_000, "M",
-         "Monte Carlo samples per cell (default 10000)"),
+         "Monte Carlo samples per cell (default 10000)", ("ldt",)),
         ("--seed", "seed", _co_int_from(0), None, "S",
          "master seed (default: SZEGO_LAB_SEED, then 0)"),
         ("--jobs", "jobs", _co_int_from(1), None, "J",
@@ -243,20 +259,22 @@ _OPTIONS = tuple(
         ("--format", "fmt", _co_choice("csv", "json"), "csv", "{csv,json}",
          "output format (default csv)"),
         ("--family", "family", _co_choice(*_FAMILIES), "birkhoff",
-         "{" + ",".join(_FAMILIES) + "}", "ldt statistic family (default birkhoff)"),
+         "{" + ",".join(_FAMILIES) + "}", "ldt statistic family (default birkhoff)", ("ldt",)),
         ("--threshold", "threshold", _co_pos_float, None, "T",
-         "ldt constant threshold override (default: 0.2 birkhoff, lambda^3 else)"),
+         "ldt constant threshold override (default: 0.2 birkhoff, lambda^3 else)", ("ldt",)),
         ("--delta", "delta", _co_pos_float, 0.3, "D",
-         "localize: guard around {0, pi} (default 0.3)"),
-        ("--c", "c", _co_pos_float, 0.05, "C", "localize: spectral level cut (default 0.05)"),
+         "localize: guard around {0, pi} (default 0.3)", ("localize",)),
+        ("--c", "c", _co_pos_float, 0.05, "C",
+         "localize: spectral level cut (default 0.05)", ("localize",)),
         ("--gamma", "gamma", _co_complex, 1.0 + 0.0j, "G",
-         "right boundary value, unimodular, e.g. 1 or 0.6+0.8j (default 1)"),
+         "right boundary value, unimodular, e.g. 1 or 0.6+0.8j (default 1)",
+         ("green", "localize")),
         ("--lyap-N", "lyap_N", _co_int_from(1), 200_000, "K",
-         "localize: reference growth-rate orbit length (default 200000)"),
+         "localize: reference growth-rate orbit length (default 200000)", ("localize",)),
         ("--columns", "columns", _co_int_from(1), 12, "K",
-         "green: resolvent columns sampled (default 12)"),
+         "green: resolvent columns sampled (default 12)", ("green",)),
         ("--points", "points", _co_int_from(1), 256, "K",
-         "jspec: default angle grid size (default 256)"),
+         "jspec: default angle grid size (default 256)", ("jspec",)),
     )
 )
 
@@ -387,14 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
-    for name, text in (
-        ("lyapunov", "finite-N growth rates against the small coupling law"),
-        ("jspec", "spectral function table over the angle grid"),
-        ("ldt", "Monte Carlo deviation fractions along the N grid"),
-        ("green", "resolvent decay profile on one window"),
-        ("localize", "eigenfunction decay rates inside a spectral window"),
-        ("selftest", "fast invariant battery, exit 1 on numerical failure"),
-    ):
+    for name, text in _SUBCOMMANDS:
         sub.add_parser(
             name,
             parents=[common],
@@ -420,6 +431,8 @@ def parse(argv) -> RunConfig:
     path = cli.pop("config", None)
     file_vals = _load_config_file(path) if path is not None else {}
 
+    if args.command != "selftest" and ("tol" in cli or "tol" in file_vals):
+        raise ConfigError(f"{args.command} reads no --tol")
     tol = {**_co_tol(file_vals.pop("tol", None)), **_co_tol(cli.pop("tol", None))}
 
     for a, b in _EXCLUSIVE:
@@ -433,9 +446,12 @@ def parse(argv) -> RunConfig:
             raise ConfigError(f"give only one of {_BY_KEY[a].flag} and {_BY_KEY[b].flag}")
 
     vals = {o.key: o.default for o in _OPTIONS}
-    for source in (file_vals, cli):
+    for source, origin in ((file_vals, f" (from {path})"), (cli, "")):
         for key, value in source.items():
-            vals[key] = _BY_KEY[key].coerce(_BY_KEY[key].flag, value)
+            o = _BY_KEY[key]
+            if args.command not in o.commands:
+                raise ConfigError(f"{args.command} reads no {o.flag}{origin}")
+            vals[key] = o.coerce(o.flag, value)
 
     if "seed" not in given:
         env = os.environ.get("SZEGO_LAB_SEED")

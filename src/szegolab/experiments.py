@@ -28,13 +28,7 @@ from .sampling import (
     spectral_function,
     spectral_window,
 )
-from .szego_cocycle import (
-    SpectralPoint,
-    lyapunov_norm,
-    lyapunov_poly,
-    lyapunov_poly_many,
-    lyapunov_poly_rows,
-)
+from .szego_cocycle import SpectralPoint, lyapunov_poly_many, lyapunov_poly_rows
 from .torus_dynamics import CAT_MAP, TWO_PI, ToralAutomorphism, TorusPoint, orbit_rows
 from .verblunsky import VerblunskyConfig
 
@@ -70,6 +64,9 @@ class ExperimentPlan:
     def __post_init__(self):
         if not self.lams or not self.etas or not self.Ns:
             raise ValueError("lambda, eta and N grids must be nonempty")
+        for name, grid in (("lambda", self.lams), ("eta", self.etas), ("N", self.Ns)):
+            if len(set(grid)) < len(grid):
+                raise ValueError(f"the {name} grid repeats an entry: {list(grid)}")
         sup = self.alpha.sup_bound
         for lam in self.lams:
             if not (lam > 0.0 and math.isfinite(lam)):
@@ -216,20 +213,16 @@ class LyapunovScalingResult:
 def _lyapunov_cell(args) -> LyapunovCell:
     plan, cell_index, lam, eta, N = args
     s = SpectralPoint(eta=eta)
-    values = []
-    cross = 0.0
-    for r in range(plan.base_points):
-        cfg = plan.config(lam, cell_index, r)
-        # The raw growth rate log r_N / N carries a mean-zero lag-coupled
-        # fluctuation of size lambda/sqrt(N) that would bury the cubic
-        # remainder at this orbit budget. The measured lag-T term of the
-        # phase expansion is that fluctuation, so subtracting it leaves
-        # an estimator with the same limit and quadratic-order noise.
-        diag = expansion_diagnostics(cfg, s, N)
-        values.append(diag.lhs - diag.I4)
-        if r == 0:
-            cross = abs(lyapunov_poly(cfg, s, N) - lyapunov_norm(cfg, s, N))
-    L_N = float(np.mean(values))
+    diags = [
+        expansion_diagnostics(plan.config(lam, cell_index, r), s, N)
+        for r in range(plan.base_points)
+    ]
+    # The raw growth rate log r_N / N carries a mean-zero lag-coupled
+    # fluctuation of size lambda/sqrt(N) that would bury the cubic
+    # remainder at this orbit budget. The measured lag-T term of the
+    # phase expansion is that fluctuation, so subtracting it leaves
+    # an estimator with the same limit and quadratic-order noise.
+    L_N = float(np.mean([d.lhs - d.I4 for d in diags]))
     prediction = _prediction(plan, lam, eta)
     return LyapunovCell(
         lam=lam,
@@ -238,7 +231,7 @@ def _lyapunov_cell(args) -> LyapunovCell:
         L_N=L_N,
         prediction=prediction,
         residual=abs(L_N - prediction),
-        cross_delta=cross,
+        cross_delta=max(abs(d.lhs - d.lhs_poly) for d in diags),
     )
 
 
@@ -248,10 +241,12 @@ def lyapunov_scaling(plan: ExperimentPlan, jobs: int = 1) -> LyapunovScalingResu
     Each (lambda, eta, N) cell averages the fluctuation-corrected
     growth estimate (raw Prufer growth rate minus its measured lag-T
     term) over base_points independent orbit starts and compares with
-    lambda^2 J(eta) / 2. cross_delta records the disagreement between
-    the two uncorrected growth-rate routes at the first base point. The residual
-    fit regresses log median residual on log lambda; its slope measures
-    the order of the remainder and needs at least two distinct lambdas.
+    lambda^2 J(eta) / 2. cross_delta is the largest disagreement, over
+    the base points, between two formulas for the uncorrected growth
+    rate on the same orbit pass: the Prufer sum of log(H_n) / 2 over N
+    and the polynomial route's log |phi_N| / N. The residual fit regresses
+    log median residual on log lambda; its slope measures the order of the
+    remainder and needs at least two distinct lambdas.
     """
     cells = []
     idx = 0

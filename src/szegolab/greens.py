@@ -19,7 +19,7 @@ from ._kernels import monic_scan
 from .cmv_operator import FiniteCMV, N_BANDS_UP, build, _check_unimodular, _shifted_bands
 from .experiments import _csv, linear_fit
 from .szego_cocycle import SpectralPoint
-from .verblunsky import VerblunskyConfig, coefficient, rho, sequence
+from .verblunsky import VerblunskyConfig, coefficient, sequence
 
 DIRECT_RESIDUAL_TOL = 1e-10
 BLOWUP_DISTANCE = 1e-12
@@ -239,11 +239,13 @@ def boundary_vector(
     z = _as_z(z)
     bdata = complex(bdata)
     xi = np.asarray(xi)
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    if side == "left" and index < 1:
+        raise ValueError("left edge vector needs index >= 1")
+    al = coefficient(cfg, index - 1 if side == "left" else index)
+    r = math.sqrt(1.0 - (al.real * al.real + al.imag * al.imag))
     if side == "left":
-        if index < 1:
-            raise ValueError("left edge vector needs index >= 1")
-        al = coefficient(cfg, index - 1)
-        r = rho(cfg, index - 1)
         if index % 2 == 0:
             return z * (
                 (1 - bdata.conjugate() * al) * xi[index]
@@ -252,18 +254,14 @@ def boundary_vector(
         return -z * (
             (1 - bdata * al.conjugate()) * xi[index] + bdata * r * xi[index - 1]
         )
-    if side == "right":
-        al = coefficient(cfg, index)
-        r = rho(cfg, index)
-        if index % 2 == 0:
-            return -z * (
-                (1 - bdata.conjugate() * al) * xi[index]
-                - bdata.conjugate() * r * xi[index + 1]
-            )
-        return z * (
-            (1 - bdata * al.conjugate()) * xi[index] - bdata * r * xi[index + 1]
+    if index % 2 == 0:
+        return -z * (
+            (1 - bdata.conjugate() * al) * xi[index]
+            - bdata.conjugate() * r * xi[index + 1]
         )
-    raise ValueError("side must be 'left' or 'right'")
+    return z * (
+        (1 - bdata * al.conjugate()) * xi[index] - bdata * r * xi[index + 1]
+    )
 
 
 def reconstruction_residual(

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import monic_scan
-from .szego_cocycle import SpectralPoint
+from .szego_cocycle import SpectralPoint, _log_rho
 from .torus_dynamics import ToralAutomorphism
 from .verblunsky import VerblunskyConfig, sampled_values_blocks
 
@@ -76,10 +76,11 @@ def circle_variables(alphas: np.ndarray, z, top: np.ndarray, bot: np.ndarray):
     top and bot, of shape (rows, 1), carry the polynomial pair
     (phi_n, phi*_n) into the block and are advanced past it. Returns the
     circle variables zeta = z phi / phi*, shape (rows, n + 1), seen by every
-    step plus the one after the block, and the half log H_n and dtheta_n
-    of every step, shape (rows, n).
+    step plus the one after the block, the half log H_n and dtheta_n of
+    every step, shape (rows, n), and the log scale of the advanced pair,
+    shape (rows,): the true monic pair is (top, bot) times exp(log_scale).
     """
-    _, ratio = monic_scan(alphas, z, top, bot, record=True)
+    log_scale, ratio = monic_scan(alphas, z, top, bot, record=True)
     zetas = z * np.concatenate([ratio, top / bot], axis=1)
     zetas /= np.abs(zetas)
     az = alphas * zetas[:, :-1]
@@ -88,35 +89,38 @@ def circle_variables(alphas: np.ndarray, z, top: np.ndarray, bot: np.ndarray):
     # |alpha| < 1 forces Re(1 - alpha zeta) > 0, so the principal branch
     # realizes the |dtheta| < pi normalization directly
     dtheta = -np.angle(1.0 - az)
-    return zetas, half_log_h, dtheta
+    return zetas, half_log_h, dtheta, log_scale
 
 
 def zeta_trace(cfg: VerblunskyConfig, s: SpectralPoint, N: int) -> tuple[np.ndarray, float]:
     """Circle variables zeta_0 .. zeta_{N-1} (value seen by step n) together
     with the final log-radius, log r_N = sum of log(H_n) / 2 along the
     trace. Materializes 2N complex values: the trace and its samples."""
-    return _samples_and_zeta_trace(cfg, s, N)[1:]
+    return _samples_and_zeta_trace(cfg, s, N)[1:3]
 
 
 def _samples_and_zeta_trace(
     cfg: VerblunskyConfig, s: SpectralPoint, N: int
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """zeta_trace together with the unscaled samples F_n (alpha_n =
-    lam * F_n) that drive it, from one pass over the orbit."""
+) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """zeta_trace together with the unscaled samples F_n (alpha_n = lam * F_n)
+    that drive it and log |phi_N| (block log scales plus log |top_N|, minus
+    sum log rho_n), from one pass over the orbit."""
     top = np.ones((1, 1), dtype=np.complex128)
     bot = np.ones((1, 1), dtype=np.complex128)
     F = np.empty(N, dtype=np.complex128)
     zetas = np.empty(N, dtype=np.complex128)
     log_r = 0.0
+    log_phi = 0.0
     pos = 0
     for Fb in sampled_values_blocks(cfg, N):
         F[pos : pos + len(Fb)] = Fb
         Fb *= cfg.lam  # the block's coefficients, scaled in place
-        zs, half_log_h, _ = circle_variables(Fb[None, :], s.z, top, bot)
+        zs, half_log_h, _, log_scale = circle_variables(Fb[None, :], s.z, top, bot)
         zetas[pos : pos + len(Fb)] = zs[0, :-1]
         log_r += float(half_log_h.sum())
+        log_phi += float(log_scale[0] - _log_rho(Fb[None, :])[0])
         pos += len(Fb)
-    return F, zetas, log_r
+    return F, zetas, log_r, log_phi + math.log(abs(top[0, 0]))
 
 
 def default_decorrelation_time(lam: float, autom: ToralAutomorphism) -> int:
@@ -129,9 +133,10 @@ def default_decorrelation_time(lam: float, autom: ToralAutomorphism) -> int:
 class ExpansionDiagnostics:
     """Terms of the second-order expansion of the mean log-radius.
 
-    lhs is log r_N / N. I1 + I2 + I3 approximates lhs to third order in the
-    coupling; I4 + I5 + I6 re-expands I2 by pushing the circle variable T
-    steps back along the orbit.
+    lhs is log r_N / N, the Prufer sum of log(H_n) / 2; lhs_poly, log |phi_N| / N
+    from the monic products of the same pass, is a second formula for it.
+    I1 + I2 + I3 approximates lhs to third order in the coupling; I4 + I5 + I6
+    re-expands I2 by pushing the circle variable T steps back along the orbit.
     """
 
     N: int
@@ -143,6 +148,7 @@ class ExpansionDiagnostics:
     I5: float
     I6: float
     lhs: float
+    lhs_poly: float
     residual_123: float
     residual_456: float
 
@@ -164,7 +170,7 @@ def expansion_diagnostics(
         raise ValueError("need 1 <= T < N")
     lam = cfg.lam
     z = s.z
-    F, zetas, log_r = _samples_and_zeta_trace(cfg, s, N)
+    F, zetas, log_r, log_phi = _samples_and_zeta_trace(cfg, s, N)
 
     zF = zetas * F
     I1 = (lam**2 / (2.0 * N)) * float(np.sum(np.abs(F) ** 2))
@@ -194,6 +200,7 @@ def expansion_diagnostics(
         I5=I5,
         I6=I6,
         lhs=lhs,
+        lhs_poly=log_phi / N,
         residual_123=residual_123,
         residual_456=residual_456,
     )

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import monic_scan
-from .verblunsky import VerblunskyConfig, iter_blocks
+from .verblunsky import VerblunskyConfig, sampled_values_blocks
 
 TWO_PI = 2.0 * math.pi
 
@@ -120,8 +120,9 @@ def transfer(cfg: VerblunskyConfig, s: SpectralPoint, N: int) -> ScaledProduct:
     top = np.array([[1.0, 0.0]], dtype=np.complex128)
     bot = np.array([[0.0, 1.0]], dtype=np.complex128)
     log_scale = 0.0
-    for alphas in iter_blocks(cfg, N):
-        block = alphas[None, :]
+    for F in sampled_values_blocks(cfg, N):
+        F *= cfg.lam  # the block's coefficients, scaled in place
+        block = F[None, :]
         log_scale += float(monic_scan(block, s.z, top, bot)[0] - _log_rho(block)[0])
     matrix = s.phase_power(-N) * np.vstack([top, bot])
     return ScaledProduct(matrix=matrix, log_scale=log_scale, steps=N)
@@ -171,7 +172,8 @@ def polynomials(cfg: VerblunskyConfig, s: SpectralPoint, N: int) -> PolynomialQu
     """
     if N < 0:
         raise ValueError("step count must be nonnegative")
-    blocks = (alphas[None, :] for alphas in iter_blocks(cfg, N))
+    # alpha_n = lam F_n, each block scaled in place
+    blocks = (np.multiply(F, cfg.lam, out=F)[None, :] for F in sampled_values_blocks(cfg, N))
     top, bot, log_r = _poly_run(blocks, s.z, 1)
     return PolynomialQuad(
         phi=complex(top[0, 0]),
@@ -208,16 +210,10 @@ def transfer_identity_residual(cfg: VerblunskyConfig, s: SpectralPoint, N: int) 
     return float(np.linalg.norm(diff) / np.linalg.norm(prod.matrix))
 
 
-def lyapunov_poly(cfg: VerblunskyConfig, s: SpectralPoint, N: int) -> float:
-    """Finite-volume Lyapunov exponent from the polynomial route,
-    (1/2N) log(|phi_N|^2 + |psi_N|^2)."""
-    return float(lyapunov_poly_many(cfg, [s], N)[0])
-
-
 def lyapunov_poly_many(
     cfg: VerblunskyConfig, points: list[SpectralPoint], N: int
 ) -> np.ndarray:
-    """lyapunov_poly at every point.
+    """Polynomial-route growth rate (1/2N) log(|phi_N|^2 + |psi_N|^2) at every point.
 
     The coefficient stream is generated once and the polynomial recursion
     advances all points together, with the points on the batch axis.
@@ -227,13 +223,13 @@ def lyapunov_poly_many(
     z = np.array([s.z for s in points], dtype=np.complex128)
     if z.size == 0:
         return np.empty(0)
-    blocks = (alphas[None, :] for alphas in iter_blocks(cfg, N))
+    blocks = (np.multiply(F, cfg.lam, out=F)[None, :] for F in sampled_values_blocks(cfg, N))
     top, _, log_r = _poly_run(blocks, z, z.size)
     return _growth(top, log_r, N)
 
 
 def lyapunov_poly_rows(alphas: np.ndarray, s: SpectralPoint) -> np.ndarray:
-    """lyapunov_poly of every row of a (rows, N) coefficient array."""
+    """Polynomial-route growth rate of every row of a (rows, N) coefficient array."""
     top, _, log_r = _poly_run([alphas], s.z, alphas.shape[0])
     return _growth(top, log_r, alphas.shape[1])
 

@@ -45,12 +45,6 @@ def coefficient(cfg: VerblunskyConfig, n: int) -> complex:
     return cfg.lam * evaluate(cfg.alpha, p)
 
 
-def rho(cfg: VerblunskyConfig, n: int) -> float:
-    """Complementary radius sqrt(1 - |alpha_n|^2)."""
-    a = coefficient(cfg, n)
-    return math.sqrt(1.0 - (a.real * a.real + a.imag * a.imag))
-
-
 def _samples(cfg: VerblunskyConfig, N: int):
     """The unscaled samples F_n = alpha(A^n p), n < N, one orbit block at a
     time; every streamer below reads them from here."""
@@ -70,13 +64,6 @@ def sequence(cfg: VerblunskyConfig, N: int) -> tuple[np.ndarray, np.ndarray]:
     alphas *= cfg.lam
     rhos = np.sqrt(1.0 - np.abs(alphas) ** 2)
     return alphas, rhos
-
-
-def iter_blocks(cfg: VerblunskyConfig, N: int):
-    """Stream the first N coefficients in blocks without materializing N."""
-    for F in _samples(cfg, N):
-        F *= cfg.lam
-        yield F
 
 
 def sampled_values_blocks(cfg: VerblunskyConfig, N: int):

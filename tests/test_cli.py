@@ -308,6 +308,40 @@ def test_ldt_birkhoff_refuses_an_angle(capsys, angle):
     assert "reads no angle" in capsys.readouterr().err
 
 
+# options each subcommand never reads: refused as a flag and as a file key,
+# where they would otherwise be dropped without a word
+UNREAD = [
+    ("localize", "--eta", "3.0"),
+    ("localize", "--samples", "5"),
+    ("lyapunov", "--samples", "5"),
+    ("lyapunov", "--gamma", "1"),
+    ("jspec", "--N", "5"),
+    ("jspec", "--lambda", "0.2"),
+    ("green", "--family", "prufer"),
+    ("ldt", "--columns", "4"),
+    ("selftest", "--eta-grid", "1.0,2.0"),
+    ("lyapunov", "--tol", "unitarity=1e-8"),
+]
+
+
+@pytest.mark.parametrize("command,flag,value", UNREAD)
+def test_subcommand_refuses_unread_option(tmp_path, capsys, command, flag, value):
+    assert main([command, flag, value]) == 2
+    assert f"{command} reads no {flag}" in capsys.readouterr().err
+    cfg = tmp_path / "unread.cfg"
+    cfg.write_text(f"{flag[2:]} = {value}\n", encoding="utf-8")
+    with pytest.raises(cli.ConfigError, match="reads no"):
+        parse([command, "--config", str(cfg)])
+
+
+@pytest.mark.parametrize("command", [name for name, _ in cli._SUBCOMMANDS])
+def test_every_subcommand_takes_the_shared_options(command):
+    shared = ["--seed", "3", "--jobs", "1", "--out", "x.csv", "--format", "json",
+              "--A", "2,1,1,1"]
+    assert parse([command, *shared, "--preset", "alpha1"]).seed == 3
+    assert parse([command, *shared, "--alpha", "1,0:0.5"]).jobs == 1
+
+
 def _strict_json(text):
     def refuse(name):
         raise ValueError(f"not JSON: {name}")

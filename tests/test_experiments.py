@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from szegolab import experiments
+from szegolab import experiments, verblunsky
 from szegolab.experiments import (
     PRUFER_FAMILIES,
     DeviationRow,
@@ -20,7 +20,9 @@ from szegolab.experiments import (
     lyapunov_scaling,
     prufer_term_ldt,
 )
+from szegolab.prufer import expansion_diagnostics
 from szegolab.sampling import evaluate_many, preset, spectral_function, spectral_window
+from szegolab.szego_cocycle import SpectralPoint
 from szegolab.torus_dynamics import CAT_MAP, TWO_PI, TorusPoint, orbit_blocks
 
 
@@ -43,6 +45,15 @@ def test_plan_validation():
         ExperimentPlan(lams=(0.1,), etas=(1.5708,), Ns=(1,))
     with pytest.raises(ValueError):
         ExperimentPlan(lams=(0.1,), etas=(1.5708,), Ns=(100,), samples=0)
+    # a repeated grid entry gives a duplicate cell, and a repeated N a
+    # singular deviation fit after every cell has been sampled
+    for grids in (
+        dict(lams=(0.1, 0.1), etas=(1.5708,), Ns=(100,)),
+        dict(lams=(0.1,), etas=(1.5708, 1.0, 1.5708), Ns=(100,)),
+        dict(lams=(0.1,), etas=(1.5708,), Ns=(100, 100, 100)),
+    ):
+        with pytest.raises(ValueError, match="repeats"):
+            ExperimentPlan(**grids)
 
 
 def test_plan_rng_streams():
@@ -104,7 +115,7 @@ def test_lyapunov_scaling_single_cell():
     # flat spectral density 1/2 for the two-frequency preset
     assert row.prediction == pytest.approx(0.0025, rel=1e-12)
     assert row.residual == abs(row.L_N - row.prediction)
-    assert row.cross_delta <= 1e-3 + 10.0 / row.N
+    assert 0.0 < row.cross_delta <= 1e-12
     assert res.residual_fit is None
     lines = res.csv().strip().split("\n")
     assert lines[0] == res.CSV_HEADER
@@ -113,6 +124,33 @@ def test_lyapunov_scaling_single_cell():
     assert len(fields) == 7
     assert float(fields[0]) == 0.1
     assert json.loads(json.dumps(res.summary())) == res.summary()
+
+
+def test_lyapunov_cell_walks_each_orbit_once(monkeypatch):
+    # every base point's orbit is generated once per cell: the growth rate,
+    # its lag-T correction and cross_delta all come from one pass
+    walked = []
+
+    def counting_blocks(*args):
+        for bx, by in orbit_blocks(*args):
+            walked.append(len(bx))
+            yield bx, by
+
+    monkeypatch.setattr(verblunsky, "orbit_blocks", counting_blocks)
+    N = 20_000
+    plan = ExperimentPlan(lams=(0.1,), etas=(1.5708,), Ns=(N,), seed=0, base_points=2)
+    lyapunov_scaling(plan)
+    assert sum(walked) == 2 * N
+
+
+def test_lyapunov_cross_delta_is_the_worst_base_point():
+    N = (1 << 16) + 917
+    plan = ExperimentPlan(lams=(0.2,), etas=(1.0,), Ns=(N,), seed=4, base_points=2)
+    row = lyapunov_scaling(plan).rows[0]
+    s = SpectralPoint(1.0)
+    diags = [expansion_diagnostics(plan.config(0.2, 0, r), s, N) for r in range(2)]
+    assert row.cross_delta == max(abs(d.lhs - d.lhs_poly) for d in diags)
+    assert 0.0 < row.cross_delta <= 1e-12
 
 
 def test_prediction_comes_from_spectral_function():

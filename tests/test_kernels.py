@@ -28,7 +28,7 @@ from szegolab.prufer import circle_variables, init, step
 from szegolab.szego_cocycle import (
     ScaledProduct,
     SpectralPoint,
-    lyapunov_poly,
+    lyapunov_poly_many,
     lyapunov_poly_rows,
     step_matrix,
     transfer,
@@ -148,7 +148,7 @@ def test_circle_variables_match_prufer_step(seed, shape, eta, r_max):
     alphas = _coefficients(seed, B, n, r_max)
     top = np.ones((B, 1), dtype=np.complex128)
     bot = np.ones((B, 1), dtype=np.complex128)
-    zetas, half_log_h, dtheta = circle_variables(alphas, s.z, top, bot)
+    zetas, half_log_h, dtheta, _ = circle_variables(alphas, s.z, top, bot)
     assert zetas.shape == (B, n + 1)
     assert np.all(np.isfinite(zetas)) and np.all(np.isfinite(half_log_h))
     for i in _checked_rows(B, n):
@@ -189,7 +189,7 @@ def test_lyapunov_rows_match_route():
     alphas, _ = sequence(cfg, 800)
     rows = np.stack([alphas, alphas[::-1]])
     got = lyapunov_poly_rows(rows, s)
-    assert got[0] == pytest.approx(lyapunov_poly(cfg, s, 800), rel=1e-12)
+    assert got[0] == pytest.approx(lyapunov_poly_many(cfg, [s], 800)[0], rel=1e-12)
     assert got[1] != got[0]
 
 

@@ -81,7 +81,7 @@ def _circle_trace(cfg, s, N):
     alphas = sequence(cfg, N)[0][None, :]
     top = np.ones((1, 1), dtype=np.complex128)
     bot = np.ones((1, 1), dtype=np.complex128)
-    zetas, half_log_h, dtheta = circle_variables(alphas, s.z, top, bot)
+    zetas, half_log_h, dtheta, _ = circle_variables(alphas, s.z, top, bot)
     trace = [np.concatenate([[0.0], np.cumsum(d[0])]) for d in (dtheta, half_log_h)]
     return zetas[0], *trace
 
@@ -174,6 +174,19 @@ def test_diagnostics_read_the_zeta_trace():
     F = np.concatenate(list(sampled_values_blocks(cfg, N)))
     assert d.lhs == log_r / N
     assert d.I2 == -(cfg.lam / N) * float(np.sum((zetas * F).real))
+
+
+def test_diagnostics_growth_rate_by_both_routes():
+    # lhs_poly, log |phi_N| / N from the monic products of the same pass,
+    # is what the polynomial recursion gives on its own; lhs, the Prufer sum
+    # over the same steps, differs from it by rounding only
+    cfg = _cfg(0.1)
+    s = SpectralPoint(1.3)
+    N = (1 << 16) + 917
+    d = expansion_diagnostics(cfg, s, N)
+    want = polynomials(cfg, s, N).log_abs_phi() / N
+    assert d.lhs_poly == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert abs(d.lhs - d.lhs_poly) <= 1e-12
 
 
 def test_second_order_residual_small():

@@ -20,6 +20,7 @@ KEPT = {
     "step": "prufer: per-step Prufer recursion, oracle of the batched engine",
     "init": "prufer: start state of the per-step oracle",
     "step_matrix": "szego_cocycle: one cocycle step, oracle of transfer",
+    "lyapunov_norm": "szego_cocycle: product-norm growth rate, oracle of the polynomial route",
     "recover": "ScaledProduct: unscaled product, oracle of the scaled one",
     "log_abs_det": "ScaledProduct: determinant-one check of the products",
     "same_turns": "TorusPoint: exact comparison of periodic orbit points",

@@ -12,7 +12,6 @@ from szegolab.sampling import preset
 from szegolab.szego_cocycle import (
     SpectralPoint,
     lyapunov_norm,
-    lyapunov_poly,
     lyapunov_poly_many,
     polynomials,
     step_matrix,
@@ -264,7 +263,7 @@ def test_lyapunov_estimators_cross_agree():
     cfg = VerblunskyConfig(lam=0.2, base=base, autom=CAT_MAP, alpha=preset("alpha0"))
     s = SpectralPoint(1.5708)
     N = 100_000
-    lp = lyapunov_poly(cfg, s, N)
+    lp = lyapunov_poly_many(cfg, [s], N)[0]
     ln = lyapunov_norm(cfg, s, N)
     assert abs(lp - ln) <= 1e-3 + 10.0 / N
 
@@ -276,7 +275,7 @@ def test_free_lyapunov_vanishes():
     s = SpectralPoint(1.0)
     N = 1000
     assert abs(lyapunov_norm(cfg, s, N)) <= 1e-7
-    assert abs(lyapunov_poly(cfg, s, N)) <= math.log(2.0) / (2.0 * N) + 1e-7
+    assert abs(lyapunov_poly_many(cfg, [s], N)[0]) <= math.log(2.0) / (2.0 * N) + 1e-7
 
 
 def test_lyapunov_poly_many_matches_scalar():
@@ -286,7 +285,7 @@ def test_lyapunov_poly_many_matches_scalar():
         points = [SpectralPoint(random_eta(rng)) for _ in range(4)]
         N = int(rng.integers(1, 3000))
         many = lyapunov_poly_many(cfg, points, N)
-        ref = [lyapunov_poly(cfg, s, N) for s in points]
+        ref = [lyapunov_poly_many(cfg, [s], N)[0] for s in points]
         assert many.shape == (4,)
         assert np.allclose(many, ref, rtol=1e-9, atol=1e-12)
     assert lyapunov_poly_many(cfg, [], N).shape == (0,)
@@ -298,6 +297,6 @@ def test_lyapunov_rejects_empty_run():
     rng = np.random.default_rng(61)
     cfg = random_config(rng)
     with pytest.raises(ValueError):
-        lyapunov_poly(cfg, SpectralPoint(1.0), 0)
+        lyapunov_poly_many(cfg, [SpectralPoint(1.0)], 0)
     with pytest.raises(ValueError):
         lyapunov_norm(cfg, SpectralPoint(1.0), 0)

@@ -12,8 +12,6 @@ from szegolab.torus_dynamics import CAT_MAP, TorusPoint
 from szegolab.verblunsky import (
     VerblunskyConfig,
     coefficient,
-    iter_blocks,
-    rho,
     sampled_values_blocks,
     sequence,
 )
@@ -65,14 +63,14 @@ def test_coupling_validation():
 
 def test_rho_examples():
     cfg = fixed_point_config(0.1)
-    assert rho(cfg, 0) == pytest.approx(math.sqrt(0.99), abs=1e-15)
+    assert sequence(cfg, 1)[1][0] == pytest.approx(math.sqrt(0.99), abs=1e-15)
     zero = VerblunskyConfig(
         lam=0.2,
         base=TorusPoint.from_turns(Fraction(1, 2), 0),
         autom=CAT_MAP,
         alpha=ALPHA0,
     )
-    assert rho(zero, 0) == pytest.approx(1.0, abs=1e-15)
+    assert sequence(zero, 1)[1][0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_pythagorean_identity():
@@ -93,7 +91,7 @@ def test_sequence_matches_pointwise():
     assert len(alphas) == len(rhos) == 50
     for n in (0, 1, 5, 9):
         assert alphas[n] == pytest.approx(coefficient(cfg, n), abs=1e-9)
-        assert rhos[n] == pytest.approx(rho(cfg, n), abs=1e-9)
+        assert rhos[n] == pytest.approx(math.sqrt(1.0 - abs(coefficient(cfg, n)) ** 2), abs=1e-9)
 
 
 def test_sup_bound_strict():
@@ -113,12 +111,17 @@ def test_orbit_mean_vanishes():
     assert abs(np.mean(alphas)) / cfg.lam <= 0.05
 
 
-def test_iter_blocks_concatenates_to_sequence():
+def test_scaled_blocks_concatenate_to_sequence():
+    # the streaming consumers scale each block in place; across a block
+    # boundary that gives the bits of the materialized sequence
     rng = np.random.default_rng(17)
     cfg = random_config(rng)
     alphas, _ = sequence(cfg, 70_000)
-    streamed = np.concatenate(list(iter_blocks(cfg, 70_000)))
-    assert np.array_equal(alphas, streamed)
+    blocks = list(sampled_values_blocks(cfg, 70_000))
+    assert len(blocks) > 1
+    for F in blocks:
+        F *= cfg.lam
+    assert np.array_equal(alphas, np.concatenate(blocks))
 
 
 def test_sampled_values_scale():
