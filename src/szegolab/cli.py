@@ -22,12 +22,12 @@ import numpy as np
 
 from .cmv_operator import ConstructionError, build, eigenpairs
 from .experiments import (
+    FAMILIES,
     ExperimentPlan,
     _csv,
     ldt_deviation,
     localization,
     lyapunov_scaling,
-    prufer_term_ldt,
 )
 from .greens import (
     GreenFitError,
@@ -211,7 +211,6 @@ _SUBCOMMANDS = (
     ("localize", "eigenfunction decay rates inside a spectral window"),
     ("selftest", "fast invariant battery, exit 1 on numerical failure"),
 )
-_FAMILIES = ("birkhoff", "lyapunov", "prufer")
 
 
 class _Option(NamedTuple):
@@ -258,8 +257,8 @@ _OPTIONS = tuple(
         ("--out", "out", _co_str, None, "FILE", "write output to FILE, not stdout"),
         ("--format", "fmt", _co_choice("csv", "json"), "csv", "{csv,json}",
          "output format (default csv)"),
-        ("--family", "family", _co_choice(*_FAMILIES), "birkhoff",
-         "{" + ",".join(_FAMILIES) + "}", "ldt statistic family (default birkhoff)", ("ldt",)),
+        ("--family", "family", _co_choice(*FAMILIES), "birkhoff",
+         "{" + ",".join(FAMILIES) + "}", "ldt statistic family (default birkhoff)", ("ldt",)),
         ("--threshold", "threshold", _co_pos_float, None, "T",
          "ldt constant threshold override (default: 0.2 birkhoff, lambda^3 else)", ("ldt",)),
         ("--delta", "delta", _co_pos_float, 0.3, "D",
@@ -552,11 +551,7 @@ def _cmd_jspec(run: RunConfig) -> int:
         etas = [float(e) for e in run.etas]
     else:
         etas = [TWO_PI * k / run.points for k in range(run.points)]
-    spec = CorrelationSpectrum.build(run.alpha, run.autom)
-    rows = [
-        (eta, float(spectral_function(run.alpha, run.autom, eta, spectrum=spec)))
-        for eta in etas
-    ]
+    rows = list(zip(etas, spectral_function(run.alpha, run.autom, np.array(etas)).tolist()))
     return _emit_table(
         run,
         lambda: _csv("eta,J", rows),
@@ -565,14 +560,11 @@ def _cmd_jspec(run: RunConfig) -> int:
 
 
 def _cmd_ldt(run: RunConfig) -> int:
-    if run.family == "birkhoff" and run.etas is not None:
-        raise ConfigError("ldt --family birkhoff reads no angle: drop --eta/--eta-grid")
+    if not FAMILIES[run.family].reads_angle and run.etas is not None:
+        raise ConfigError(f"ldt --family {run.family} reads no angle: drop --eta/--eta-grid")
     plan = _plan(run)
     thr = None if run.threshold is None else (lambda lam: run.threshold)
-    if run.family == "prufer":
-        result = prufer_term_ldt(plan, threshold_fn=thr, jobs=run.jobs)
-    else:
-        result = ldt_deviation(plan, family=run.family, threshold_fn=thr, jobs=run.jobs)
+    result = ldt_deviation(plan, family=run.family, threshold_fn=thr, jobs=run.jobs)
     names = result.CSV_HEADER.split(",")
     return _emit_table(
         run,

@@ -11,9 +11,11 @@ never changes the output.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.special
@@ -64,8 +66,12 @@ class ExperimentPlan:
     def __post_init__(self):
         if not self.lams or not self.etas or not self.Ns:
             raise ValueError("lambda, eta and N grids must be nonempty")
-        for name, grid in (("lambda", self.lams), ("eta", self.etas), ("N", self.Ns)):
-            if len(set(grid)) < len(grid):
+        # SpectralPoint reduces eta mod 2 pi, so etas a turn apart repeat
+        angles = [float(eta) % TWO_PI for eta in self.etas]
+        for name, grid, keys in (
+            ("lambda", self.lams, self.lams), ("eta", self.etas, angles), ("N", self.Ns, self.Ns)
+        ):
+            if len(set(keys)) < len(grid):
                 raise ValueError(f"the {name} grid repeats an entry: {list(grid)}")
         sup = self.alpha.sup_bound
         for lam in self.lams:
@@ -195,13 +201,7 @@ class LyapunovScalingResult:
     CSV_HEADER = "lambda,eta,N,L_N,prediction,residual,cross_delta"
 
     def csv(self) -> str:
-        return _csv(
-            self.CSV_HEADER,
-            [
-                (r.lam, r.eta, r.N, r.L_N, r.prediction, r.residual, r.cross_delta)
-                for r in self.rows
-            ],
-        )
+        return _csv(self.CSV_HEADER, map(dataclasses.astuple, self.rows))
 
     def summary(self) -> dict:
         return {
@@ -302,10 +302,13 @@ class DeviationRow:
 
 @dataclass(frozen=True)
 class DeviationResult:
+    """One row per (lambda, N) cell and statistic, and per statistic, in
+    row order, a (name, fit) pair: the exponential fit over its positive
+    cells, None with fewer than two."""
+
     family: str
     rows: tuple[DeviationRow, ...]
-    fit: FitResult | None
-    per_family: tuple[tuple[str, FitResult | None], ...] = ()
+    fits: tuple[tuple[str, FitResult | None], ...]
 
     CSV_HEADER = "family,lambda,N,count,samples,fraction,stderr,upper95,q95,threshold"
 
@@ -321,16 +324,11 @@ class DeviationResult:
         return _csv(self.CSV_HEADER, self.table())
 
     def summary(self) -> dict:
-        out = {
+        return {
             "family": self.family,
             "rows": len(self.rows),
-            "fit": self.fit.as_dict() if self.fit else None,
+            "fits": {name: fit.as_dict() if fit else None for name, fit in self.fits},
         }
-        if self.per_family:
-            out["per_family"] = {
-                name: fit.as_dict() if fit else None for name, fit in self.per_family
-            }
-        return out
 
 
 def _fit_positive_cells(rows: list[DeviationRow]) -> FitResult | None:
@@ -338,9 +336,6 @@ def _fit_positive_cells(rows: list[DeviationRow]) -> FitResult | None:
     if len(pts) < 2:
         return None
     return linear_fit([p[0] for p in pts], [math.log(p[1]) for p in pts])
-
-
-PRUFER_FAMILIES = ("fsq", "mixed", "corr", "zeta2")
 
 
 def _birkhoff_stats(plan, lam, N, F):
@@ -379,12 +374,25 @@ def _prufer_stats(plan, lam, N, F):
     }
 
 
-# family -> statistics of a (samples, N) array of orbit samples, by name
-# in row order
-_STATISTICS = {
-    "birkhoff": _birkhoff_stats,
-    "lyapunov": _lyapunov_stats,
-    "prufer": _prufer_stats,
+class Family(NamedTuple):
+    """One LDT deviation family: its statistics and how they are run."""
+
+    # (plan, lambda, N, F) -> each statistic's values on the (samples, N)
+    # orbit samples F, by name in row order
+    statistics: Callable
+    # lambda -> default event threshold
+    threshold: Callable[[float], float]
+    # whether the statistics read the plan's (single) eta
+    reads_angle: bool
+    # (lambda, automorphism) -> steps the statistics look back; every N
+    # must exceed it
+    lag: Callable[[float, ToralAutomorphism], int]
+
+
+FAMILIES: dict[str, Family] = {
+    "birkhoff": Family(_birkhoff_stats, lambda lam: 0.2, False, lambda lam, autom: 0),
+    "lyapunov": Family(_lyapunov_stats, lambda lam: lam**3, True, lambda lam, autom: 0),
+    "prufer": Family(_prufer_stats, lambda lam: lam**3, True, default_decorrelation_time),
 }
 
 
@@ -406,7 +414,7 @@ def _deviation_chunk(args) -> dict[str, list[float]]:
     for start in range(0, hi - lo, width):
         xs, ys = orbit_rows(plan.autom, bases[start : start + width], N)
         F = evaluate_many(plan.alpha, xs, ys)
-        for name, values in _STATISTICS[family](plan, lam, N, F).items():
+        for name, values in FAMILIES[family].statistics(plan, lam, N, F).items():
             out.setdefault(name, []).extend(values.tolist())
     return out
 
@@ -417,8 +425,6 @@ def _deviation_rows(plan: ExperimentPlan, family: str, threshold_fn, jobs: int):
     Chunks run through the pool in a layout fixed by the plan, and are
     merged in that order, so the rows never depend on jobs.
     """
-    if family != "birkhoff" and len(plan.etas) > 1:
-        raise ValueError(f"the {family} family runs at one eta, got {len(plan.etas)}")
     n_chunks = (plan.samples + MC_CHUNK - 1) // MC_CHUNK
     cells = [(lam, N, float(threshold_fn(lam))) for lam in plan.lams for N in plan.Ns]
     work = [
@@ -454,52 +460,38 @@ def ldt_deviation(
 ) -> DeviationResult:
     """Monte Carlo deviation fractions along the N grid.
 
-    family selects the measured statistic: "birkhoff" is the modulus of
-    the plain orbit average of the sampling function (threshold default
-    0.2, coupling-independent); "lyapunov" is the distance of the
-    finite-N growth rate from the small coupling prediction (threshold
-    default lambda^3). threshold_fn maps lambda to the event threshold.
-    Zero-count cells stay in the table; their upper95 column carries
-    the one-sided binomial bound, and the exponential fit uses only the
-    strictly positive cells.
+    family, a key of FAMILIES, selects the measured statistics:
+    - "birkhoff": the modulus of the plain orbit average of the sampling
+      function (threshold default 0.2, coupling-independent);
+    - "lyapunov": the distance of the finite-N growth rate from the small
+      coupling prediction (threshold default lambda^3);
+    - "prufer": the terms of the phase expansion, all with threshold
+      default lambda^3. "fsq" is the orbit average of |F|^2 against its
+      exact mean; "mixed" the lagged phase-weighted average Re(z^T
+      zeta_{n-T} F_n); "corr" the short-lag correlation sum against its
+      exact limit; "zeta2" the squared-phase average Re(zeta_n^2 F_n^2) / 2.
+      Every N must exceed the lag T of the expansion, or the lagged terms
+      have no samples.
+    Families that read an angle run at one eta. threshold_fn maps lambda
+    to the event threshold. Zero-count cells stay in the table; their
+    upper95 column carries the one-sided binomial bound, and each
+    statistic's exponential fit uses only its strictly positive cells.
     """
-    if family not in ("birkhoff", "lyapunov"):
-        raise ValueError("family must be 'birkhoff' or 'lyapunov'")
-    if threshold_fn is None:
-        threshold_fn = (lambda lam: 0.2) if family == "birkhoff" else (lambda lam: lam**3)
-    rows = _deviation_rows(plan, family, threshold_fn, jobs)
-    return DeviationResult(family=family, rows=tuple(rows), fit=_fit_positive_cells(rows))
-
-
-def prufer_term_ldt(
-    plan: ExperimentPlan,
-    threshold_fn=None,
-    jobs: int = 1,
-) -> DeviationResult:
-    """Deviation fractions for the four phase-expansion term families.
-
-    Families: "fsq" is the orbit average of |F|^2 against its exact
-    mean; "mixed" the lagged phase-weighted average Re(z^T zeta_{n-T}
-    F_n); "corr" the short-lag correlation sum against its exact limit;
-    "zeta2" the squared-phase average Re(zeta_n^2 F_n^2) / 2. All four
-    share the threshold threshold_fn(lambda), default lambda^3. Every N
-    must exceed the lag T of the expansion, or the lagged terms have no
-    samples.
-    """
-    if threshold_fn is None:
-        threshold_fn = lambda lam: lam**3
+    if family not in FAMILIES:
+        raise ValueError(f"family must be one of {', '.join(FAMILIES)}, got {family!r}")
+    fam = FAMILIES[family]
+    if fam.reads_angle and len(plan.etas) > 1:
+        raise ValueError(f"the {family} family runs at one eta, got {len(plan.etas)}")
     for lam in plan.lams:
-        T = default_decorrelation_time(lam, plan.autom)
+        T = fam.lag(lam, plan.autom)
         if min(plan.Ns) <= T:
             raise ValueError(f"N = {min(plan.Ns)} must exceed the lag T = {T} at lambda = {lam}")
-    rows = _deviation_rows(plan, "prufer", threshold_fn, jobs)
-    per_family = tuple(
-        (f, _fit_positive_cells([r for r in rows if r.family == f]))
-        for f in PRUFER_FAMILIES
+    rows = _deviation_rows(plan, family, threshold_fn or fam.threshold, jobs)
+    fits = tuple(
+        (name, _fit_positive_cells([r for r in rows if r.family == name]))
+        for name in dict.fromkeys(r.family for r in rows)
     )
-    return DeviationResult(
-        family="prufer", rows=tuple(rows), fit=None, per_family=per_family
-    )
+    return DeviationResult(family=family, rows=tuple(rows), fits=fits)
 
 
 # ---------------------------------------------------------------------------
@@ -547,22 +539,7 @@ class LocalizationResult:
         return float(np.median([r.ratio for r in self.rows]))
 
     def csv(self) -> str:
-        return _csv(
-            self.CSV_HEADER,
-            [
-                (
-                    r.lam,
-                    r.N,
-                    r.eta,
-                    r.decay_rate,
-                    r.r2,
-                    r.localization_length,
-                    r.lyapunov,
-                    r.ratio,
-                )
-                for r in self.rows
-            ],
-        )
+        return _csv(self.CSV_HEADER, map(dataclasses.astuple, self.rows))
 
     def summary(self) -> dict:
         return {

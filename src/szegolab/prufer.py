@@ -76,9 +76,9 @@ def circle_variables(alphas: np.ndarray, z, top: np.ndarray, bot: np.ndarray):
     top and bot, of shape (rows, 1), carry the polynomial pair
     (phi_n, phi*_n) into the block and are advanced past it. Returns the
     circle variables zeta = z phi / phi*, shape (rows, n + 1), seen by every
-    step plus the one after the block, the half log H_n and dtheta_n of
-    every step, shape (rows, n), and the log scale of the advanced pair,
-    shape (rows,): the true monic pair is (top, bot) times exp(log_scale).
+    step plus the one after the block, the half log H_n of every step,
+    shape (rows, n), and the log scale of the advanced pair, shape (rows,):
+    the true monic pair is (top, bot) times exp(log_scale).
     """
     log_scale, ratio = monic_scan(alphas, z, top, bot, record=True)
     zetas = z * np.concatenate([ratio, top / bot], axis=1)
@@ -86,10 +86,7 @@ def circle_variables(alphas: np.ndarray, z, top: np.ndarray, bot: np.ndarray):
     az = alphas * zetas[:, :-1]
     aa = alphas.real**2 + alphas.imag**2
     half_log_h = 0.5 * np.log((1.0 + aa - 2.0 * az.real) / (1.0 - aa))
-    # |alpha| < 1 forces Re(1 - alpha zeta) > 0, so the principal branch
-    # realizes the |dtheta| < pi normalization directly
-    dtheta = -np.angle(1.0 - az)
-    return zetas, half_log_h, dtheta, log_scale
+    return zetas, half_log_h, log_scale
 
 
 def zeta_trace(cfg: VerblunskyConfig, s: SpectralPoint, N: int) -> tuple[np.ndarray, float]:
@@ -115,7 +112,7 @@ def _samples_and_zeta_trace(
     for Fb in sampled_values_blocks(cfg, N):
         F[pos : pos + len(Fb)] = Fb
         Fb *= cfg.lam  # the block's coefficients, scaled in place
-        zs, half_log_h, _, log_scale = circle_variables(Fb[None, :], s.z, top, bot)
+        zs, half_log_h, log_scale = circle_variables(Fb[None, :], s.z, top, bot)
         zetas[pos : pos + len(Fb)] = zs[0, :-1]
         log_r += float(half_log_h.sum())
         log_phi += float(log_scale[0] - _log_rho(Fb[None, :])[0])

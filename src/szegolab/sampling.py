@@ -211,13 +211,16 @@ class CorrelationSpectrum:
         )
         return cls(correlations=corr, cutoff=nc)
 
-    def value(self, eta: float) -> float:
-        """Spectral function at angle eta, sum_n e^{i n eta} corr(n)."""
+    def value(self, eta) -> float | np.ndarray:
+        """Spectral function sum_n e^{i n eta} corr(n) at one angle, or at
+        an array of angles as an array of the same shape."""
+        eta = np.asarray(eta, dtype=float)
         n = np.arange(-self.cutoff, self.cutoff + 1)
-        total = complex(np.sum(np.exp(1j * n * float(eta)) * self.correlations))
-        if abs(total.imag) > 1e-10:
-            raise ValueError(f"spectral function not real at eta={eta}: {total}")
-        return float(total.real)
+        total = np.sum(np.exp(1j * n * eta[..., None]) * self.correlations, axis=-1)
+        bad = np.abs(total.imag) > 1e-10
+        if np.any(bad):
+            raise ValueError(f"spectral function not real at eta={eta[bad][0]}: {total[bad][0]}")
+        return float(total.real) if eta.ndim == 0 else total.real
 
 
 def spectral_function(
@@ -228,11 +231,7 @@ def spectral_function(
 ) -> float | np.ndarray:
     """Spectral function at one angle or an array of angles."""
     spec = spectrum if spectrum is not None else CorrelationSpectrum.build(alpha, A)
-    if np.ndim(eta) == 0:
-        return spec.value(float(eta))
-    return np.array([spec.value(float(e)) for e in np.asarray(eta).ravel()]).reshape(
-        np.shape(eta)
-    )
+    return spec.value(eta)
 
 
 WINDOW_GRID_STEP = 1e-3
@@ -265,7 +264,7 @@ def spectral_window(
     for lo, hi in ((delta, math.pi - delta), (math.pi + delta, TWO_PI - delta)):
         npts = max(2, int(math.ceil((hi - lo) / WINDOW_GRID_STEP)) + 1)
         grid = np.linspace(lo, hi, npts)
-        vals = np.array([f(g) for g in grid])
+        vals = spec.value(grid) - c
         above = vals > 0.0
         start: float | None = None
         for i in range(npts):

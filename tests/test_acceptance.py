@@ -223,7 +223,7 @@ def test_criterion_07_large_deviation_decay():
         result = ldt_deviation(plan, family=family, threshold_fn=thresholds[family])
         fractions = [r.fraction for r in result.rows]
         decreasing = all(b < a for a, b in zip(fractions, fractions[1:]))
-        fit = result.fit
+        fit = dict(result.fits)[family]
         fit_ok = fit is not None and fit.slope < 0.0 and abs(fit.slope) * 400 >= 2.0
         clauses.append(decreasing and fit_ok)
         slope = (

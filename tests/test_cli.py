@@ -14,7 +14,7 @@ import pytest
 import szegolab
 from szegolab import cli
 from szegolab.cli import EMPTY_WINDOW_MARKER, main, parse
-from szegolab.experiments import ExperimentPlan, lyapunov_scaling
+from szegolab.experiments import FAMILIES, ExperimentPlan, lyapunov_scaling
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -116,6 +116,14 @@ def test_help_lists_every_option(capsys):
     expected = ["--config", *(o.flag for o in cli._OPTIONS), "--tol"]
     assert sorted(listed) == sorted(expected)
     assert len(listed) == 24
+
+
+def test_family_choices_are_the_family_table():
+    option = cli._BY_KEY["family"]
+    assert option.metavar.strip("{}").split(",") == list(FAMILIES)
+    assert [option.coerce("family", name) for name in FAMILIES] == list(FAMILIES)
+    with pytest.raises(cli.ConfigError):
+        option.coerce("family", "fsq")
 
 
 @pytest.mark.parametrize("key,value", [("format", "xml"), ("family", "foo")])
@@ -372,7 +380,7 @@ def test_json_output_is_strict(capsys, command):
     if command == "lyapunov":
         assert payload["summary"]["residual_fit"]["slope_stderr"] is None
     if command == "ldt":
-        assert payload["summary"]["fit"]["intercept_stderr"] is None
+        assert payload["summary"]["fits"]["birkhoff"]["intercept_stderr"] is None
     if command == "localize":
         assert payload["summary"]["median_ratio"] is None
     if command == "selftest":

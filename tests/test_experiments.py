@@ -10,7 +10,7 @@ import scipy.stats
 
 from szegolab import experiments, verblunsky
 from szegolab.experiments import (
-    PRUFER_FAMILIES,
+    FAMILIES,
     DeviationRow,
     ExperimentPlan,
     eigenvector_decay_fit,
@@ -18,7 +18,6 @@ from szegolab.experiments import (
     linear_fit,
     localization,
     lyapunov_scaling,
-    prufer_term_ldt,
 )
 from szegolab.prufer import expansion_diagnostics
 from szegolab.sampling import evaluate_many, preset, spectral_function, spectral_window
@@ -50,6 +49,8 @@ def test_plan_validation():
     for grids in (
         dict(lams=(0.1, 0.1), etas=(1.5708,), Ns=(100,)),
         dict(lams=(0.1,), etas=(1.5708, 1.0, 1.5708), Ns=(100,)),
+        # one angle a turn apart: SpectralPoint reduces eta mod 2 pi
+        dict(lams=(0.1,), etas=(1.0, 1.0 + TWO_PI), Ns=(100,)),
         dict(lams=(0.1,), etas=(1.5708,), Ns=(100, 100, 100)),
     ):
         with pytest.raises(ValueError, match="repeats"):
@@ -180,14 +181,26 @@ def _small_plan(**kw):
     return ExperimentPlan(**base)
 
 
-@pytest.mark.parametrize("family", ["lyapunov", "prufer"])
-def test_angle_families_refuse_an_eta_grid(family):
-    # these statistics run at one angle; a second eta would be dropped
-    plan = _small_plan(etas=(1.0, 2.0))
-    run = prufer_term_ldt if family == "prufer" else ldt_deviation
-    kwargs = {} if family == "prufer" else {"family": family}
-    with pytest.raises(ValueError, match="one eta"):
-        run(plan, **kwargs)
+DEFAULT_THRESHOLDS = {"birkhoff": 0.2, "lyapunov": 0.3**3, "prufer": 0.3**3}
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_family_table_row(family):
+    row = FAMILIES[family]
+    res = ldt_deviation(_small_plan(lams=(0.3,), samples=16), family)
+    assert row.threshold(0.3) == DEFAULT_THRESHOLDS[family]
+    assert {r.threshold for r in res.rows} == {DEFAULT_THRESHOLDS[family]}
+    # one fit per statistic; each of the two N cells lists every statistic
+    # once, in that order
+    names = [name for name, _ in res.fits]
+    assert [r.family for r in res.rows] == names * 2
+    # statistics that read the angle run at one eta; a second would be dropped
+    two_etas = _small_plan(etas=(1.0, 2.0), samples=16)
+    if row.reads_angle:
+        with pytest.raises(ValueError, match="one eta"):
+            ldt_deviation(two_etas, family)
+    else:
+        ldt_deviation(two_etas, family)
 
 
 def test_threshold_too_large_reports_bounds():
@@ -199,7 +212,7 @@ def test_threshold_too_large_reports_bounds():
         assert row.stderr == 0.0
         assert 0.0 < row.upper95 < 1.0
         assert math.isfinite(row.q95)
-    assert res.fit is None
+    assert res.fits == (("birkhoff", None),)
 
 
 def test_family_validation():
@@ -210,11 +223,7 @@ def test_family_validation():
 @pytest.mark.parametrize("family", ["birkhoff", "lyapunov", "prufer"])
 def test_deviation_csv_identical_across_jobs(family):
     plan = _small_plan(samples=1100, Ns=(50,))
-    if family == "prufer":
-        run = lambda jobs: prufer_term_ldt(plan, jobs=jobs)
-    else:
-        run = lambda jobs: ldt_deviation(plan, family, jobs=jobs)
-    assert run(1).csv() == run(2).csv()
+    assert ldt_deviation(plan, family, jobs=1).csv() == ldt_deviation(plan, family, jobs=2).csv()
 
 
 def _chunk_one_orbit_at_a_time(plan, family, cell_index, chunk_index, lam, N):
@@ -232,7 +241,7 @@ def _chunk_one_orbit_at_a_time(plan, family, cell_index, chunk_index, lam, N):
             orbits.append((bx, by))
         orbits = np.array(orbits)
         F = evaluate_many(plan.alpha, orbits[:, 0], orbits[:, 1])
-        for name, values in experiments._STATISTICS[family](plan, lam, N, F).items():
+        for name, values in experiments.FAMILIES[family].statistics(plan, lam, N, F).items():
             out.setdefault(name, []).extend(values.tolist())
     return out
 
@@ -279,28 +288,27 @@ def test_upper95_equals_beta_quantile_at_every_count(samples):
 
 def test_prufer_term_table():
     plan = _small_plan(samples=32, Ns=(400,))
-    res = prufer_term_ldt(plan)
+    res = ldt_deviation(plan, "prufer")
     assert res.family == "prufer"
-    assert len(res.rows) == len(PRUFER_FAMILIES)
-    assert tuple(r.family for r in res.rows) == PRUFER_FAMILIES
+    names = ("fsq", "mixed", "corr", "zeta2")
+    assert tuple(r.family for r in res.rows) == names
     for row in res.rows:
         assert 0.0 <= row.fraction <= 1.0
         assert math.isfinite(row.q95)
         assert row.threshold == pytest.approx(0.1**3)
-    assert res.fit is None
-    assert dict(res.per_family).keys() == set(PRUFER_FAMILIES)
-    assert res.csv() == prufer_term_ldt(plan).csv()
+    assert tuple(name for name, _ in res.fits) == names
+    assert res.csv() == ldt_deviation(plan, "prufer").csv()
 
 
 def test_prufer_terms_need_orbits_longer_than_the_lag():
     # lambda = 0.01 puts the lag at T = 5: lags up to T need N > T samples
     with pytest.raises(ValueError, match="lag"):
-        prufer_term_ldt(_small_plan(lams=(0.01,), Ns=(5, 50)))
+        ldt_deviation(_small_plan(lams=(0.01,), Ns=(5, 50)), "prufer")
 
 
 def test_prufer_terms_all_quiet_under_huge_threshold():
     plan = _small_plan(samples=32, Ns=(400,))
-    res = prufer_term_ldt(plan, threshold_fn=lambda lam: 1e9)
+    res = ldt_deviation(plan, "prufer", threshold_fn=lambda lam: 1e9)
     assert all(row.count == 0 for row in res.rows)
     assert json.loads(json.dumps(res.summary())) == res.summary()
 

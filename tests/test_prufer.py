@@ -76,14 +76,19 @@ def test_one_step_matches_first_polynomial():
 
 
 def _circle_trace(cfg, s, N):
-    """zeta_0 .. zeta_N, theta_0 .. theta_N and log r_0 .. log r_N of one
-    block through circle_variables."""
+    """zeta_0 .. zeta_N and log r_0 .. log r_N of one block through
+    circle_variables, and theta_0 .. theta_N of the scalar step oracle."""
     alphas = sequence(cfg, N)[0][None, :]
     top = np.ones((1, 1), dtype=np.complex128)
     bot = np.ones((1, 1), dtype=np.complex128)
-    zetas, half_log_h, dtheta, _ = circle_variables(alphas, s.z, top, bot)
-    trace = [np.concatenate([[0.0], np.cumsum(d[0])]) for d in (dtheta, half_log_h)]
-    return zetas[0], *trace
+    zetas, half_log_h, _ = circle_variables(alphas, s.z, top, bot)
+    state = init(s)
+    theta = [state.theta]
+    for a in alphas[0].tolist():
+        state = step(state, a, s)
+        theta.append(state.theta)
+    log_r = np.concatenate([[0.0], np.cumsum(half_log_h[0])])
+    return zetas[0], np.array(theta), log_r
 
 
 def test_radius_matches_polynomial_recursion():

@@ -193,6 +193,28 @@ def test_spectral_function_array_shape():
     assert vals[1, 2] == pytest.approx(math.cos(etas[1, 2] / 2.0) ** 2, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "alpha",
+    [
+        ALPHA0,
+        ALPHA1,
+        TrigPolynomial.from_coeffs({(1, 0): 0.3, (0, 1): 0.2j, (1, 1): -0.15, (2, -1): 0.1}),
+    ],
+    ids=["alpha0", "alpha1", "four_terms"],
+)
+def test_spectral_function_array_equals_per_angle_sums(alpha):
+    # one vectorized call reproduces the per-angle sum bit for bit
+    spec = CorrelationSpectrum.build(alpha, CAT_MAP)
+    n = np.arange(-spec.cutoff, spec.cutoff + 1)
+    etas = np.linspace(0.0, TWO_PI, 2542)
+    want = np.array(
+        [complex(np.sum(np.exp(1j * n * e) * spec.correlations)).real for e in etas.tolist()]
+    )
+    got = spectral_function(alpha, CAT_MAP, etas, spectrum=spec)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert [spec.value(e) for e in etas[::97].tolist()] == got[::97].tolist()
+
+
 def test_density_on_other_automorphism():
     # the flat result for alpha0 is automorphism-independent: any hyperbolic
     # matrix ejects the two support frequencies immediately
