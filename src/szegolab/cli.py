@@ -260,7 +260,8 @@ _OPTIONS = tuple(
         ("--family", "family", _co_choice(*FAMILIES), "birkhoff",
          "{" + ",".join(FAMILIES) + "}", "ldt statistic family (default birkhoff)", ("ldt",)),
         ("--threshold", "threshold", _co_pos_float, None, "T",
-         "ldt constant threshold override (default: 0.2 birkhoff, lambda^3 else)", ("ldt",)),
+         "ldt constant threshold override (default: the family's own, from "
+         "experiments.FAMILIES)", ("ldt",)),
         ("--delta", "delta", _co_pos_float, 0.3, "D",
          "localize: guard around {0, pi} (default 0.3)", ("localize",)),
         ("--c", "c", _co_pos_float, 0.05, "C",

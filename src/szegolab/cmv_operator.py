@@ -44,8 +44,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg import lapack as _lapack
 
 from .verblunsky import VerblunskyConfig, sequence
 
@@ -239,11 +237,13 @@ class CharPolyValue:
 
 def _banded_logdet(bands: np.ndarray) -> tuple[float, complex]:
     """log|det| and phase of a pentadiagonal matrix via banded LU."""
+    from scipy.linalg import lapack
+
     m = bands.shape[1]
     kl = ku = N_BANDS_UP
     afb = np.zeros((2 * kl + ku + 1, m), dtype=np.complex128)
     afb[kl:, :] = bands
-    lu, ipiv, info = _lapack.zgbtrf(afb, kl, ku)
+    lu, ipiv, info = lapack.zgbtrf(afb, kl, ku)
     if info < 0:
         raise ValueError(f"banded factorization failed, argument {-info}")
     diag = lu[kl + ku, :]
@@ -391,6 +391,8 @@ def eigenpairs(op: FiniteCMV, tol: float = 1e-8) -> EigenDecomposition:
     still over tol after that are flagged in ok, not dropped. Dense
     complex Schur of the whole window is the oracle in the tests.
     """
+    import scipy.linalg as sla
+
     m = op.m
     if m > DENSE_CAP:
         raise ValueError(f"eigenpairs capped at {DENSE_CAP} sites, window has {m}")

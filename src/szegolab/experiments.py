@@ -13,12 +13,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.special
 
 from .cmv_operator import build, eigenpairs
 from .prufer import circle_variables, default_decorrelation_time, expansion_diagnostics
@@ -174,6 +172,8 @@ def _prediction(plan: ExperimentPlan, lam: float, eta: float) -> float:
 def _pool_map(fn, args_list, jobs: int):
     if jobs <= 1 or len(args_list) <= 1:
         return [fn(a) for a in args_list]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, args_list))
 
@@ -295,6 +295,8 @@ class DeviationRow:
         """One-sided Clopper-Pearson upper confidence bound."""
         if self.count == self.samples:
             return 1.0
+        import scipy.special
+
         return float(
             scipy.special.betaincinv(self.count + 1, self.samples - self.count, CONFIDENCE)
         )

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from ._kernels import monic_scan
 from .cmv_operator import FiniteCMV, N_BANDS_UP, build, _check_unimodular, _shifted_bands
@@ -84,6 +83,8 @@ class GreenQuery:
 
 def _solve_column(op: FiniteCMV, z: complex, col: int) -> np.ndarray:
     """Column col (window-relative) of (C - z)^{-1}, with blowup checks."""
+    import scipy.linalg as sla
+
     m = op.m
     e = np.zeros(m, dtype=np.complex128)
     e[col] = 1.0

@@ -416,17 +416,64 @@ def test_green_json_counts_skipped_columns(capsys, monkeypatch):
     assert skipped["rows"] == [r for r in payload["rows"] if r["n2"] != first]
 
 
-def test_import_leaves_scipy_sparse_out():
+def _probe(code: str) -> str:
+    """Run code in a fresh interpreter that imports this checkout's package."""
     src = os.path.dirname(os.path.dirname(szegolab.__file__))
-    probe = "import sys, szegolab.cli; print('scipy.sparse' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
+    return subprocess.run(
+        [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
         check=True,
     ).stdout
-    assert out.strip() == "False"
+
+
+def test_import_loads_no_scipy_and_no_pool():
+    probe = (
+        "import sys, szegolab.cli, szegolab._kernels; szegolab._kernels.warmup(); "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] == 'scipy' or m == 'concurrent.futures.process'))"
+    )
+    assert _probe(probe).strip() == "[]"
+
+
+# small runs of each subcommand, and the scipy modules each may load
+IMPORT_BUDGET = {
+    "lyapunov": (["--lambda", "0.1", "--N", "2000"], set()),
+    "jspec": (["--points", "8"], set()),
+    "ldt": (["--lambda", "0.3", "--N", "50", "--samples", "100"], {"scipy.special"}),
+    "localize": (["--lambda", "0.5", "--N", "400", "--lyap-N", "2000"], {"scipy.linalg"}),
+    "green": (["--lambda", "0.5", "--eta", "1.3", "--N", "120", "--seed", "2"], {"scipy.linalg"}),
+    "selftest": (["--seed", "0"], {"scipy.linalg"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(IMPORT_BUDGET))
+def test_subcommand_loads_only_its_scipy_modules(command):
+    args, budget = IMPORT_BUDGET[command]
+    argv = [command, *args, "--jobs", "1", "--out", os.devnull]
+    probe = (
+        "import json, sys; from szegolab.cli import main; "
+        f"code = main({argv!r}); "
+        "print(json.dumps([code, sorted(m for m in ('scipy.linalg', 'scipy.special', "
+        "'concurrent.futures.process') if m in sys.modules)]))"
+    )
+    assert json.loads(_probe(probe)) == [0, sorted(budget)]
+
+
+@pytest.mark.parametrize("command, args", [
+    ("lyapunov", ["--lambda-grid", "0.1,0.2", "--N", "2000", "--seed", "4"]),
+    ("jspec", ["--points", "8"]),
+])
+def test_runs_without_scipy(capsys, command, args):
+    argv = [command, *args, "--jobs", "1"]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    probe = (
+        "import sys; sys.modules['scipy'] = None; from szegolab.cli import main; "
+        f"sys.exit(main({argv!r}))"
+    )
+    assert _probe(probe) == want
 
 
 def test_selftest_passes(capsys):

@@ -154,6 +154,11 @@ def test_lyapunov_cross_delta_is_the_worst_base_point():
     assert 0.0 < row.cross_delta <= 1e-12
 
 
+def test_lyapunov_csv_identical_across_jobs():
+    plan = ExperimentPlan(lams=(0.1, 0.2), etas=(1.0,), Ns=(2000,), seed=3, base_points=2)
+    assert lyapunov_scaling(plan, jobs=1).csv() == lyapunov_scaling(plan, jobs=2).csv()
+
+
 def test_prediction_comes_from_spectral_function():
     eta = math.pi / 2
     plan = ExperimentPlan(
