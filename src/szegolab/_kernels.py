@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-_TWO_PI = 2.0 * math.pi
+TWO_PI = 2.0 * math.pi
 
 # |P| <= 2 bounds the growth between renormalizations, and |det P| = rho^2
 # the decay, for |alpha| up to 1 - 1e-6
@@ -45,7 +45,7 @@ def orbit_block(a00, a01, a10, a11, x, y, out_x, out_y):
     for i in range(n):
         out_x[i] = x
         out_y[i] = y
-        x, y = (a00 * x + a01 * y) % _TWO_PI, (a10 * x + a11 * y) % _TWO_PI
+        x, y = (a00 * x + a01 * y) % TWO_PI, (a10 * x + a11 * y) % TWO_PI
     return x, y
 
 

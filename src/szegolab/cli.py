@@ -590,7 +590,7 @@ def _cmd_green(run: RunConfig) -> int:
     )
     eta = run.etas[0] if run.etas is not None else 0.5 * math.pi
     profile = decay_profile(
-        cfg, SpectralPoint(eta=eta), run.Ns[0], None, run.gamma, columns=run.columns
+        cfg, SpectralPoint(eta=eta).z, run.Ns[0], None, run.gamma, columns=run.columns
     )
     return _emit_table(
         run,
@@ -711,8 +711,7 @@ def _check_presets(rng, run: RunConfig) -> float:
     s1 = CorrelationSpectrum.build(a1, run.autom)
     worst = 0.0
     for eta in np.linspace(0.0, TWO_PI, 64, endpoint=False):
-        j0 = spectral_function(a0, run.autom, eta, spectrum=s0)
-        j1 = spectral_function(a1, run.autom, eta, spectrum=s1)
+        j0, j1 = s0.value(eta), s1.value(eta)
         worst = max(worst, abs(j0 - 0.5), abs(j1 - math.cos(0.5 * eta) ** 2))
     return worst
 

@@ -1,4 +1,4 @@
-"""Finite CMV matrices: assembly, characteristic polynomials, eigenpairs.
+"""Finite CMV matrices: assembly and eigenpairs.
 
 The half-line operator is the product C = L M of two block-diagonal
 unitaries built from 2x2 blocks
@@ -21,12 +21,11 @@ coefficient at index a-1 (for a >= 1) and at index b to unimodular values
 decouples the window from the rest of the half line and makes the
 restriction unitary; those two values are the boundary data of the
 finite matrix. The dense factor product L M, projected onto the window,
-is the oracle in the tests.
+is the oracle of the assembly tests.
 
 The restricted matrix is pentadiagonal, stored in solve_banded layout (row
-u + i - j holds entry (i, j), with u = l = 2). Characteristic polynomial
-values are computed from a banded LU factorization in log-scale so windows
-of thousands of sites neither overflow nor underflow.
+u + i - j holds entry (i, j), with u = l = 2); tests/oracles.py fills it
+into a dense matrix for the tests.
 
 Eigenpairs come from the Hermitian pentadiagonal H = C + C*: C is unitary,
 hence normal, so its eigenvectors are eigenvectors of H with eigenvalue
@@ -34,17 +33,16 @@ hence normal, so its eigenvectors are eigenvectors of H with eigenvalue
 gives its eigenvalue on the circle and a residual against C. eta and
 2 pi - eta share cos eta, so nearly colliding pairs come back mixed and are
 separated again by Rayleigh-Ritz on the small cluster. Dense complex Schur
-of the window is the oracle in the tests.
+of that dense window is the oracle of the eigenpair tests.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import TWO_PI
 from .verblunsky import VerblunskyConfig, sequence
 
 N_BANDS_UP = 2
@@ -122,34 +120,16 @@ def band_matvec(bands: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FiniteCMV:
-    """Unitary restriction of the half-line operator to [a, b].
-
-    alphas_mod holds coefficients 0 .. b+1 with the boundary values
-    already substituted (index a-1 when a >= 1, and index b). beta is None
-    exactly when a == 0, where the half-line start needs no left boundary.
-    """
+    """Unitary restriction of the half-line operator to [a, b], stored as
+    its pentadiagonal bands."""
 
     a: int
     b: int
-    alphas_mod: np.ndarray
-    beta: complex | None
-    gamma: complex
     bands: np.ndarray
 
     @property
     def m(self) -> int:
         return self.b - self.a + 1
-
-    def dense(self) -> np.ndarray:
-        m = self.m
-        if m > DENSE_CAP:
-            raise ValueError(f"dense form capped at {DENSE_CAP} sites")
-        out = np.zeros((m, m), dtype=np.complex128)
-        for off in range(-N_BANDS_LOW, N_BANDS_UP + 1):
-            # entry (j + off, j) sits at band row u + off, column j
-            j = np.arange(max(-off, 0), m - max(off, 0))
-            out[j + off, j] = self.bands[N_BANDS_UP + off, j]
-        return out
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=np.complex128)
@@ -200,116 +180,16 @@ def build(
     if b - a < 2:
         raise ValueError("window needs at least 3 sites")
     gamma = _check_unimodular("gamma", gamma)
-    use_beta: complex | None = None
-    if a >= 1:
-        use_beta = _check_unimodular("beta", beta)
-    alphas, _ = sequence(cfg, b + 2)
-    alphas = alphas.copy()
-    if use_beta is not None:
-        alphas[a - 1] = use_beta
+    beta = _check_unimodular("beta", beta) if a >= 1 else None
+    alphas = sequence(cfg, b + 2)[0].copy()
+    if beta is not None:
+        alphas[a - 1] = beta
     alphas[b] = gamma
-    bands = _window_bands(alphas, a, b)
-    op = FiniteCMV(a=a, b=b, alphas_mod=alphas, beta=use_beta, gamma=gamma, bands=bands)
+    op = FiniteCMV(a=a, b=b, bands=_window_bands(alphas, a, b))
     defect = op.unitarity_defect()
     if defect > UNITARITY_HARD_TOL:
         raise ConstructionError(f"unitarity defect {defect:.3e} exceeds hard bound")
     return op
-
-
-@dataclass(frozen=True)
-class CharPolyValue:
-    """Characteristic polynomial value det(z - C) in log form.
-
-    value = phase * exp(log_abs); phase is unimodular (zero when the
-    determinant vanishes). log_abs_normalized divides out the product of
-    the complementary radii over the window, skipping indices where the
-    modified coefficient is unimodular.
-    """
-
-    log_abs: float
-    phase: complex
-    log_abs_normalized: float
-
-    @property
-    def value(self) -> complex:
-        return self.phase * math.exp(self.log_abs)
-
-
-def _banded_logdet(bands: np.ndarray) -> tuple[float, complex]:
-    """log|det| and phase of a pentadiagonal matrix via banded LU."""
-    from scipy.linalg import lapack
-
-    m = bands.shape[1]
-    kl = ku = N_BANDS_UP
-    afb = np.zeros((2 * kl + ku + 1, m), dtype=np.complex128)
-    afb[kl:, :] = bands
-    lu, ipiv, info = lapack.zgbtrf(afb, kl, ku)
-    if info < 0:
-        raise ValueError(f"banded factorization failed, argument {-info}")
-    diag = lu[kl + ku, :]
-    # the scipy wrapper hands back zero-based pivot indices
-    sign = 1.0
-    for j in range(m):
-        if ipiv[j] != j:
-            sign = -sign
-    log_abs = 0.0
-    phase = complex(sign)
-    for d in diag:
-        ad = abs(d)
-        if ad == 0.0:
-            return -math.inf, 0.0 + 0.0j
-        log_abs += math.log(ad)
-        phase *= d / ad
-    return log_abs, phase
-
-
-def _shifted_bands(bands: np.ndarray, z: complex) -> np.ndarray:
-    """Bands of C - z from the bands of C."""
-    out = bands.copy()
-    out[N_BANDS_UP] -= z
-    return out
-
-
-def _char_value(bands: np.ndarray, window_alphas: np.ndarray, z: complex) -> CharPolyValue:
-    """det(z - C) from the bands, normalized by the window's nonzero radii."""
-    log_abs, phase = _banded_logdet(-_shifted_bands(bands, complex(z)))
-    r = _radii(window_alphas)
-    log_norm = log_abs - float(np.sum(np.log(r[r > 0.0])))
-    return CharPolyValue(log_abs=log_abs, phase=phase, log_abs_normalized=log_norm)
-
-
-def char_poly(op: FiniteCMV, z: complex) -> CharPolyValue:
-    """det(z - C) for the finite matrix, with the radius-normalized form."""
-    return _char_value(op.bands, op.alphas_mod[op.a : op.b + 1], z)
-
-
-def restricted_char_poly(
-    cfg: VerblunskyConfig,
-    a: int,
-    b: int,
-    z: complex,
-    left: complex | None = None,
-    right: complex | None = None,
-) -> CharPolyValue:
-    """det(z - restriction to [a, b]) with optional boundary replacements.
-
-    left, when given, replaces the coefficient at a - 1 (requires a >= 1);
-    right replaces the one at b. Unmodified restrictions are generally not
-    unitary; they are the raw building blocks of resolvent formulas. The
-    normalization divides by the complementary radii over [a, b] of the
-    possibly modified sequence, skipping unimodular indices.
-    """
-    if not (0 <= a <= b):
-        raise ValueError("need 0 <= a <= b")
-    alphas, _ = sequence(cfg, b + 2)
-    alphas = alphas.copy()
-    if left is not None:
-        if a < 1:
-            raise ValueError("left replacement needs a >= 1")
-        alphas[a - 1] = complex(left)
-    if right is not None:
-        alphas[b] = complex(right)
-    return _char_value(_window_bands(alphas, a, b), alphas[a : b + 1], z)
 
 
 @dataclass(frozen=True)
@@ -407,7 +287,7 @@ def eigenpairs(op: FiniteCMV, tol: float = 1e-8) -> EigenDecomposition:
         cv[:, s:e] = cvc @ Q
         vals[s:e] = np.diag(T)
         residuals[s:e] = np.linalg.norm(cv[:, s:e] - vectors[:, s:e] * vals[s:e], axis=0)
-    etas = np.angle(vals) % (2.0 * math.pi)
+    etas = np.angle(vals) % TWO_PI
     order = np.argsort(etas)
     residuals = residuals[order]
     return EigenDecomposition(
@@ -417,51 +297,3 @@ def eigenpairs(op: FiniteCMV, tol: float = 1e-8) -> EigenDecomposition:
         residuals=residuals,
         ok=residuals <= tol,
     )
-
-
-def eigenvalues_by_scan(
-    op: FiniteCMV,
-    oversample: int = 16,
-    refine_tol: float = 1e-12,
-) -> np.ndarray:
-    """Spectral angles located as minima of |det(z - C)| on the circle.
-
-    Independent of the banded eigensolver: scans an oversampled angle grid,
-    brackets every local minimum of the log-determinant modulus and
-    refines it by golden-section search. Intended as an oracle for modest
-    sizes; cost grows like oversample * m^2.
-    """
-    m = op.m
-    grid_n = max(oversample * m, 512)
-    thetas = np.linspace(0.0, 2.0 * math.pi, grid_n, endpoint=False)
-
-    def f(theta: float) -> float:
-        val = char_poly(op, cmath.exp(1j * theta))
-        return val.log_abs
-
-    vals = np.array([f(t) for t in thetas])
-    found = []
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    for i in range(grid_n):
-        prev_v = vals[i - 1]
-        here = vals[i]
-        nxt = vals[(i + 1) % grid_n]
-        if here <= prev_v and here < nxt:
-            lo = thetas[i - 1] if i > 0 else thetas[0] - 2.0 * math.pi / grid_n
-            hi = thetas[(i + 1) % grid_n]
-            if hi < lo:
-                hi += 2.0 * math.pi
-            x1 = hi - invphi * (hi - lo)
-            x2 = lo + invphi * (hi - lo)
-            f1, f2 = f(x1), f(x2)
-            while hi - lo > refine_tol:
-                if f1 < f2:
-                    hi, x2, f2 = x2, x1, f1
-                    x1 = hi - invphi * (hi - lo)
-                    f1 = f(x1)
-                else:
-                    lo, x1, f1 = x1, x2, f2
-                    x2 = lo + invphi * (hi - lo)
-                    f2 = f(x2)
-            found.append((0.5 * (lo + hi)) % (2.0 * math.pi))
-    return np.array(sorted(found))

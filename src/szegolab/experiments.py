@@ -77,10 +77,8 @@ class ExperimentPlan:
                 raise ValueError(f"lambda = {lam} must be positive and finite")
             if lam * sup >= 1.0 and sup > 0.0:
                 raise ValueError(f"lambda = {lam} puts coefficients outside the disk")
-        for eta in self.etas:
-            d = min(abs(eta % (2 * math.pi)), abs(eta % (2 * math.pi) - math.pi),
-                    abs(eta % (2 * math.pi) - 2 * math.pi))
-            if d < ETA_GUARD:
+        for eta, angle in zip(self.etas, angles):
+            if min(angle, abs(angle - math.pi), TWO_PI - angle) < ETA_GUARD:
                 raise ValueError(f"eta = {eta} within {ETA_GUARD} of a degenerate angle")
         for N in self.Ns:
             if N < 2:

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import monic_scan
-from .cmv_operator import FiniteCMV, N_BANDS_UP, build, _check_unimodular, _shifted_bands
+from .cmv_operator import FiniteCMV, N_BANDS_UP, build, _check_unimodular
 from .experiments import _csv, linear_fit
-from .szego_cocycle import SpectralPoint
 from .verblunsky import VerblunskyConfig, coefficient, sequence
 
 DIRECT_RESIDUAL_TOL = 1e-10
@@ -39,12 +38,6 @@ class ResolventBlowupError(Exception):
 
 class GreenFitError(Exception):
     """Too few usable entries survived to fit a decay rate."""
-
-
-def _as_z(zlike) -> complex:
-    if isinstance(zlike, SpectralPoint):
-        return zlike.z
-    return complex(zlike)
 
 
 @dataclass(frozen=True)
@@ -88,7 +81,8 @@ def _solve_column(op: FiniteCMV, z: complex, col: int) -> np.ndarray:
     m = op.m
     e = np.zeros(m, dtype=np.complex128)
     e[col] = 1.0
-    ab = _shifted_bands(op.bands, z)
+    ab = op.bands.copy()
+    ab[N_BANDS_UP] -= z
     try:
         u = sla.solve_banded((N_BANDS_UP, N_BANDS_UP), ab, e)
     except np.linalg.LinAlgError as exc:
@@ -224,7 +218,7 @@ def boundary_vector(
     index: int,
     side: str,
     bdata: complex,
-    z,
+    z: complex,
     cfg: VerblunskyConfig,
 ) -> complex:
     """Edge scalar pairing with a resolvent column to rebuild solutions.
@@ -237,7 +231,7 @@ def boundary_vector(
     coefficient/radius pair at the cut bond; odd indices conjugate the
     coefficient data and flip the overall sign.
     """
-    z = _as_z(z)
+    z = complex(z)
     bdata = complex(bdata)
     xi = np.asarray(xi)
     if side not in ("left", "right"):
@@ -267,7 +261,7 @@ def boundary_vector(
 
 def reconstruction_residual(
     cfg: VerblunskyConfig,
-    z,
+    z: complex,
     a: int,
     b: int,
     beta: complex,
@@ -285,7 +279,7 @@ def reconstruction_residual(
     """
     if a < 1:
         raise ValueError("reconstruction needs a >= 1 for the left edge vector")
-    z = _as_z(z)
+    z = complex(z)
     xi = np.asarray(xi, dtype=np.complex128)
     if len(xi) < b + 2:
         raise ValueError("xi must cover the outward neighbors of both edges")
@@ -330,7 +324,7 @@ MIN_FIT_PAIRS = 10
 
 def decay_profile(
     cfg: VerblunskyConfig,
-    z,
+    z: complex,
     N: int,
     beta: complex | None,
     gamma: complex,
@@ -347,7 +341,7 @@ def decay_profile(
     from the window spectrum (the experiment layer picks z inside a
     spectral window and at a checked distance).
     """
-    z = _as_z(z)
+    z = complex(z)
     op = build(cfg, 0, N, None, gamma)
     m = op.m
     lo, hi = m // 8, (7 * m) // 8

@@ -19,7 +19,6 @@ the large-deviation estimates.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -29,45 +28,6 @@ from ._kernels import monic_scan
 from .szego_cocycle import SpectralPoint, _log_rho
 from .torus_dynamics import ToralAutomorphism
 from .verblunsky import VerblunskyConfig, sampled_values_blocks
-
-
-@dataclass(frozen=True)
-class PruferState:
-    """Radius (as log), phase, circle variable and step counter."""
-
-    log_r: float
-    theta: float
-    zeta: complex
-    n: int
-
-
-def init(s: SpectralPoint) -> PruferState:
-    """State matching phi_0 = phi*_0 = 1: zeta starts at z itself."""
-    return PruferState(log_r=0.0, theta=0.0, zeta=s.z, n=0)
-
-
-def step(state: PruferState, alpha_n: complex, s: SpectralPoint) -> PruferState:
-    """Advance one step; alpha_n must lie strictly inside the unit disk."""
-    a = complex(alpha_n)
-    aa = abs(a) ** 2
-    if aa >= 1.0:
-        raise ValueError("coefficient must lie strictly inside the unit disk")
-    az = a * state.zeta
-    w = 1.0 - az
-    # Re(w) >= 1 - |a| > 0, so the principal argument is already the
-    # nearest-branch phase increment; the assertion pins the invariant and
-    # the principal value doubles as the fallback if it were ever violated.
-    assert w.real > 0.0 or abs(cmath.phase(w)) <= math.pi
-    dtheta = -cmath.phase(w)
-    hn = (1.0 + aa - 2.0 * az.real) / (1.0 - aa)
-    zeta = s.z * state.zeta * (1.0 + aa - 2.0 * az.real) / (w * w)
-    zeta /= abs(zeta)
-    return PruferState(
-        log_r=state.log_r + 0.5 * math.log(hn),
-        theta=state.theta + dtheta,
-        zeta=zeta,
-        n=state.n + 1,
-    )
 
 
 def circle_variables(alphas: np.ndarray, z, top: np.ndarray, bot: np.ndarray):

@@ -12,13 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 import numpy as np
 
-from .torus_dynamics import ToralAutomorphism, TorusPoint, frequency_pushforward
-
-TWO_PI = 2.0 * math.pi
+from .torus_dynamics import TWO_PI, ToralAutomorphism, TorusPoint, frequency_pushforward
 
 
 @dataclass(frozen=True)
@@ -108,41 +106,6 @@ def autocorrelation_exact(alpha: TrigPolynomial, A: ToralAutomorphism, n: int) -
     return complex(out)
 
 
-class BirkhoffEstimate(NamedTuple):
-    value: complex
-    stderr: float
-
-
-def autocorrelation_birkhoff(
-    alpha: TrigPolynomial,
-    A: ToralAutomorphism,
-    n: int,
-    samples: int,
-    seed: int,
-) -> BirkhoffEstimate:
-    """Monte Carlo estimate of the autocorrelation over uniform points.
-
-    Returns the sample mean of conj(alpha(p)) alpha(A^n p) and the standard
-    error of that mean (combined over real and imaginary parts).
-    """
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(0.0, TWO_PI, size=samples)
-    y = rng.uniform(0.0, TWO_PI, size=samples)
-    v0 = evaluate_many(alpha, x, y)
-    (a, b), (c, d) = A.entries if n >= 0 else (
-        A.inverse_entries()
-    )
-    for _ in range(abs(n)):
-        x, y = (a * x + b * y) % TWO_PI, (c * x + d * y) % TWO_PI
-    vn = evaluate_many(alpha, x, y)
-    w = np.conj(v0) * vn
-    mean = complex(w.mean())
-    stderr = float(np.sqrt(np.mean(np.abs(w - mean) ** 2) / samples))
-    return BirkhoffEstimate(mean, stderr)
-
-
 def _dual_components(A: ToralAutomorphism, k: tuple[int, int]) -> tuple[float, float]:
     """Coordinates of the frequency k in the eigenbasis of the transpose.
 
@@ -223,15 +186,9 @@ class CorrelationSpectrum:
         return float(total.real) if eta.ndim == 0 else total.real
 
 
-def spectral_function(
-    alpha: TrigPolynomial,
-    A: ToralAutomorphism,
-    eta,
-    spectrum: CorrelationSpectrum | None = None,
-) -> float | np.ndarray:
+def spectral_function(alpha: TrigPolynomial, A: ToralAutomorphism, eta) -> float | np.ndarray:
     """Spectral function at one angle or an array of angles."""
-    spec = spectrum if spectrum is not None else CorrelationSpectrum.build(alpha, A)
-    return spec.value(eta)
+    return CorrelationSpectrum.build(alpha, A).value(eta)
 
 
 WINDOW_GRID_STEP = 1e-3

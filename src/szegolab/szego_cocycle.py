@@ -12,7 +12,7 @@ lose the exponent. The same module carries the recursion for the
 orthogonal polynomials of the first and second kind, which gives an
 independent route to the Lyapunov exponent and a cross-check identity
 tying the product to the polynomials. Both run on the monic engine of
-_kernels; step_matrix stays as the per-step oracle.
+_kernels; the per-step cocycle oracle is in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -23,10 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import monic_scan
+from ._kernels import TWO_PI, monic_scan
 from .verblunsky import VerblunskyConfig, sampled_values_blocks
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -43,26 +41,9 @@ class SpectralPoint:
     def z(self) -> complex:
         return cmath.exp(1j * self.eta)
 
-    @property
-    def sqrt_z(self) -> complex:
-        return cmath.exp(0.5j * self.eta)
-
     def phase_power(self, n: int) -> complex:
-        """sqrt_z raised to the n-th power, evaluated stably for large n."""
+        """s = e^{i eta / 2} raised to the n-th power, evaluated stably for large n."""
         return cmath.exp(0.5j * ((n * self.eta) % (2.0 * TWO_PI)))
-
-
-def step_matrix(alpha_n: complex, s: SpectralPoint) -> np.ndarray:
-    """Single determinant-one cocycle step for one coefficient."""
-    a = complex(alpha_n)
-    if abs(a) >= 1.0:
-        raise ValueError("coefficient must lie strictly inside the unit disk")
-    r = math.sqrt(1.0 - abs(a) ** 2)
-    sq = s.sqrt_z
-    return np.array(
-        [[sq / r, -np.conj(a) / (sq * r)], [-a * sq / r, 1.0 / (sq * r)]],
-        dtype=np.complex128,
-    )
 
 
 @dataclass(frozen=True)
@@ -76,29 +57,6 @@ class ScaledProduct:
     matrix: np.ndarray
     log_scale: float
     steps: int
-
-    def sigma_max(self) -> float:
-        """Largest singular value of the stored matrix (closed form)."""
-        m = self.matrix
-        t = float(np.sum(np.abs(m) ** 2))
-        d = abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]) ** 2
-        disc = max(t * t - 4.0 * d, 0.0)
-        return math.sqrt((t + math.sqrt(disc)) / 2.0)
-
-    def log_norm(self) -> float:
-        """log of the operator norm of the full product."""
-        return self.log_scale + math.log(self.sigma_max())
-
-    def log_abs_det(self) -> float:
-        """log |det| of the full product; zero for determinant-one steps."""
-        m = self.matrix
-        return 2.0 * self.log_scale + math.log(
-            abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-        )
-
-    def recover(self) -> np.ndarray:
-        """Unscaled product matrix; overflows for long runs, test use only."""
-        return self.matrix * math.exp(self.log_scale)
 
 
 def _log_rho(alphas: np.ndarray) -> np.ndarray:
@@ -232,10 +190,3 @@ def lyapunov_poly_rows(alphas: np.ndarray, s: SpectralPoint) -> np.ndarray:
     """Polynomial-route growth rate of every row of a (rows, N) coefficient array."""
     top, _, log_r = _poly_run([alphas], s.z, alphas.shape[0])
     return _growth(top, log_r, alphas.shape[1])
-
-
-def lyapunov_norm(cfg: VerblunskyConfig, s: SpectralPoint, N: int) -> float:
-    """Finite-volume Lyapunov exponent from the product operator norm."""
-    if N <= 0:
-        raise ValueError("need at least one step")
-    return transfer(cfg, s, N).log_norm() / N

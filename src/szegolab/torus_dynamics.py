@@ -15,9 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._kernels import orbit_block
-
-TWO_PI = 2.0 * math.pi
+from ._kernels import TWO_PI, orbit_block
 
 Entries = tuple[tuple[int, int], tuple[int, int]]
 
@@ -131,11 +129,6 @@ class TorusPoint:
     @property
     def is_exact(self) -> bool:
         return self.x_turn is not None and self.y_turn is not None
-
-    def same_turns(self, other: "TorusPoint") -> bool:
-        if not (self.is_exact and other.is_exact):
-            raise ValueError("both points need exact coordinates")
-        return self.x_turn == other.x_turn and self.y_turn == other.y_turn
 
 
 def matrix_power(entries: Entries, n: int) -> Entries:

@@ -1,0 +1,131 @@
+"""Scalar and dense references the tests hold the package's engines to.
+
+Each oracle computes a quantity the package also computes, by the plain
+route: one Prufer step or one cocycle step at a time, the window matrix
+filled densely from its bands, the product norm by SVD, correlations by
+Monte Carlo. None of them runs in the package itself.
+"""
+
+import cmath
+import math
+from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
+
+from szegolab.cmv_operator import DENSE_CAP, N_BANDS_LOW, N_BANDS_UP, FiniteCMV
+from szegolab.sampling import TrigPolynomial, evaluate_many
+from szegolab.szego_cocycle import SpectralPoint, transfer
+from szegolab.torus_dynamics import TWO_PI, ToralAutomorphism
+from szegolab.verblunsky import VerblunskyConfig
+
+
+@dataclass(frozen=True)
+class PruferState:
+    """Radius (as log), phase, circle variable and step counter."""
+
+    log_r: float
+    theta: float
+    zeta: complex
+    n: int
+
+
+def init(s: SpectralPoint) -> PruferState:
+    """State matching phi_0 = phi*_0 = 1: zeta starts at z itself."""
+    return PruferState(log_r=0.0, theta=0.0, zeta=s.z, n=0)
+
+
+def step(state: PruferState, alpha_n: complex, s: SpectralPoint) -> PruferState:
+    """Advance one step; alpha_n must lie strictly inside the unit disk."""
+    a = complex(alpha_n)
+    aa = abs(a) ** 2
+    if aa >= 1.0:
+        raise ValueError("coefficient must lie strictly inside the unit disk")
+    az = a * state.zeta
+    w = 1.0 - az
+    # Re(w) >= 1 - |a| > 0, so the principal argument is already the
+    # nearest-branch phase increment; the assertion pins the invariant and
+    # the principal value doubles as the fallback if it were ever violated.
+    assert w.real > 0.0 or abs(cmath.phase(w)) <= math.pi
+    dtheta = -cmath.phase(w)
+    hn = (1.0 + aa - 2.0 * az.real) / (1.0 - aa)
+    zeta = s.z * state.zeta * (1.0 + aa - 2.0 * az.real) / (w * w)
+    zeta /= abs(zeta)
+    return PruferState(
+        log_r=state.log_r + 0.5 * math.log(hn),
+        theta=state.theta + dtheta,
+        zeta=zeta,
+        n=state.n + 1,
+    )
+
+
+def step_matrix(alpha_n: complex, s: SpectralPoint) -> np.ndarray:
+    """Single determinant-one cocycle step for one coefficient."""
+    a = complex(alpha_n)
+    if abs(a) >= 1.0:
+        raise ValueError("coefficient must lie strictly inside the unit disk")
+    r = math.sqrt(1.0 - abs(a) ** 2)
+    sq = cmath.exp(0.5j * s.eta)  # the square root s of z
+    return np.array(
+        [[sq / r, -np.conj(a) / (sq * r)], [-a * sq / r, 1.0 / (sq * r)]],
+        dtype=np.complex128,
+    )
+
+
+def log_norm(matrix: np.ndarray, log_scale: float) -> float:
+    """log of the operator norm of matrix * exp(log_scale)."""
+    return log_scale + math.log(np.linalg.norm(matrix, 2))
+
+
+def lyapunov_norm(cfg: VerblunskyConfig, s: SpectralPoint, N: int) -> float:
+    """Finite-volume Lyapunov exponent from the product operator norm."""
+    prod = transfer(cfg, s, N)
+    return log_norm(prod.matrix, prod.log_scale) / N
+
+
+def dense(op: FiniteCMV) -> np.ndarray:
+    """The window matrix filled densely from its bands."""
+    m = op.m
+    if m > DENSE_CAP:
+        raise ValueError(f"dense form capped at {DENSE_CAP} sites")
+    out = np.zeros((m, m), dtype=np.complex128)
+    for off in range(-N_BANDS_LOW, N_BANDS_UP + 1):
+        # entry (j + off, j) sits at band row u + off, column j
+        j = np.arange(max(-off, 0), m - max(off, 0))
+        out[j + off, j] = op.bands[N_BANDS_UP + off, j]
+    return out
+
+
+class _BirkhoffEstimate(NamedTuple):
+    value: complex
+    stderr: float
+
+
+def autocorrelation_birkhoff(
+    alpha: TrigPolynomial,
+    A: ToralAutomorphism,
+    n: int,
+    samples: int,
+    seed: int,
+) -> _BirkhoffEstimate:
+    """Monte Carlo estimate of the autocorrelation over uniform points.
+
+    Returns the sample mean of conj(alpha(p)) alpha(A^n p) and the standard
+    error of that mean (combined over real and imaginary parts).
+    """
+    if samples < 2:
+        raise ValueError("need at least 2 samples")
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, TWO_PI, size=samples)
+    y = rng.uniform(0.0, TWO_PI, size=samples)
+    v0 = evaluate_many(alpha, x, y)
+    (a, b), (c, d) = A.entries if n >= 0 else (
+        A.inverse_entries()
+    )
+    for _ in range(abs(n)):
+        x, y = (a * x + b * y) % TWO_PI, (c * x + d * y) % TWO_PI
+    vn = evaluate_many(alpha, x, y)
+    w = np.conj(v0) * vn
+    mean = complex(w.mean())
+    stderr = float(np.sqrt(np.mean(np.abs(w - mean) ** 2) / samples))
+    return _BirkhoffEstimate(mean, stderr)

@@ -29,13 +29,7 @@ from szegolab.greens import (
     green_modulus_formula,
 )
 from szegolab.prufer import expansion_diagnostics, zeta_trace
-from szegolab.sampling import (
-    CorrelationSpectrum,
-    autocorrelation_birkhoff,
-    autocorrelation_exact,
-    preset,
-    spectral_function,
-)
+from szegolab.sampling import CorrelationSpectrum, autocorrelation_exact, preset
 from szegolab.szego_cocycle import (
     SpectralPoint,
     polynomials,
@@ -43,6 +37,8 @@ from szegolab.szego_cocycle import (
 )
 from szegolab.torus_dynamics import CAT_MAP, TWO_PI, TorusPoint
 from szegolab.verblunsky import VerblunskyConfig
+
+from oracles import autocorrelation_birkhoff
 
 ALPHA0 = preset("alpha0")
 ALPHA1 = preset("alpha1")
@@ -165,7 +161,7 @@ def test_criterion_05_autocorrelation_and_spectral_function():
         for eta in np.linspace(0.0, TWO_PI, 64, endpoint=False):
             total = complex(np.sum(np.exp(1j * lags * eta) * spec.correlations))
             worst_imag = max(worst_imag, abs(total.imag))
-            value = spectral_function(alpha, CAT_MAP, eta, spectrum=spec)
+            value = spec.value(eta)
             worst_preset = max(worst_preset, abs(value - form(eta)))
     elapsed = time.perf_counter() - t0
     ok = (

@@ -1,6 +1,6 @@
 """Tests for finite unitary windows: assembly against an independent dense
-factor product, characteristic values against the monic recursion, and the
-banded eigensolver against dense complex Schur and the determinant scan."""
+factor product, its determinants against the monic recursion, and the
+banded eigensolver against dense complex Schur."""
 
 import cmath
 import dataclasses
@@ -14,19 +14,19 @@ from szegolab.cmv_operator import (
     DENSE_CAP,
     ConstructionError,
     _hermitian_part,
+    _window_bands,
     band_matvec,
     build,
-    char_poly,
     eigenpairs,
-    eigenvalues_by_scan,
-    restricted_char_poly,
 )
 from szegolab.experiments import ExperimentPlan
+from szegolab.greens import _edge_det
 from szegolab.sampling import preset
 from szegolab.torus_dynamics import CAT_MAP, TorusPoint
 from szegolab.verblunsky import VerblunskyConfig, sequence
 
 from helpers import free_config, random_config
+from oracles import dense
 
 
 def _theta_block(al):
@@ -71,7 +71,7 @@ def test_free_five_site_window_is_a_cycle():
     # 0 -> 1 -> 3 -> 4 -> 2 -> 0 under the two shift factors
     for col, row in [(0, 1), (1, 3), (3, 4), (4, 2), (2, 0)]:
         perm[row, col] = 1.0
-    assert np.allclose(op.dense(), perm, atol=1e-12)
+    assert np.allclose(dense(op), perm, atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -99,14 +99,14 @@ def test_window_matches_dense_factor_product(a, b):
     for cfg in (random_config(rng), random_config(rng, lam_hi_frac=0.999)):
         op = build(cfg, a, b, beta, gamma)
         want = _dense_window_oracle(_modified_alphas(cfg, a, b, beta, gamma), a, b)
-        assert np.allclose(op.dense(), want, atol=1e-14)
+        assert np.allclose(dense(op), want, atol=1e-14)
 
 
 def test_window_is_pentadiagonal():
     rng = np.random.default_rng(9)
     cfg = random_config(rng)
     op = build(cfg, 2, 30, 1.0, 1.0)
-    d = op.dense()
+    d = dense(op)
     ii, jj = np.indices(d.shape)
     assert np.all(d[np.abs(ii - jj) > 2] == 0)
 
@@ -118,11 +118,6 @@ def test_window_metadata():
     gamma = cmath.exp(0.3j)
     op = build(cfg, 3, 9, beta, gamma)
     assert op.m == 7
-    assert op.beta == beta
-    assert op.alphas_mod[2] == beta
-    assert op.alphas_mod[9] == gamma
-    half = build(cfg, 0, 6, None, gamma)
-    assert half.beta is None
 
 
 def test_build_validation():
@@ -157,7 +152,7 @@ def test_unitarity_defect_matches_dense():
         a = int(rng.integers(0, 4))
         b = a + int(rng.integers(2, 80))
         op = build(cfg, a, b, cmath.exp(0.7j * k), cmath.exp(-1.3j * k))
-        assert abs(op.unitarity_defect() - _dense_defect(op.dense())) <= 1e-15
+        assert abs(op.unitarity_defect() - _dense_defect(dense(op))) <= 1e-15
 
 
 def test_unitarity_defect_sees_one_bad_entry():
@@ -176,7 +171,7 @@ def test_unitarity_defect_sees_one_bad_entry():
             bands[row, col] += 1e-8
             bad = dataclasses.replace(op, bands=bands)
             assert bad.unitarity_defect() > 1e-9
-            assert abs(bad.unitarity_defect() - _dense_defect(bad.dense())) <= 1e-15
+            assert abs(bad.unitarity_defect() - _dense_defect(dense(bad))) <= 1e-15
 
 
 def test_bands_hold_no_negative_zero():
@@ -194,7 +189,7 @@ def test_apply_matches_dense():
     op = build(cfg, 1, 25, 1.0, 1.0)
     v = rng.standard_normal(op.m) + 1j * rng.standard_normal(op.m)
     got = op.apply(v)
-    assert np.allclose(got, op.dense() @ v, rtol=1e-12, atol=1e-12)
+    assert np.allclose(got, dense(op) @ v, rtol=1e-12, atol=1e-12)
     assert np.linalg.norm(got) == pytest.approx(np.linalg.norm(v), rel=1e-12)
     with pytest.raises(ValueError):
         op.apply(np.ones(op.m + 1))
@@ -206,7 +201,7 @@ def test_band_matvec_takes_a_block_of_columns():
     V = rng.standard_normal((op.m, 4)) + 1j * rng.standard_normal((op.m, 4))
     got = band_matvec(op.bands, V)
     assert got.shape == V.shape
-    assert np.allclose(got, op.dense() @ V, rtol=1e-12, atol=1e-12)
+    assert np.allclose(got, dense(op) @ V, rtol=1e-12, atol=1e-12)
     for k in range(V.shape[1]):
         assert np.array_equal(got[:, k], band_matvec(op.bands, V[:, k]))
 
@@ -214,7 +209,7 @@ def test_band_matvec_takes_a_block_of_columns():
 def test_hermitian_part_is_c_plus_c_star():
     rng = np.random.default_rng(16)
     op = build(random_config(rng), 1, 20, 1j, -1.0)
-    d = op.dense()
+    d = dense(op)
     H = d + d.conj().T
     upper = _hermitian_part(op.bands)
     for k in range(3):
@@ -222,23 +217,7 @@ def test_hermitian_part_is_c_plus_c_star():
 
 
 # ---------------------------------------------------------------------------
-# characteristic values
-
-
-def test_char_poly_unimodular_at_origin():
-    # |det(0 - C)| = 1 for a unitary window
-    rng = np.random.default_rng(15)
-    for _ in range(3):
-        cfg = random_config(rng)
-        op = build(cfg, 0, int(rng.integers(5, 30)), None, 1.0)
-        assert abs(char_poly(op, 0.0).value) == pytest.approx(1.0, rel=1e-10)
-
-
-def test_char_poly_free_cycle_closed_form():
-    # the free five-site window is a 5-cycle, so det(z - C) = z^5 - 1
-    op = build(free_config(), 0, 4, None, 1.0)
-    for z in (2.0, 0.5j, cmath.exp(1.1j)):
-        assert char_poly(op, z).value == pytest.approx(z**5 - 1.0, rel=1e-10)
+# determinants
 
 
 def _monic_pair(alphas, z):
@@ -248,68 +227,49 @@ def _monic_pair(alphas, z):
     return phi, phs
 
 
+def _assert_edge_identity(alphas, b, gamma, z):
+    """det(z - C) on [0, b] with gamma at index b, from the dense factor
+    product, against z Phi_b - conj(gamma) Phi*_b from the monic pair."""
+    mod = alphas.copy()
+    mod[b] = gamma
+    got = np.linalg.det(z * np.eye(b + 1) - _dense_window_oracle(mod, 0, b))
+    phi, phs = _monic_pair(alphas[:b], z)
+    want = _edge_det(phi, phs, np.conj(gamma), z)
+    assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
 def test_restriction_matches_monic_recursion():
+    # with gamma the window's own coefficient, the identity reads
+    # det(z - C_[0, n-1]) = Phi_n
     rng = np.random.default_rng(16)
     for n in (1, 2, 5, 12):
         cfg = random_config(rng)
-        alphas, _ = sequence(cfg, n)
+        alphas, _ = sequence(cfg, n + 1)
         for eta in (0.4, 2.9):
-            z = cmath.exp(1j * eta)
-            want, _ = _monic_pair(alphas, z)
-            got = restricted_char_poly(cfg, 0, n - 1, z).value
-            assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+            _assert_edge_identity(alphas, n - 1, alphas[n - 1], cmath.exp(1j * eta))
 
 
 def test_right_boundary_splits_into_monic_pair():
     rng = np.random.default_rng(17)
     cfg = random_config(rng)
     for b in (3, 9):
-        alphas, _ = sequence(cfg, b)
+        alphas, _ = sequence(cfg, b + 2)
         for gamma in (1.0, 1j, cmath.exp(0.3j)):
             for eta in (1.2, 5.1):
-                z = cmath.exp(1j * eta)
-                phi, phs = _monic_pair(alphas, z)
-                want = z * phi - np.conj(gamma) * phs
-                got = restricted_char_poly(cfg, 0, b, z, right=gamma).value
-                assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
-
-
-def test_single_site_restriction():
-    rng = np.random.default_rng(18)
-    cfg = random_config(rng)
-    alphas, _ = sequence(cfg, 5)
-    d = _dense_window_oracle(alphas, 3, 3)
-    z = cmath.exp(0.8j)
-    got = restricted_char_poly(cfg, 3, 3, z).value
-    assert got == pytest.approx(z - d[0, 0], rel=1e-12, abs=1e-14)
-
-
-def test_left_replacement_needs_interior_window():
-    rng = np.random.default_rng(19)
-    cfg = random_config(rng)
-    with pytest.raises(ValueError):
-        restricted_char_poly(cfg, 0, 4, 1.0, left=1.0)
+                _assert_edge_identity(alphas, b, gamma, cmath.exp(1j * eta))
 
 
 def test_replacement_outside_the_disk_rejected():
     rng = np.random.default_rng(26)
-    cfg = random_config(rng)
-    with pytest.raises(ConstructionError, match="exceeds 1"):
-        restricted_char_poly(cfg, 2, 6, 1.0, left=1.5)
-    with pytest.raises(ConstructionError, match="exceeds 1"):
-        restricted_char_poly(cfg, 0, 6, 1.0, right=1.0 + 1e-11)
+    alphas, _ = sequence(random_config(rng), 8)
+    for a, index, value in ((2, 1, 1.5), (0, 6, 1.0 + 1e-11)):
+        bad = alphas.copy()
+        bad[index] = value
+        with pytest.raises(ConstructionError, match="exceeds 1"):
+            _window_bands(bad, a, 6)
     # unimodular up to rounding is still a legal boundary value
-    restricted_char_poly(cfg, 0, 6, 1.0, right=1.0 + 1e-13)
-
-
-def test_normalization_divides_window_radii():
-    rng = np.random.default_rng(20)
-    cfg = random_config(rng)
-    a, b = 2, 14
-    _, rhos = sequence(cfg, b + 2)
-    val = restricted_char_poly(cfg, a, b, 2.0)
-    want = val.log_abs - float(np.sum(np.log(rhos[a : b + 1])))
-    assert val.log_abs_normalized == pytest.approx(want, rel=1e-12)
+    alphas[6] = 1.0 + 1e-13
+    _window_bands(alphas, 0, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -329,26 +289,9 @@ def test_eigenpairs_basics():
     assert np.max(np.abs(gram - np.eye(op.m))) <= 1e-8
 
 
-def test_char_poly_vanishes_at_eigenvalues():
-    rng = np.random.default_rng(22)
-    cfg = random_config(rng)
-    op = build(cfg, 0, 12, None, 1.0)
-    dec = eigenpairs(op)
-    grid = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False))
-    ceiling = max(abs(char_poly(op, z).value) for z in grid)
-    for z in dec.eigenvalues:
-        assert abs(char_poly(op, z).value) <= 1e-6 * ceiling
-
-
-def _angle_hausdorff(x, y):
-    d = np.abs(x[:, None] - y[None, :])
-    d = np.minimum(d, 2.0 * math.pi - d)
-    return max(d.min(axis=0).max(), d.min(axis=1).max())
-
-
 def _schur_etas(op):
     """Spectral angles of the dense complex Schur form, the oracle."""
-    T, _ = sla.schur(op.dense(), output="complex")
+    T, _ = sla.schur(dense(op), output="complex")
     vals = np.diag(T)
     assert np.max(np.abs(np.abs(vals) - 1.0)) <= 1e-12
     return np.sort(np.angle(vals) % (2.0 * math.pi))
@@ -424,17 +367,11 @@ def test_eigenpairs_reject_windows_over_the_cap():
         eigenpairs(op)
 
 
-def test_scan_agrees_with_dense_eigenvalues_free():
+def test_eigenpairs_match_schur_on_small_free_window():
     op = build(free_config(), 0, 7, None, 1.0)
-    dec = eigenpairs(op)
-    scanned = eigenvalues_by_scan(op)
-    assert _angle_hausdorff(scanned, dec.etas) <= 1e-8
+    _assert_matches_schur(op, eigenpairs(op), 1e-10)
 
 
-def test_scan_agrees_with_dense_eigenvalues_random():
-    rng = np.random.default_rng(23)
-    cfg = random_config(rng)
-    op = build(cfg, 0, 5, None, 1.0)
-    dec = eigenpairs(op)
-    scanned = eigenvalues_by_scan(op)
-    assert _angle_hausdorff(scanned, dec.etas) <= 1e-8
+def test_eigenpairs_match_schur_on_small_random_window():
+    op = build(random_config(np.random.default_rng(23)), 0, 5, None, 1.0)
+    _assert_matches_schur(op, eigenpairs(op), 1e-10)

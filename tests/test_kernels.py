@@ -1,8 +1,8 @@
 """Property tests of the recursion engine against the per-step oracles.
 
 The engine's transfer product and polynomial columns are checked against a
-sequential product of step_matrix, its circle variables and log-radius
-against a loop of prufer.step, all to 1e-10 relative. Draws reach
+sequential product of oracles.step_matrix, its circle variables and
+log-radius against a loop of oracles.step, all to 1e-10 relative. Draws reach
 |alpha| = 1 - 1e-6 (rho -> 0), angles within 1e-3 of 0 and pi, lengths that
 leave chunk and block tails, and batches on both sides of the width where
 the schedule changes.
@@ -24,18 +24,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from szegolab._kernels import WIDE_BATCH, monic_scan
-from szegolab.prufer import circle_variables, init, step
-from szegolab.szego_cocycle import (
-    ScaledProduct,
-    SpectralPoint,
-    lyapunov_poly_many,
-    lyapunov_poly_rows,
-    step_matrix,
-    transfer,
-)
+from szegolab.prufer import circle_variables
+from szegolab.szego_cocycle import SpectralPoint, lyapunov_poly_many, lyapunov_poly_rows, transfer
 from szegolab.verblunsky import sequence
 
 from helpers import random_config
+from oracles import init, log_norm, step, step_matrix
 
 REL = 1e-10
 LONG = (65535, 65537)
@@ -123,10 +117,7 @@ def test_transfer_and_polynomials_match_step_matrix(seed, shape, eta, r_max):
         got_log = float(logs[i] - log_rho[i])
         got_poly = mats[i] @ cols
         want_poly = s.phase_power(n) * want @ cols
-        assert _close(
-            ScaledProduct(got, got_log, n).log_norm(),
-            ScaledProduct(want, want_log, n).log_norm(),
-        )
+        assert _close(log_norm(got, got_log), log_norm(want, want_log))
         for j in range(2):
             assert _close(
                 got_log + math.log(abs(got_poly[0, j])),

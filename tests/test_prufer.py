@@ -11,8 +11,6 @@ from szegolab.prufer import (
     circle_variables,
     default_decorrelation_time,
     expansion_diagnostics,
-    init,
-    step,
     zeta_trace,
 )
 from szegolab.sampling import preset
@@ -21,6 +19,7 @@ from szegolab.torus_dynamics import CAT_MAP, TorusPoint
 from szegolab.verblunsky import VerblunskyConfig, coefficient, sampled_values_blocks, sequence
 
 from helpers import free_config, random_config, random_eta
+from oracles import PruferState, init, step
 
 
 def _cfg(lam, x=0.8, y=2.1, alpha="alpha0"):
@@ -34,11 +33,7 @@ def _cfg(lam, x=0.8, y=2.1, alpha="alpha0"):
 
 def test_initial_state():
     s = SpectralPoint(1.2)
-    st = init(s)
-    assert st.log_r == 0.0
-    assert st.theta == 0.0
-    assert st.zeta == s.z
-    assert st.n == 0
+    assert init(s) == PruferState(log_r=0.0, theta=0.0, zeta=s.z, n=0)
 
 
 def test_free_step_rotates_zeta_only():

@@ -9,10 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import random_trig_poly
+from oracles import autocorrelation_birkhoff
 from szegolab.sampling import (
     CorrelationSpectrum,
     TrigPolynomial,
-    autocorrelation_birkhoff,
     autocorrelation_exact,
     correlation_cutoff,
     evaluate,
@@ -210,7 +210,7 @@ def test_spectral_function_array_equals_per_angle_sums(alpha):
     want = np.array(
         [complex(np.sum(np.exp(1j * n * e) * spec.correlations)).real for e in etas.tolist()]
     )
-    got = spectral_function(alpha, CAT_MAP, etas, spectrum=spec)
+    got = spectral_function(alpha, CAT_MAP, etas)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert [spec.value(e) for e in etas[::97].tolist()] == got[::97].tolist()
 

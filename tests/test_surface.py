@@ -6,28 +6,20 @@ outside its own definition. A module-level name counts as referenced by a
 load of it in its own module or in a module that imports it by name; a
 method or property by an attribute access of that name anywhere. The
 match is by name, so two methods of one name share their references.
-Names kept on purpose, the oracles of the tests and what the benchmark
-calls, are listed in KEPT with the reason.
+Names kept on purpose are listed in KEPT with the reason. The references
+the tests compare against live in tests/oracles.py instead; every public
+name there must be imported by a test, and nothing in src/ imports from
+tests.
 """
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "szegolab"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "szegolab"
 
 # public names nothing in the package calls, each with why it stays
 KEPT = {
-    "step": "prufer: per-step Prufer recursion, oracle of the batched engine",
-    "init": "prufer: start state of the per-step oracle",
-    "step_matrix": "szego_cocycle: one cocycle step, oracle of transfer",
-    "lyapunov_norm": "szego_cocycle: product-norm growth rate, oracle of the polynomial route",
-    "recover": "ScaledProduct: unscaled product, oracle of the scaled one",
-    "log_abs_det": "ScaledProduct: determinant-one check of the products",
-    "same_turns": "TorusPoint: exact comparison of periodic orbit points",
-    "dense": "FiniteCMV: dense window, oracle of the banded routines",
-    "restricted_char_poly": "cmv_operator: raw determinants behind the Green formula",
-    "eigenvalues_by_scan": "cmv_operator: determinant-scan oracle of eigenpairs",
-    "autocorrelation_birkhoff": "sampling: Monte Carlo oracle of the exact correlations",
     "warmup": "_kernels: called by the benchmark worker before timing",
 }
 
@@ -91,3 +83,34 @@ def test_kept_names_are_still_unread():
     # a kept name that gained a caller no longer needs its entry
     stale = set(KEPT) - _unreferenced()
     assert not stale, f"KEPT entries now read in src/: {sorted(stale)}"
+
+
+
+def _import_roots(tree):
+    """Top-level names of the modules a syntax tree imports."""
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in n.names)
+        elif isinstance(n, ast.ImportFrom) and n.level == 0 and n.module:
+            yield n.module.split(".")[0]
+
+
+def test_oracles_are_imported_by_tests_and_not_by_src():
+    oracles = ast.parse((TESTS / "oracles.py").read_text(encoding="utf-8"))
+    public = {
+        n.name
+        for n in oracles.body
+        if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and not n.name.startswith("_")
+    }
+    imported = {
+        alias.name
+        for path in TESTS.glob("test_*.py")
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(n, ast.ImportFrom) and n.module == "oracles"
+        for alias in n.names
+    }
+    assert not public - imported, f"oracles no test imports: {sorted(public - imported)}"
+    # the test modules import each other by bare name, so any of them counts
+    test_modules = {"tests"} | {path.stem for path in TESTS.glob("*.py")}
+    leaks = sorted(m for m, tree in _trees().items() if test_modules & set(_import_roots(tree)))
+    assert not leaks, f"src/ modules importing from tests: {leaks}"
