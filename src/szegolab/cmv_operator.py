@@ -29,15 +29,20 @@ into a dense matrix for the tests.
 
 Eigenpairs come from the Hermitian pentadiagonal H = C + C*: C is unitary,
 hence normal, so its eigenvectors are eigenvectors of H with eigenvalue
-2 cos eta. eig_banded solves H; the Rayleigh quotient v* C v of each vector
-gives its eigenvalue on the circle and a residual against C. eta and
-2 pi - eta share cos eta, so nearly colliding pairs come back mixed and are
+2 cos eta. eig_banded gives the eigenvalues of H alone; each vector comes
+from inverse iteration with the banded LU of H - h I (zgbtrf), O(m) per
+pair (Bunse-Gerstner & Elsner, LAA 1991; Simon, OPUC section 2.2), so no
+step is cubic in m and the vectors are the one m x m array. The Rayleigh
+quotient v* C v of each vector, taken in column blocks, gives its
+eigenvalue on the circle and a residual against C. eta and 2 pi - eta
+share cos eta, so nearly colliding pairs come back mixed and are
 separated again by Rayleigh-Ritz on the small cluster. Dense complex Schur
 of that dense window is the oracle of the eigenpair tests.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +55,13 @@ N_BANDS_LOW = 2
 
 DENSE_CAP = 5000
 UNITARITY_HARD_TOL = 1e-10
+
+# eigenpairs: columns per block of Rayleigh quotients and residuals;
+# clusters for reorthogonalization, in units of ||H||_1; the fixed start
+# vectors of inverse iteration have phases proportional to k * GOLDEN_ANGLE
+EIGEN_BLOCK = 64
+INVIT_GAP = 1e-6
+GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
 
 class ConstructionError(Exception):
@@ -197,7 +209,8 @@ class EigenDecomposition:
     """Eigenpairs of a finite unitary matrix, sorted by spectral angle.
 
     residuals[j] = ||C xi_j - z_j xi_j||_2; ok[j] flags residuals within
-    the requested tolerance. Nothing is hidden: callers see every pair
+    the requested tolerance; repaired counts the pairs that the cluster
+    Rayleigh-Ritz step rotated. Nothing is hidden: callers see every pair
     with its residual.
     """
 
@@ -206,6 +219,7 @@ class EigenDecomposition:
     vectors: np.ndarray
     residuals: np.ndarray
     ok: np.ndarray
+    repaired: int
 
     @property
     def count(self) -> int:
@@ -254,39 +268,111 @@ def _cluster_runs(h_vals: np.ndarray, bad: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(starts.tolist(), stops.tolist()))
 
 
+def _inverse_iteration(upper: np.ndarray, h_vals: np.ndarray) -> np.ndarray:
+    """Unit eigenvectors of H for its sorted eigenvalues h_vals.
+
+    upper holds H's upper bands in eig_banded's layout. Each column comes
+    from two solves with the banded LU of H - h I (zgbtrf, kl = ku = 2),
+    started from fixed vectors, so the result does not depend on any
+    random state. A column whose h lies within INVIT_GAP * ||H||_1 of the
+    previous one belongs to the same cluster, starts from its own vector
+    and is orthogonalized against the cluster's earlier columns after
+    each solve; an exactly double eigenvalue thus yields two orthonormal
+    vectors, not one twice. A shift whose factor comes out singular to
+    working precision is moved by eps ||H||_1.
+    """
+    from scipy.linalg import lapack
+
+    kl = ku = N_BANDS_UP
+    m = upper.shape[1]
+    # H - h I in zgbtrf's layout: kl fill-in rows above the five bands,
+    # entry (i, j) at row kl + ku + i - j
+    base = np.zeros((2 * kl + ku + 1, m), dtype=np.complex128, order="F")
+    base[kl : kl + ku + 1] = upper
+    for k in range(1, kl + 1):
+        base[kl + ku + k, : m - k] = np.conj(upper[ku - k, k:])
+    norm1 = float(np.abs(base).sum(axis=0).max())
+    eps = np.finfo(np.float64).eps
+    nudge = eps * norm1
+    tiny = eps * nudge
+    phases = GOLDEN_ANGLE * np.arange(m)
+    start = np.exp(1j * phases)
+    vectors = np.empty((m, m), dtype=np.complex128, order="F")
+    first = 0
+    for j, h in enumerate(h_vals):
+        if j == 0 or h - h_vals[j - 1] > INVIT_GAP * norm1:
+            first = j
+        earlier = vectors[:, first:j]
+        shift = h
+        while True:
+            ab = base.copy(order="F")
+            ab[kl + ku] -= shift
+            lu, ipiv, _ = lapack.zgbtrf(ab, kl, ku, overwrite_ab=1)
+            # a zero pivot (zgbtrf's info > 0) or one below eps^2 ||H||_1
+            # is singular to working precision: solves through two such
+            # pivots overflow
+            if np.abs(lu[kl + ku]).min() > tiny:
+                break
+            shift += nudge
+        # the r-th member of a cluster starts from phases k * r * GOLDEN_ANGLE:
+        # one start for all would leave the later members of an exactly
+        # double eigenvalue no component to grow from
+        x = start if j == first else np.exp(1j * (j - first + 1) * phases)
+        for _ in range(2):
+            x = lapack.zgbtrs(lu, kl, ku, x, ipiv)[0]
+            if j > first:
+                x -= earlier @ (earlier.conj().T @ x)
+            x /= np.linalg.norm(x)
+        vectors[:, j] = x
+    return vectors
+
+
 def eigenpairs(op: FiniteCMV, tol: float = 1e-8) -> EigenDecomposition:
     """Full eigendecomposition through the banded Hermitian part of C.
 
     C is unitary, hence normal, so every eigenvector of C is one of the
     Hermitian pentadiagonal H = C + C*, with eigenvalue 2 cos eta.
-    eig_banded solves H; each unit vector v then gets the Rayleigh
-    quotient z = v* C v as its eigenvalue and the residual
-    ||C v - z v||_2, both from one banded product C V.
+    eig_banded gives H's eigenvalues alone, in O(m^2); each vector then
+    comes from banded inverse iteration at O(m) (_inverse_iteration). In
+    blocks of EIGEN_BLOCK columns, each unit vector v gets the Rayleigh
+    quotient z = v* C v as its eigenvalue and the residual ||C v - z v||_2,
+    so no m x m product C V is ever held.
 
     eta and 2 pi - eta share cos eta, so where such a pair is close the
-    solver can hand back a mix of the two vectors. Every pair over tol is
-    grouped with its nearest neighbours in the H-spectrum, and the group
-    is rotated by the complex Schur form of the small matrix Vc* C Vc
-    (Rayleigh-Ritz), which separates the two eigenvalues again. Pairs
-    still over tol after that are flagged in ok, not dropped. Dense
-    complex Schur of the whole window is the oracle in the tests.
+    H-eigenvector can be a mix of the two C-eigenvectors. Every pair over
+    tol is grouped with its nearest neighbours in the H-spectrum, and the
+    group is rotated by the complex Schur form of the small matrix
+    Vc* C Vc (Rayleigh-Ritz), which separates the two eigenvalues again;
+    repaired counts the rotated pairs. Pairs still over tol after that are
+    flagged in ok, not dropped. Dense complex Schur of the whole window
+    is the oracle in the tests.
     """
     import scipy.linalg as sla
 
     m = op.m
     if m > DENSE_CAP:
         raise ValueError(f"eigenpairs capped at {DENSE_CAP} sites, window has {m}")
-    h_vals, vectors = sla.eig_banded(_hermitian_part(op.bands), overwrite_a_band=True)
-    cv = band_matvec(op.bands, vectors)
-    vals = np.einsum("ij,ij->j", vectors.conj(), cv)
-    residuals = np.linalg.norm(cv - vectors * vals, axis=0)
+    upper = _hermitian_part(op.bands)
+    h_vals = sla.eig_banded(upper, eigvals_only=True)
+    vectors = _inverse_iteration(upper, h_vals)
+    vals = np.empty(m, dtype=np.complex128)
+    residuals = np.empty(m)
+    for s in range(0, m, EIGEN_BLOCK):
+        e = min(s + EIGEN_BLOCK, m)
+        v = vectors[:, s:e]
+        cv = band_matvec(op.bands, v)
+        vals[s:e] = np.einsum("ij,ij->j", v.conj(), cv)
+        residuals[s:e] = np.linalg.norm(cv - v * vals[s:e], axis=0)
+    repaired = 0
     for s, e in _cluster_runs(h_vals, residuals > tol):
-        vc, cvc = vectors[:, s:e], cv[:, s:e]
+        vc = vectors[:, s:e]
+        cvc = band_matvec(op.bands, vc)
         T, Q = sla.schur(vc.conj().T @ cvc, output="complex")
         vectors[:, s:e] = vc @ Q
-        cv[:, s:e] = cvc @ Q
+        cvc = cvc @ Q
         vals[s:e] = np.diag(T)
-        residuals[s:e] = np.linalg.norm(cv[:, s:e] - vectors[:, s:e] * vals[s:e], axis=0)
+        residuals[s:e] = np.linalg.norm(cvc - vectors[:, s:e] * vals[s:e], axis=0)
+        repaired += e - s
     etas = np.angle(vals) % TWO_PI
     order = np.argsort(etas)
     residuals = residuals[order]
@@ -296,4 +382,5 @@ def eigenpairs(op: FiniteCMV, tol: float = 1e-8) -> EigenDecomposition:
         vectors=vectors[:, order],
         residuals=residuals,
         ok=residuals <= tol,
+        repaired=repaired,
     )

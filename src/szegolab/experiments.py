@@ -517,8 +517,10 @@ class LocalizationResult:
     fits_skipped counts in-window eigenvectors whose decay fit failed (no
     row); eigen_over_tol counts in-window eigenpairs over their residual
     tolerance (kept, with a row when the fit succeeds); worst_eigen_residual
-    is the largest residual among in-window pairs. The summary's good_fits
-    counts rows with r2 >= GOOD_R2 and a positive decay rate.
+    is the largest residual among in-window pairs; eigen_repaired counts
+    the pairs of the whole windows that eigenpairs rotated by Rayleigh-Ritz.
+    The summary's good_fits counts rows with r2 >= GOOD_R2 and a positive
+    decay rate.
     """
 
     rows: tuple[LocalizationRow, ...]
@@ -526,6 +528,7 @@ class LocalizationResult:
     fits_skipped: int = 0
     eigen_over_tol: int = 0
     worst_eigen_residual: float = 0.0
+    eigen_repaired: int = 0
 
     CSV_HEADER = "lambda,N,eta,decay_rate,r2,localization_length,L,ratio"
 
@@ -550,31 +553,47 @@ class LocalizationResult:
             "fits_skipped": self.fits_skipped,
             "eigen_over_tol": self.eigen_over_tol,
             "worst_eigen_residual": self.worst_eigen_residual,
+            "eigen_repaired": self.eigen_repaired,
         }
 
 
 BOUNDARY_SKIP = 5
+FIT_BLOCK = 64
 
 
-def eigenvector_decay_fit(vec: np.ndarray) -> FitResult:
-    """Exponential decay fit of a profile from its peak outward.
+def _decay_fits(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exponential decay fits of a block of profiles, from each peak outward.
 
-    Fits log|vec(n)| = intercept - rate |n - peak| over both sides
-    pooled, skipping BOUNDARY_SKIP sites at each end and any exact
-    zeros. The returned slope is the decay rate (positive = decay).
+    Column by column: the least-squares line log|v(n)| = intercept -
+    rate |n - peak| over both sides pooled, skipping BOUNDARY_SKIP sites
+    at each end and any exact zeros; one closed form over the whole
+    block. Returns the rates (positive = decay), the r2 values, and ok,
+    which is False for a column with fewer than 3 nonzero sites or a
+    non-finite fit.
     """
-    mag = np.abs(np.asarray(vec))
-    m = mag.size
-    if m <= 2 * BOUNDARY_SKIP + 2:
-        raise ValueError("profile too short for a decay fit")
-    peak = int(np.argmax(mag))
-    idx = np.arange(BOUNDARY_SKIP, m - BOUNDARY_SKIP)
-    keep = mag[idx] > 0.0
-    idx = idx[keep]
-    if idx.size < 3:
-        raise ValueError("not enough nonzero sites for a decay fit")
-    fit = linear_fit(-np.abs(idx - peak).astype(float), np.log(mag[idx]))
-    return fit
+    mag = np.abs(vectors)
+    m = mag.shape[0]
+    inner = mag[BOUNDARY_SKIP : m - BOUNDARY_SKIP]
+    keep = inner > 0.0
+    count = keep.sum(axis=0)
+    sites = np.arange(BOUNDARY_SKIP, m - BOUNDARY_SKIP)[:, None]
+    x = -np.abs(sites - np.argmax(mag, axis=0)).astype(float)
+    # columns without enough sites divide by zero; ok flags them, so
+    # their NaNs are counted, not warned about
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y = np.log(np.where(keep, inner, 1.0))
+        dx = np.where(keep, x - (x * keep).sum(axis=0) / count, 0.0)
+        dy = np.where(keep, y - (y * keep).sum(axis=0) / count, 0.0)
+        rate = (dx * dy).sum(axis=0) / (dx * dx).sum(axis=0)
+        ss_res = ((dy - rate * dx) ** 2).sum(axis=0)
+        ss_tot = (dy * dy).sum(axis=0)
+        r2 = np.where(
+            ss_tot > 0.0,
+            np.clip(1.0 - ss_res / ss_tot, 0.0, 1.0),
+            np.where(ss_res <= 1e-12, 1.0, 0.0),
+        )
+    ok = (count >= 3) & np.isfinite(rate) & np.isfinite(r2)
+    return rate, r2, ok
 
 
 def localization(
@@ -591,11 +610,11 @@ def localization(
     right boundary value gamma (the a = 0 edge needs no left value),
     keep eigenpairs whose angle lies in the window (computed from the
     spectral function level set unless an explicit window is given),
-    fit each eigenvector's exponential profile, and compare the decay
-    rate with the growth rate at the matching angle. No in-window
-    eigenvalues yields an empty result, not an error. In-window pairs over
-    the eigen-residual tolerance are fitted like the rest and counted;
-    failed fits are skipped and counted.
+    fit each eigenvector's exponential profile (FIT_BLOCK columns at a
+    time), and compare the decay rate with the growth rate at the
+    matching angle. No in-window eigenvalues yields an empty result, not
+    an error. In-window pairs over the eigen-residual tolerance are fitted
+    like the rest and counted; failed fits are skipped and counted.
     """
     if window is None:
         win = tuple(spectral_window(plan.alpha, plan.autom, delta, c))
@@ -604,7 +623,7 @@ def localization(
     rows: list[LocalizationRow] = []
     if not win:
         return LocalizationResult(rows=(), window=win)
-    skipped = over_tol = 0
+    skipped = over_tol = repaired = 0
     worst = 0.0
     cell = 0
     for lam in plan.lams:
@@ -617,28 +636,29 @@ def localization(
             cfg = plan.config(lam, cell, 0)
             op = build(cfg, 0, N, None, gamma)
             dec = eigenpairs(op)
+            repaired += dec.repaired
+            inside = np.zeros(dec.count, dtype=bool)
+            for lo, hi in win:
+                inside |= (dec.etas >= lo) & (dec.etas <= hi)
+            inside = np.flatnonzero(inside)
+            over_tol += int(np.count_nonzero(~dec.ok[inside]))
+            worst = max(worst, float(dec.residuals[inside].max(initial=0.0)))
             fitted = []
-            for j in range(dec.count):
-                eta_j = float(dec.etas[j])
-                if not any(lo <= eta_j <= hi for lo, hi in win):
-                    continue
-                over_tol += int(not dec.ok[j])
-                worst = max(worst, float(dec.residuals[j]))
-                try:
-                    fitted.append((eta_j, eigenvector_decay_fit(dec.vectors[:, j])))
-                except ValueError:
-                    skipped += 1
-            points = [SpectralPoint(eta=eta_j) for eta_j, _ in fitted]
+            for s in range(0, inside.size, FIT_BLOCK):
+                cols = inside[s : s + FIT_BLOCK]
+                rates, r2s, ok = _decay_fits(dec.vectors[:, cols])
+                skipped += int(np.count_nonzero(~ok))
+                fitted += zip(dec.etas[cols[ok]].tolist(), rates[ok].tolist(), r2s[ok].tolist())
+            points = [SpectralPoint(eta=eta_j) for eta_j, _, _ in fitted]
             lyaps = lyapunov_poly_many(cfg, points, lyap_N).tolist()
-            for (eta_j, fit), L in zip(fitted, lyaps):
-                rate = fit.slope
+            for (eta_j, rate, r2), L in zip(fitted, lyaps):
                 rows.append(
                     LocalizationRow(
                         lam=lam,
                         N=N,
                         eta=eta_j,
                         decay_rate=rate,
-                        r2=fit.r2,
+                        r2=r2,
                         localization_length=1.0 / rate if rate > 0 else math.inf,
                         lyapunov=L,
                         ratio=rate / L if L != 0 else math.nan,
@@ -651,4 +671,5 @@ def localization(
         fits_skipped=skipped,
         eigen_over_tol=over_tol,
         worst_eigen_residual=worst,
+        eigen_repaired=repaired,
     )

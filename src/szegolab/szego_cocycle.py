@@ -56,7 +56,6 @@ class ScaledProduct:
 
     matrix: np.ndarray
     log_scale: float
-    steps: int
 
 
 def _log_rho(alphas: np.ndarray) -> np.ndarray:
@@ -83,7 +82,7 @@ def transfer(cfg: VerblunskyConfig, s: SpectralPoint, N: int) -> ScaledProduct:
         block = F[None, :]
         log_scale += float(monic_scan(block, s.z, top, bot)[0] - _log_rho(block)[0])
     matrix = s.phase_power(-N) * np.vstack([top, bot])
-    return ScaledProduct(matrix=matrix, log_scale=log_scale, steps=N)
+    return ScaledProduct(matrix=matrix, log_scale=log_scale)
 
 
 @dataclass(frozen=True)

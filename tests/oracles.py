@@ -2,8 +2,9 @@
 
 Each oracle computes a quantity the package also computes, by the plain
 route: one Prufer step or one cocycle step at a time, the window matrix
-filled densely from its bands, the product norm by SVD, correlations by
-Monte Carlo. None of them runs in the package itself.
+filled densely from its bands, the product norm by SVD, one decay fit per
+eigenvector, correlations by Monte Carlo. None of them runs in the
+package itself.
 """
 
 import cmath
@@ -14,6 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from szegolab.cmv_operator import DENSE_CAP, N_BANDS_LOW, N_BANDS_UP, FiniteCMV
+from szegolab.experiments import BOUNDARY_SKIP, FitResult, linear_fit
 from szegolab.sampling import TrigPolynomial, evaluate_many
 from szegolab.szego_cocycle import SpectralPoint, transfer
 from szegolab.torus_dynamics import TWO_PI, ToralAutomorphism
@@ -94,6 +96,27 @@ def dense(op: FiniteCMV) -> np.ndarray:
         j = np.arange(max(-off, 0), m - max(off, 0))
         out[j + off, j] = op.bands[N_BANDS_UP + off, j]
     return out
+
+
+def eigenvector_decay_fit(vec: np.ndarray) -> FitResult:
+    """Exponential decay fit of a profile from its peak outward.
+
+    Fits log|vec(n)| = intercept - rate |n - peak| over both sides
+    pooled, skipping BOUNDARY_SKIP sites at each end and any exact
+    zeros. The returned slope is the decay rate (positive = decay).
+    """
+    mag = np.abs(np.asarray(vec))
+    m = mag.size
+    if m <= 2 * BOUNDARY_SKIP + 2:
+        raise ValueError("profile too short for a decay fit")
+    peak = int(np.argmax(mag))
+    idx = np.arange(BOUNDARY_SKIP, m - BOUNDARY_SKIP)
+    keep = mag[idx] > 0.0
+    idx = idx[keep]
+    if idx.size < 3:
+        raise ValueError("not enough nonzero sites for a decay fit")
+    fit = linear_fit(-np.abs(idx - peak).astype(float), np.log(mag[idx]))
+    return fit
 
 
 class _BirkhoffEstimate(NamedTuple):

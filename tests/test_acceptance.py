@@ -17,7 +17,6 @@ from szegolab.cli import main
 from szegolab.cmv_operator import build, eigenpairs
 from szegolab.experiments import (
     ExperimentPlan,
-    eigenvector_decay_fit,
     ldt_deviation,
     localization,
     lyapunov_scaling,
@@ -38,7 +37,7 @@ from szegolab.szego_cocycle import (
 from szegolab.torus_dynamics import CAT_MAP, TWO_PI, TorusPoint
 from szegolab.verblunsky import VerblunskyConfig
 
-from oracles import autocorrelation_birkhoff
+from oracles import autocorrelation_birkhoff, eigenvector_decay_fit
 
 ALPHA0 = preset("alpha0")
 ALPHA1 = preset("alpha1")

@@ -5,6 +5,7 @@ banded eigensolver against dense complex Schur."""
 import cmath
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import scipy.linalg as sla
 from szegolab.cmv_operator import (
     DENSE_CAP,
     ConstructionError,
+    FiniteCMV,
     _hermitian_part,
     _window_bands,
     band_matvec,
@@ -336,7 +338,10 @@ def _assert_matches_schur(op, dec, eta_tol):
 def test_eigenpairs_match_schur_on_criterion_08_window():
     plan = ExperimentPlan(lams=(0.5,), etas=(0.5 * math.pi,), Ns=(400,), seed=3)
     op = build(plan.config(0.5, 0, 0), 0, 400, None, 1.0)
-    _assert_matches_schur(op, eigenpairs(op), 1e-10)
+    dec = eigenpairs(op)
+    _assert_matches_schur(op, dec, 1e-10)
+    # no eta collides with 2 pi - eta here, so nothing needs the repair
+    assert dec.repaired == 0
 
 
 def test_eigenpairs_repair_mixed_pairs_near_free():
@@ -350,7 +355,9 @@ def test_eigenpairs_repair_mixed_pairs_near_free():
     )
     op = build(cfg, 0, 400, None, 1.0)
     assert _unrepaired_over_tol(op) >= op.m // 2
-    _assert_matches_schur(op, eigenpairs(op), 1e-10)
+    dec = eigenpairs(op)
+    _assert_matches_schur(op, dec, 1e-10)
+    assert dec.repaired >= op.m // 2
 
 
 def test_eigenpairs_repair_degenerate_pairs_free():
@@ -358,6 +365,47 @@ def test_eigenpairs_repair_degenerate_pairs_free():
     op = build(free_config(), 0, 400, None, 1.0)
     assert _unrepaired_over_tol(op) >= op.m // 2
     _assert_matches_schur(op, eigenpairs(op), 1e-10)
+
+
+def test_eigenpairs_split_exactly_degenerate_eigenvalues_of_c():
+    # two identical halves split by a unimodular coefficient (rho = 0):
+    # C itself has every eigenvalue twice, which Rayleigh-Ritz on C cannot
+    # split, so the two vectors of each pair must come out orthogonal
+    k = 99  # odd, so the second half starts at the even site k + 1
+    rng = np.random.default_rng(35)
+    half = 0.6 * np.sqrt(rng.uniform(size=k)) * np.exp(2j * math.pi * rng.uniform(size=k))
+    # alpha_k = -1 repeats the first half's left edge alpha_{-1} = -1, and
+    # the right edge alpha_{2k+1} = -1 repeats alpha_k
+    alphas = np.concatenate((half, [-1.0], half, [-1.0, 0.0]))
+    b = 2 * k + 1
+    op = FiniteCMV(a=0, b=b, bands=_window_bands(alphas, 0, b))
+    assert op.unitarity_defect() <= 1e-14
+    schur = _schur_etas(op)
+    assert np.max(np.abs(schur[0::2] - schur[1::2])) <= 1e-12
+    assert np.min(np.diff(schur[0::2])) >= 1e-5
+    _assert_matches_schur(op, eigenpairs(op), 1e-10)
+
+
+@pytest.mark.parametrize("b, gamma", [(8, -1.0), (20, 1.0)])
+def test_eigenpairs_move_singular_shifts(b, gamma):
+    # free windows with exact eigenvalues: some shifts make the banded LU
+    # of H - h I singular to working precision (a zero or a 1e-300 pivot)
+    op = build(free_config(), 0, b, None, gamma)
+    _assert_matches_schur(op, eigenpairs(op), 1e-10)
+
+
+def test_eigenpairs_memory_stays_near_one_matrix():
+    # the vectors are the one m x m array held for long; a full eig_banded
+    # solve with its product C V and residual temporaries held four
+    plan = ExperimentPlan(lams=(0.5,), etas=(0.5 * math.pi,), Ns=(800,), seed=3)
+    op = build(plan.config(0.5, 0, 0), 0, 800, None, 1.0)
+    tracemalloc.start()
+    try:
+        eigenpairs(op)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * op.m**2 * 16
 
 
 def test_eigenpairs_reject_windows_over_the_cap():

@@ -1,6 +1,7 @@
 """Tests for the experiment drivers: plan bookkeeping, line fits, the
 Lyapunov scaling table, deviation-fraction tables, and localization runs."""
 
+import dataclasses
 import json
 import math
 
@@ -9,11 +10,12 @@ import pytest
 import scipy.stats
 
 from szegolab import experiments, verblunsky
+from szegolab.cmv_operator import build, eigenpairs
 from szegolab.experiments import (
     FAMILIES,
     DeviationRow,
     ExperimentPlan,
-    eigenvector_decay_fit,
+    _decay_fits,
     ldt_deviation,
     linear_fit,
     localization,
@@ -23,6 +25,8 @@ from szegolab.prufer import expansion_diagnostics
 from szegolab.sampling import evaluate_many, preset, spectral_function, spectral_window
 from szegolab.szego_cocycle import SpectralPoint
 from szegolab.torus_dynamics import CAT_MAP, TWO_PI, TorusPoint, orbit_blocks
+
+from oracles import eigenvector_decay_fit
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +388,20 @@ def test_localization_counts_what_it_drops(monkeypatch):
     assert summary["worst_eigen_residual"] == 0.5
 
 
+def test_localization_sums_the_repaired_pairs(monkeypatch):
+    # every cell's Rayleigh-Ritz count reaches the summary
+    plan = ExperimentPlan(lams=(0.7,), etas=(1.5708,), Ns=(200, 240), seed=0)
+    real = experiments.eigenpairs
+    monkeypatch.setattr(
+        experiments, "eigenpairs", lambda op: dataclasses.replace(real(op), repaired=3)
+    )
+    res = localization(plan, window=((1.0, 2.0),), lyap_N=2_000)
+    assert res.eigen_repaired == 6
+    summary = res.summary()
+    assert json.loads(json.dumps(summary)) == summary
+    assert summary["eigen_repaired"] == 6
+
+
 def test_localization_empty_window():
     plan = ExperimentPlan(lams=(0.7,), etas=(1.5708,), Ns=(200,), seed=0)
     res = localization(plan, c=0.6)
@@ -435,3 +453,35 @@ def test_eigenvector_decay_fit_validation():
     vec[21] = 0.5
     with pytest.raises(ValueError):
         eigenvector_decay_fit(vec)
+
+
+def test_batched_decay_fits_match_the_oracle():
+    # criterion 08's window: every in-window vector, fitted in one block
+    # and one by one
+    plan = ExperimentPlan(lams=(0.5,), etas=(0.5 * math.pi,), Ns=(400,), seed=3)
+    dec = eigenpairs(build(plan.config(0.5, 0, 0), 0, 400, None, 1.0))
+    win = spectral_window(plan.alpha, plan.autom, 0.3, 0.05)
+    inside = [j for j, eta in enumerate(dec.etas) if any(lo <= eta <= hi for lo, hi in win)]
+    assert len(inside) > experiments.FIT_BLOCK
+    rates, r2s, ok = _decay_fits(dec.vectors[:, inside])
+    assert ok.all()
+    fits = [eigenvector_decay_fit(dec.vectors[:, j]) for j in inside]
+    assert np.max(np.abs(rates - [f.slope for f in fits])) <= 1e-12
+    assert np.max(np.abs(r2s - [f.r2 for f in fits])) <= 1e-12
+
+
+def test_batched_decay_fits_flag_unusable_columns():
+    # fewer than 3 nonzero inner sites, or a non-finite profile, is no fit;
+    # the other columns of the block are unaffected
+    n = np.arange(61)
+    good = np.exp(-0.3 * np.abs(n - 30))
+    sparse = np.zeros(61)
+    sparse[20] = 1.0
+    sparse[21] = 0.5
+    blown = good.copy()
+    blown[30] = np.inf
+    rates, r2s, ok = _decay_fits(np.column_stack([good, np.zeros(61), sparse, blown, good]))
+    assert ok.tolist() == [True, False, False, False, True]
+    assert rates[0] == pytest.approx(0.3, rel=1e-9)
+    assert r2s[0] == 1.0
+    assert not _decay_fits(np.ones((12, 3)))[2].any()
