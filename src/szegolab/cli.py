@@ -38,7 +38,7 @@ from .greens import (
     green_modulus_formula,
     reconstruction_residual,
 )
-from .prufer import zeta_trace
+from .prufer import expansion_diagnostics
 from .sampling import (
     PRESETS,
     CorrelationSpectrum,
@@ -655,7 +655,7 @@ def _check_prufer(rng, run: RunConfig) -> float:
     worst = 0.0
     for _ in range(5):
         cfg, s = _random_case(rng, run)
-        _, log_r = zeta_trace(cfg, s, 2000)
+        log_r = 2000 * expansion_diagnostics(cfg, s, 2000).lhs
         quad = polynomials(cfg, s, 2000)
         worst = max(worst, abs(math.exp(log_r - quad.log_abs_phi()) - 1.0))
     return worst

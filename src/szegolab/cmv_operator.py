@@ -327,6 +327,23 @@ def _inverse_iteration(upper: np.ndarray, h_vals: np.ndarray) -> np.ndarray:
     return vectors
 
 
+def _permute_columns(a: np.ndarray, order: np.ndarray) -> None:
+    """a[:, j] <- a[:, order[j]] for every j, in place: each cycle of the
+    permutation is walked with one column held aside."""
+    placed = np.zeros(len(order), dtype=bool)
+    for start in range(len(order)):
+        if placed[start]:
+            continue
+        held = a[:, start].copy()
+        j = start
+        while order[j] != start:
+            a[:, j] = a[:, order[j]]
+            placed[j] = True
+            j = order[j]
+        a[:, j] = held
+        placed[j] = True
+
+
 def eigenpairs(op: FiniteCMV, tol: float = 1e-8) -> EigenDecomposition:
     """Full eigendecomposition through the banded Hermitian part of C.
 
@@ -376,10 +393,11 @@ def eigenpairs(op: FiniteCMV, tol: float = 1e-8) -> EigenDecomposition:
     etas = np.angle(vals) % TWO_PI
     order = np.argsort(etas)
     residuals = residuals[order]
+    _permute_columns(vectors, order)
     return EigenDecomposition(
         eigenvalues=vals[order],
         etas=etas[order],
-        vectors=vectors[:, order],
+        vectors=vectors,
         residuals=residuals,
         ok=residuals <= tol,
         repaired=repaired,

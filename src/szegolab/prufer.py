@@ -14,20 +14,26 @@ positive real part, so the principal branch realizes the phase increment
 of modulus below pi automatically; zeta is renormalized to the circle each
 step. The module also evaluates the second-order expansion of the mean
 log-radius in the coupling, whose terms are the quantities controlled by
-the large-deviation estimates.
+the large-deviation estimates. It streams: the orbits of a Lyapunov cell's
+base points run side by side on the engine's batch axis, in slices of a
+fixed number of points, and only running sums and the last few samples
+cross a slice edge, so N = 10^7 takes the memory of N = 10^5. The
+materialized trace and terms are the oracles in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._kernels import monic_scan
+from .sampling import evaluate_many
 from .szego_cocycle import SpectralPoint, _log_rho
-from .torus_dynamics import ToralAutomorphism
-from .verblunsky import VerblunskyConfig, sampled_values_blocks
+from .torus_dynamics import ToralAutomorphism, orbit_blocks
+from .verblunsky import VerblunskyConfig
 
 
 def circle_variables(alphas: np.ndarray, z, top: np.ndarray, bot: np.ndarray):
@@ -49,41 +55,16 @@ def circle_variables(alphas: np.ndarray, z, top: np.ndarray, bot: np.ndarray):
     return zetas, half_log_h, log_scale
 
 
-def zeta_trace(cfg: VerblunskyConfig, s: SpectralPoint, N: int) -> tuple[np.ndarray, float]:
-    """Circle variables zeta_0 .. zeta_{N-1} (value seen by step n) together
-    with the final log-radius, log r_N = sum of log(H_n) / 2 along the
-    trace. Materializes 2N complex values: the trace and its samples."""
-    return _samples_and_zeta_trace(cfg, s, N)[1:3]
-
-
-def _samples_and_zeta_trace(
-    cfg: VerblunskyConfig, s: SpectralPoint, N: int
-) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """zeta_trace together with the unscaled samples F_n (alpha_n = lam * F_n)
-    that drive it and log |phi_N| (block log scales plus log |top_N|, minus
-    sum log rho_n), from one pass over the orbit."""
-    top = np.ones((1, 1), dtype=np.complex128)
-    bot = np.ones((1, 1), dtype=np.complex128)
-    F = np.empty(N, dtype=np.complex128)
-    zetas = np.empty(N, dtype=np.complex128)
-    log_r = 0.0
-    log_phi = 0.0
-    pos = 0
-    for Fb in sampled_values_blocks(cfg, N):
-        F[pos : pos + len(Fb)] = Fb
-        Fb *= cfg.lam  # the block's coefficients, scaled in place
-        zs, half_log_h, log_scale = circle_variables(Fb[None, :], s.z, top, bot)
-        zetas[pos : pos + len(Fb)] = zs[0, :-1]
-        log_r += float(half_log_h.sum())
-        log_phi += float(log_scale[0] - _log_rho(Fb[None, :])[0])
-        pos += len(Fb)
-    return F, zetas, log_r, log_phi + math.log(abs(top[0, 0]))
-
-
 def default_decorrelation_time(lam: float, autom: ToralAutomorphism) -> int:
     """Number of steps after which the expansion treats the circle variable
     as decoupled from the sample, ceil(log(1/lam) / log rho)."""
     return max(1, math.ceil(math.log(1.0 / lam) / autom.expansion_rate))
+
+
+# orbit points (rows x steps) of one slice of expansion_diagnostics: the
+# coordinates, coefficients and circle variables of a slice hold at most this
+# many points, whatever N is
+SLICE_POINTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -94,62 +75,136 @@ class ExpansionDiagnostics:
     from the monic products of the same pass, is a second formula for it.
     I1 + I2 + I3 approximates lhs to third order in the coupling; I4 + I5 + I6
     re-expands I2 by pushing the circle variable T steps back along the orbit.
+    The terms are floats for one config and (rows,) arrays for a cell.
     """
 
     N: int
     T: int
-    I1: float
-    I2: float
-    I3: float
-    I4: float
-    I5: float
-    I6: float
-    lhs: float
-    lhs_poly: float
-    residual_123: float
-    residual_456: float
+    I1: float | np.ndarray
+    I2: float | np.ndarray
+    I3: float | np.ndarray
+    I4: float | np.ndarray
+    I5: float | np.ndarray
+    I6: float | np.ndarray
+    lhs: float | np.ndarray
+    lhs_poly: float | np.ndarray
+    residual_123: float | np.ndarray
+    residual_456: float | np.ndarray
+
+
+class _StreamSums:
+    """The running sums of the expansion terms over a stream of (rows, n)
+    sample slices, and what each slice hands to the next: the polynomial
+    pair and the last T samples and circle variables of every row."""
+
+    def __init__(self, rows: int, lam: float, z: complex, T: int):
+        self.lam, self.z, self.T = lam, z, T
+        self.top = np.ones((rows, 1), dtype=np.complex128)
+        self.bot = np.ones((rows, 1), dtype=np.complex128)
+        # per row: log r, log |phi| before the final state, sum |F|^2,
+        # Re zeta F, Re (zeta F)^2 and the lag-T sum of I4
+        self.sums = np.zeros((6, rows))
+        # per shift 1..T and row: the lag sums of I5 and I6
+        self.shifted = np.zeros((2, T, rows))
+        self.back_F = self.back_zeta = np.empty((rows, 0), dtype=np.complex128)
+
+    def add(self, F: np.ndarray) -> None:
+        """Fold in the next slice of unscaled samples."""
+        T = self.T
+        zetas = self._advance(F)
+        # the steps whose lags reach into the carried values, then those
+        # whose lags lie inside the slice
+        head_F = np.concatenate([self.back_F, F[:, :T]], axis=1)
+        head_zeta = np.concatenate([self.back_zeta, zetas[:, :T]], axis=1)
+        self._add_lagged(head_F, head_zeta)
+        self._add_lagged(F, zetas)
+        self.back_F = np.concatenate([self.back_F, F[:, -T:]], axis=1)[:, -T:]
+        self.back_zeta = np.concatenate([self.back_zeta, zetas[:, -T:]], axis=1)[:, -T:]
+
+    def _advance(self, F: np.ndarray) -> np.ndarray:
+        """Run the slice's steps and add its unlagged sums; return the
+        circle variable seen by each step."""
+        alphas = self.lam * F
+        zetas, half_log_h, log_scale = circle_variables(alphas, self.z, self.top, self.bot)
+        zetas = zetas[:, :-1]
+        zF = zetas * F
+        self.sums[:5] += [
+            half_log_h.sum(axis=1),
+            log_scale - _log_rho(alphas),
+            np.sum(np.abs(F) ** 2, axis=1),
+            np.sum(zF.real, axis=1),
+            np.sum((zF**2).real, axis=1),
+        ]
+        return zetas
+
+    def _add_lagged(self, F: np.ndarray, zetas: np.ndarray) -> None:
+        """The lag sums over the columns q >= T of a run of consecutive
+        steps; the run starts T steps before its first summed column, or at
+        step 0 of the orbit."""
+        T, z = self.T, self.z
+        m = F.shape[1]
+        if m <= T:
+            return
+        ahead = F[:, T:]
+        back = zetas[:, : m - T]
+        self.sums[5] += np.sum((z**T * back * ahead).real, axis=1)
+        back_sq = back**2
+        for sh in range(1, T + 1):
+            lagged = F[:, T - sh : m - sh]
+            self.shifted[0, sh - 1] += np.sum((z**sh * (np.conj(lagged) * ahead)).real, axis=1)
+            tangled = back_sq * lagged * ahead
+            self.shifted[1, sh - 1] += np.sum((z ** (2 * T - sh) * tangled).real, axis=1)
 
 
 def expansion_diagnostics(
-    cfg: VerblunskyConfig,
+    cfg: VerblunskyConfig | Sequence[VerblunskyConfig],
     s: SpectralPoint,
     N: int,
     T: int | None = None,
 ) -> ExpansionDiagnostics:
-    """Evaluate the expansion terms on one orbit.
+    """Evaluate the expansion terms on one orbit, or on the orbits of a cell.
 
-    Materializes the sample values and circle variables (32 bytes per
-    step), so N around 10^6 is comfortable and 10^7 is the practical top.
+    cfg is one config, or a sequence of configs that differ only in their
+    base point, one row each. The rows are walked together in slices of
+    SLICE_POINTS // rows steps. Each row's points come from its own orbit
+    stream, the slice's coefficients of all rows go through circle_variables
+    as one batch, and every term is summed slice by slice. The polynomial
+    pair and the last T samples and circle variables are carried across
+    each slice edge, so memory does not grow with N.
     """
+    single = isinstance(cfg, VerblunskyConfig)
+    cfgs = (cfg,) if single else tuple(cfg)
+    first = cfgs[0]
+    if any((c.lam, c.autom, c.alpha) != (first.lam, first.autom, first.alpha) for c in cfgs):
+        raise ValueError("the rows must differ only in their base point")
     if T is None:
-        T = default_decorrelation_time(cfg.lam, cfg.autom)
+        T = default_decorrelation_time(first.lam, first.autom)
     if not (1 <= T < N):
         raise ValueError("need 1 <= T < N")
-    lam = cfg.lam
-    z = s.z
-    F, zetas, log_r, log_phi = _samples_and_zeta_trace(cfg, s, N)
+    lam = first.lam
+    rows = len(cfgs)
+    acc = _StreamSums(rows, lam, s.z, T)
+    width = max(1, SLICE_POINTS // rows)
+    orbits = [orbit_blocks(c.autom, c.base, N, width) for c in cfgs]
+    for blocks in zip(*orbits):
+        F = evaluate_many(
+            first.alpha, np.stack([bx for bx, _ in blocks]), np.stack([by for _, by in blocks])
+        )
+        del blocks  # the engine then runs with one slice's samples alive
+        acc.add(F)
 
-    zF = zetas * F
-    I1 = (lam**2 / (2.0 * N)) * float(np.sum(np.abs(F) ** 2))
-    I2 = -(lam / N) * float(np.sum(zF.real))
-    I3 = -(lam**2 / (2.0 * N)) * float(np.sum((zF**2).real))
+    log_r, log_phi, abs_sq, re_zF, re_zF_sq, re_lag = acc.sums
+    I1 = (lam**2 / (2.0 * N)) * abs_sq
+    I2 = -(lam / N) * re_zF
+    I3 = -(lam**2 / (2.0 * N)) * re_zF_sq
     lhs = log_r / N
-    residual_123 = abs(lhs - (I1 + I2 + I3))
-
-    zT = z**T
-    I4 = -(lam / N) * float(np.sum((zT * zetas[: N - T] * F[T:]).real))
-    I5 = 0.0
-    I6 = 0.0
-    zeta_back_sq = zetas[: N - T] ** 2
-    for sh in range(1, T + 1):
-        cross = np.conj(F[T - sh : N - sh]) * F[T:]
-        I5 += (lam**2 / N) * float(np.sum((z**sh * cross).real))
-        tangled = zeta_back_sq * F[T - sh : N - sh] * F[T:]
-        I6 -= (lam**2 / N) * float(np.sum((z ** (2 * T - sh) * tangled).real))
-    residual_456 = abs(I2 - (I4 + I5 + I6))
-    return ExpansionDiagnostics(
-        N=N,
-        T=T,
+    I4 = -(lam / N) * re_lag
+    I5 = np.zeros(rows)
+    I6 = np.zeros(rows)
+    for k in range(T):
+        I5 += (lam**2 / N) * acc.shifted[0, k]
+        I6 -= (lam**2 / N) * acc.shifted[1, k]
+    terms = dict(
         I1=I1,
         I2=I2,
         I3=I3,
@@ -157,7 +212,10 @@ def expansion_diagnostics(
         I5=I5,
         I6=I6,
         lhs=lhs,
-        lhs_poly=log_phi / N,
-        residual_123=residual_123,
-        residual_456=residual_456,
+        lhs_poly=(log_phi + np.log(np.abs(acc.top[:, 0]))) / N,
+        residual_123=np.abs(lhs - (I1 + I2 + I3)),
+        residual_456=np.abs(I2 - (I4 + I5 + I6)),
     )
+    if single:
+        terms = {name: float(value[0]) for name, value in terms.items()}
+    return ExpansionDiagnostics(N=N, T=T, **terms)

@@ -87,15 +87,14 @@ def transfer(cfg: VerblunskyConfig, s: SpectralPoint, N: int) -> ScaledProduct:
 
 @dataclass(frozen=True)
 class PolynomialQuad:
-    """First and second kind polynomials and their reversed partners at
-    step n, stored as values times exp(log_r)."""
+    """First and second kind polynomials and their reversed partners after
+    the run's last step, stored as values times exp(log_r)."""
 
     phi: complex
     phi_star: complex
     psi: complex
     psi_star: complex
     log_r: float
-    n: int
 
     def log_abs_phi(self) -> float:
         return self.log_r + math.log(abs(self.phi))
@@ -138,7 +137,6 @@ def polynomials(cfg: VerblunskyConfig, s: SpectralPoint, N: int) -> PolynomialQu
         psi=complex(top[0, 1]),
         psi_star=complex(-bot[0, 1]),
         log_r=float(log_r[0]),
-        n=N,
     )
 
 

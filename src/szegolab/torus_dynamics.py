@@ -192,21 +192,21 @@ def orbit_rows(A: ToralAutomorphism, starts, n: int) -> tuple[np.ndarray, np.nda
     return xs, ys
 
 
-# Points per orbit chunk. Fixed, not a parameter: every consumer feeds one
+# Points per orbit chunk of the coefficient streamers. Fixed: they feed one
 # chunk at a time to the recursion engine, whose along-time schedule is cut
 # from the chunk length, so the size sets the output bits.
 ORBIT_BLOCK = 1 << 16
 
 
-def orbit_blocks(A: ToralAutomorphism, p: TorusPoint, n: int):
-    """Yield the orbit of p in ORBIT_BLOCK chunks of coordinate arrays, n
-    points total."""
+def orbit_blocks(A: ToralAutomorphism, p: TorusPoint, n: int, block: int = ORBIT_BLOCK):
+    """Yield the orbit of p in chunks of block coordinate pairs, n points
+    total. The points do not depend on block."""
     (a, b), (c, d) = A.entries
     af, bf, cf, df = float(a), float(b), float(c), float(d)
     x, y = p.x, p.y
     done = 0
     while done < n:
-        size = min(ORBIT_BLOCK, n - done)
+        size = min(block, n - done)
         out_x = np.empty(size)
         out_y = np.empty(size)
         x, y = orbit_block(af, bf, cf, df, x, y, out_x, out_y)

@@ -1,8 +1,9 @@
 """Scalar and dense references the tests hold the package's engines to.
 
 Each oracle computes a quantity the package also computes, by the plain
-route: one Prufer step or one cocycle step at a time, the window matrix
-filled densely from its bands, the product norm by SVD, one decay fit per
+route: one Prufer step or one cocycle step at a time, the zeta trace and
+the expansion terms from whole-orbit arrays, the window matrix filled
+densely from its bands, the product norm by SVD, one decay fit per
 eigenvector, correlations by Monte Carlo. None of them runs in the
 package itself.
 """
@@ -16,10 +17,11 @@ import numpy as np
 
 from szegolab.cmv_operator import DENSE_CAP, N_BANDS_LOW, N_BANDS_UP, FiniteCMV
 from szegolab.experiments import BOUNDARY_SKIP, FitResult, linear_fit
+from szegolab.prufer import ExpansionDiagnostics, circle_variables, default_decorrelation_time
 from szegolab.sampling import TrigPolynomial, evaluate_many
-from szegolab.szego_cocycle import SpectralPoint, transfer
+from szegolab.szego_cocycle import SpectralPoint, _log_rho, transfer
 from szegolab.torus_dynamics import TWO_PI, ToralAutomorphism
-from szegolab.verblunsky import VerblunskyConfig
+from szegolab.verblunsky import VerblunskyConfig, sampled_values_blocks
 
 
 @dataclass(frozen=True)
@@ -58,6 +60,90 @@ def step(state: PruferState, alpha_n: complex, s: SpectralPoint) -> PruferState:
         theta=state.theta + dtheta,
         zeta=zeta,
         n=state.n + 1,
+    )
+
+
+def zeta_trace(cfg: VerblunskyConfig, s: SpectralPoint, N: int) -> tuple[np.ndarray, float]:
+    """Circle variables zeta_0 .. zeta_{N-1} (value seen by step n) together
+    with the final log-radius, log r_N = sum of log(H_n) / 2 along the
+    trace. Materializes 2N complex values: the trace and its samples."""
+    return _samples_and_zeta_trace(cfg, s, N)[1:3]
+
+
+def _samples_and_zeta_trace(
+    cfg: VerblunskyConfig, s: SpectralPoint, N: int
+) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """zeta_trace together with the unscaled samples F_n (alpha_n = lam * F_n)
+    that drive it and log |phi_N| (block log scales plus log |top_N|, minus
+    sum log rho_n), from one pass over the orbit."""
+    top = np.ones((1, 1), dtype=np.complex128)
+    bot = np.ones((1, 1), dtype=np.complex128)
+    F = np.empty(N, dtype=np.complex128)
+    zetas = np.empty(N, dtype=np.complex128)
+    log_r = 0.0
+    log_phi = 0.0
+    pos = 0
+    for Fb in sampled_values_blocks(cfg, N):
+        F[pos : pos + len(Fb)] = Fb
+        Fb *= cfg.lam  # the block's coefficients, scaled in place
+        zs, half_log_h, log_scale = circle_variables(Fb[None, :], s.z, top, bot)
+        zetas[pos : pos + len(Fb)] = zs[0, :-1]
+        log_r += float(half_log_h.sum())
+        log_phi += float(log_scale[0] - _log_rho(Fb[None, :])[0])
+        pos += len(Fb)
+    return F, zetas, log_r, log_phi + math.log(abs(top[0, 0]))
+
+
+def expansion_diagnostics(
+    cfg: VerblunskyConfig,
+    s: SpectralPoint,
+    N: int,
+    T: int | None = None,
+) -> ExpansionDiagnostics:
+    """Evaluate the expansion terms on one orbit.
+
+    Materializes the sample values and circle variables (32 bytes per
+    step), so N around 10^6 is comfortable and 10^7 is the practical top.
+    """
+    if T is None:
+        T = default_decorrelation_time(cfg.lam, cfg.autom)
+    if not (1 <= T < N):
+        raise ValueError("need 1 <= T < N")
+    lam = cfg.lam
+    z = s.z
+    F, zetas, log_r, log_phi = _samples_and_zeta_trace(cfg, s, N)
+
+    zF = zetas * F
+    I1 = (lam**2 / (2.0 * N)) * float(np.sum(np.abs(F) ** 2))
+    I2 = -(lam / N) * float(np.sum(zF.real))
+    I3 = -(lam**2 / (2.0 * N)) * float(np.sum((zF**2).real))
+    lhs = log_r / N
+    residual_123 = abs(lhs - (I1 + I2 + I3))
+
+    zT = z**T
+    I4 = -(lam / N) * float(np.sum((zT * zetas[: N - T] * F[T:]).real))
+    I5 = 0.0
+    I6 = 0.0
+    zeta_back_sq = zetas[: N - T] ** 2
+    for sh in range(1, T + 1):
+        cross = np.conj(F[T - sh : N - sh]) * F[T:]
+        I5 += (lam**2 / N) * float(np.sum((z**sh * cross).real))
+        tangled = zeta_back_sq * F[T - sh : N - sh] * F[T:]
+        I6 -= (lam**2 / N) * float(np.sum((z ** (2 * T - sh) * tangled).real))
+    residual_456 = abs(I2 - (I4 + I5 + I6))
+    return ExpansionDiagnostics(
+        N=N,
+        T=T,
+        I1=I1,
+        I2=I2,
+        I3=I3,
+        I4=I4,
+        I5=I5,
+        I6=I6,
+        lhs=lhs,
+        lhs_poly=log_phi / N,
+        residual_123=residual_123,
+        residual_456=residual_456,
     )
 
 

@@ -27,7 +27,7 @@ from szegolab.greens import (
     green_direct,
     green_modulus_formula,
 )
-from szegolab.prufer import expansion_diagnostics, zeta_trace
+from szegolab.prufer import expansion_diagnostics
 from szegolab.sampling import CorrelationSpectrum, autocorrelation_exact, preset
 from szegolab.szego_cocycle import (
     SpectralPoint,
@@ -37,7 +37,7 @@ from szegolab.szego_cocycle import (
 from szegolab.torus_dynamics import CAT_MAP, TWO_PI, TorusPoint
 from szegolab.verblunsky import VerblunskyConfig
 
-from oracles import autocorrelation_birkhoff, eigenvector_decay_fit
+from oracles import autocorrelation_birkhoff, eigenvector_decay_fit, zeta_trace
 
 ALPHA0 = preset("alpha0")
 ALPHA1 = preset("alpha1")

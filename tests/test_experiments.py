@@ -4,12 +4,13 @@ Lyapunov scaling table, deviation-fraction tables, and localization runs."""
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from szegolab import experiments, verblunsky
+from szegolab import experiments, prufer
 from szegolab.cmv_operator import build, eigenpairs
 from szegolab.experiments import (
     FAMILIES,
@@ -141,7 +142,7 @@ def test_lyapunov_cell_walks_each_orbit_once(monkeypatch):
             walked.append(len(bx))
             yield bx, by
 
-    monkeypatch.setattr(verblunsky, "orbit_blocks", counting_blocks)
+    monkeypatch.setattr(prufer, "orbit_blocks", counting_blocks)
     N = 20_000
     plan = ExperimentPlan(lams=(0.1,), etas=(1.5708,), Ns=(N,), seed=0, base_points=2)
     lyapunov_scaling(plan)
@@ -153,9 +154,24 @@ def test_lyapunov_cross_delta_is_the_worst_base_point():
     plan = ExperimentPlan(lams=(0.2,), etas=(1.0,), Ns=(N,), seed=4, base_points=2)
     row = lyapunov_scaling(plan).rows[0]
     s = SpectralPoint(1.0)
-    diags = [expansion_diagnostics(plan.config(0.2, 0, r), s, N) for r in range(2)]
-    assert row.cross_delta == max(abs(d.lhs - d.lhs_poly) for d in diags)
+    diag = expansion_diagnostics([plan.config(0.2, 0, r) for r in range(2)], s, N)
+    assert row.cross_delta == max(abs(diag.lhs - diag.lhs_poly))
     assert 0.0 < row.cross_delta <= 1e-12
+
+
+def test_lyapunov_cell_memory_is_flat_in_N():
+    # a cell streams its orbits in fixed slices, so no array grows with N
+    peaks = []
+    for N in (100_000, 1_000_000):
+        plan = ExperimentPlan(lams=(0.1,), etas=(1.0,), Ns=(N,), seed=2, base_points=2)
+        tracemalloc.start()
+        try:
+            lyapunov_scaling(plan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert peaks[1] <= 1.05 * peaks[0]
 
 
 def test_lyapunov_csv_identical_across_jobs():

@@ -6,12 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from szegolab.prufer import (
+    SLICE_POINTS,
     circle_variables,
     default_decorrelation_time,
     expansion_diagnostics,
-    zeta_trace,
 )
 from szegolab.sampling import preset
 from szegolab.szego_cocycle import SpectralPoint, polynomials
@@ -19,7 +20,8 @@ from szegolab.torus_dynamics import CAT_MAP, TorusPoint
 from szegolab.verblunsky import VerblunskyConfig, coefficient, sampled_values_blocks, sequence
 
 from helpers import free_config, random_config, random_eta
-from oracles import PruferState, init, step
+from oracles import PruferState, init, step, zeta_trace
+from oracles import expansion_diagnostics as materialized_diagnostics
 
 
 def _cfg(lam, x=0.8, y=2.1, alpha="alpha0"):
@@ -165,15 +167,73 @@ def test_diagnostics_validation():
 
 def test_diagnostics_read_the_zeta_trace():
     # one orbit pass feeds both the samples and the circle variables; it
-    # must give what zeta_trace gives, across a block boundary
+    # must give what zeta_trace gives, across slice and block boundaries.
+    # The slices cut the engine's schedule differently from zeta_trace's
+    # blocks, so the sums agree to rounding, on the scale of their summands
     cfg = _cfg(0.3)
     s = SpectralPoint(2.2)
     N = (1 << 16) + 917
     d = expansion_diagnostics(cfg, s, N, T=2)
     zetas, log_r = zeta_trace(cfg, s, N)
     F = np.concatenate(list(sampled_values_blocks(cfg, N)))
-    assert d.lhs == log_r / N
-    assert d.I2 == -(cfg.lam / N) * float(np.sum((zetas * F).real))
+    assert d.lhs == pytest.approx(log_r / N, rel=1e-12, abs=0.0)
+    I2 = -(cfg.lam / N) * float(np.sum((zetas * F).real))
+    assert abs(d.I2 - I2) <= 1e-12 * (cfg.lam / N) * float(np.sum(np.abs(F)))
+
+
+def test_diagnostics_rows_differ_only_in_the_base_point():
+    rows = [_cfg(0.1), _cfg(0.1, x=0.3)]
+    d = expansion_diagnostics(rows, SpectralPoint(1.5708), 100)
+    assert d.lhs.shape == (2,)
+    with pytest.raises(ValueError, match="base point"):
+        expansion_diagnostics([_cfg(0.1), _cfg(0.2)], SpectralPoint(1.5708), 100)
+    with pytest.raises(ValueError, match="base point"):
+        expansion_diagnostics([_cfg(0.1), _cfg(0.1, alpha="alpha1")], SpectralPoint(1.5708), 100)
+
+
+# the terms of ExpansionDiagnostics and the size of their summands, given
+# the coupling lam, the sup bound of the samples and the lag T: a
+# (rows, N) stream and its oracle agree to 1e-12 of that size
+_TERM_SIZES = {
+    "I1": lambda lam, sup, T: (lam * sup) ** 2,
+    "I2": lambda lam, sup, T: lam * sup,
+    "I3": lambda lam, sup, T: (lam * sup) ** 2,
+    "I4": lambda lam, sup, T: lam * sup,
+    "I5": lambda lam, sup, T: T * (lam * sup) ** 2,
+    "I6": lambda lam, sup, T: T * (lam * sup) ** 2,
+    "lhs": lambda lam, sup, T: lam * sup,
+    "lhs_poly": lambda lam, sup, T: lam * sup,
+}
+
+
+@given(
+    rows=st.integers(1, 9),
+    T=st.integers(1, 4),
+    offset=st.sampled_from(("T+1", "S-1", "S", "S+1", "S+T-1", "3S+917")),
+    lam=st.floats(0.05, 0.9),
+    eta=st.floats(0.1, 2.0 * math.pi - 0.1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_streamed_rows_match_the_materialized_oracle(rows, T, offset, lam, eta, seed):
+    # the last slice can be shorter than T, so the lag sums must reach back
+    # across the slice edge into the carried samples and circle variables
+    S = SLICE_POINTS // rows
+    N = {"T+1": T + 1, "S-1": S - 1, "S": S, "S+1": S + 1, "S+T-1": S + T - 1,
+         "3S+917": 3 * S + 917}[offset]
+    rng = np.random.default_rng(seed)
+    cfgs = [
+        VerblunskyConfig(lam=lam, base=TorusPoint.random(rng), autom=CAT_MAP, alpha=preset("alpha1"))
+        for _ in range(rows)
+    ]
+    s = SpectralPoint(eta)
+    got = expansion_diagnostics(cfgs, s, N, T=T)
+    assert (got.N, got.T) == (N, T)
+    sup = cfgs[0].alpha.sup_bound
+    for r, cfg in enumerate(cfgs):
+        want = materialized_diagnostics(cfg, s, N, T=T)
+        for name, size in _TERM_SIZES.items():
+            g, w = getattr(got, name)[r], getattr(want, name)
+            assert abs(g - w) <= 1e-12 * max(abs(w), size(lam, sup, T)), name
 
 
 def test_diagnostics_growth_rate_by_both_routes():

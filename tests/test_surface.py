@@ -1,11 +1,14 @@
 """The package's public surface is read by the package itself.
 
 Walks the syntax trees of src/szegolab/*.py and fails when a public
-function, class, method or property is referenced nowhere in the package
-outside its own definition. A module-level name counts as referenced by a
-load of it in its own module or in a module that imports it by name; a
-method or property by an attribute access of that name anywhere. The
-match is by name, so two methods of one name share their references.
+function, class, method, property or dataclass field is referenced
+nowhere in the package outside its own definition. A module-level name
+counts as referenced by a load of it in its own module or in a module that
+imports it by name; a method, property or field by an attribute access of
+that name anywhere. A dataclass's fields also count as read when astuple
+or asdict is applied over an attribute whose annotation names the class
+(rows: tuple[Row, ...] serialized row by row). The match is by name, so
+two methods or fields of one name share their references.
 Names kept on purpose are listed in KEPT with the reason. The references
 the tests compare against live in tests/oracles.py instead; every public
 name there must be imported by a test, and nothing in src/ imports from
@@ -17,10 +20,19 @@ from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "szegolab"
+# the dataclasses functions that read every field of an instance
+SERIALIZERS = {"astuple", "asdict"}
 
 # public names nothing in the package calls, each with why it stays
 KEPT = {
     "warmup": "_kernels: called by the benchmark worker before timing",
+    "TrigPolynomial.grad_bound": "sampling: the map's Lipschitz bound, pinned by test_sampling",
+    "ToralAutomorphism.rho_minus": "torus_dynamics: the contracting eigenvalue, pinned with "
+    "v_minus by test_torus_dynamics",
+    **{
+        f"ExpansionDiagnostics.{field}": "prufer: criterion 09 and test_prufer read the terms"
+        for field in ("I1", "I2", "I3", "I5", "I6", "residual_123", "residual_456")
+    },
 }
 
 
@@ -31,17 +43,59 @@ def _trees():
     }
 
 
+def _is_dataclass(node):
+    decorators = (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list)
+    return any(ast.unparse(d).rsplit(".", 1)[-1] == "dataclass" for d in decorators)
+
+
+def _fields(node):
+    """The public field definitions of a dataclass node."""
+    if not _is_dataclass(node):
+        return
+    for item in node.body:
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+            if not item.target.id.startswith("_"):
+                yield item
+
+
 def _definitions(trees):
-    """(module, name, node, is_method) for every public definition."""
+    """(module, name, node, kind) for every public definition; kind is
+    "name", "method" or "field", and a field's name is Class.field."""
     for module, tree in trees.items():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
                 continue
-            yield module, node.name, node, False
+            yield module, node.name, node, "name"
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                        yield module, item.name, item, True
+                        yield module, item.name, item, "method"
+                for item in _fields(node):
+                    yield module, f"{node.name}.{item.target.id}", item, "field"
+
+
+def _serialized(trees):
+    """Names of the classes whose fields astuple or asdict read: every
+    class named in the annotation of a dataclass field whose attribute is
+    accessed inside a call that applies astuple or asdict."""
+    over = set()
+    for tree in trees.values():
+        for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+            inner = list(ast.walk(call))
+            if any(
+                (isinstance(n, ast.Attribute) and n.attr in SERIALIZERS)
+                or (isinstance(n, ast.Name) and n.id in SERIALIZERS)
+                for n in inner
+            ):
+                over |= {n.attr for n in inner if isinstance(n, ast.Attribute)}
+    classes = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for item in _fields(node):
+                    if item.target.id in over:
+                        classes |= {n.id for n in ast.walk(item.annotation) if isinstance(n, ast.Name)}
+    return classes
 
 
 def _unreferenced():
@@ -61,9 +115,15 @@ def _unreferenced():
                 for alias in n.names:
                     key = (n.module, alias.name)
                     imported.setdefault(key, []).append((module, alias.asname or alias.name))
+    serialized = _serialized(trees)
     found = set()
-    for module, name, node, is_method in _definitions(trees):
-        if is_method:
+    for module, name, node, kind in _definitions(trees):
+        if kind == "field":
+            owner, field = name.split(".")
+            if owner in serialized:
+                continue
+            uses = attributes.get(field, [])
+        elif kind == "method":
             uses = attributes.get(name, [])
         else:
             where = [(module, name), *imported.get((module, name), [])]
