@@ -1,10 +1,12 @@
 """Orbit generation and the one recursion engine of the package.
 
-The orbit step is one Python loop over time. It advances a single start
-(scalars) or a batch of starts (arrays) with the same expression, and each
-batch member's points are bitwise those of its scalar run: the products and
-sums are elementwise IEEE operations, and np.remainder and float % both
-take fmod and apply the same sign fix.
+The orbit step is one Python loop over time, the only float orbit step of
+the package. It advances a single start (scalars) or a batch of starts
+(arrays) with the same expression, and each batch member's points are
+bitwise those of its scalar run: the products and sums are elementwise IEEE
+operations, and np.remainder and float % both take fmod and apply the same
+sign fix. torus_dynamics.orbit_slices drives it and picks between the two
+from the row count.
 
 Every recursion (transfer products, the polynomials of both kinds, the
 Prufer circle variable, the resolvent formula's monic pairs) is a product of

@@ -18,19 +18,18 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .cmv_operator import build, eigenpairs
+from .cmv_operator import DENSE_CAP, build, eigenpairs
 from .prufer import circle_variables, default_decorrelation_time, expansion_diagnostics
 from .sampling import (
     TrigPolynomial,
     autocorrelation_exact,
-    evaluate_many,
     preset,
     spectral_function,
     spectral_window,
 )
 from .szego_cocycle import SpectralPoint, lyapunov_poly_many, lyapunov_poly_rows
-from .torus_dynamics import CAT_MAP, TWO_PI, ToralAutomorphism, TorusPoint, orbit_rows
-from .verblunsky import VerblunskyConfig
+from .torus_dynamics import CAT_MAP, TWO_PI, ToralAutomorphism, TorusPoint
+from .verblunsky import VerblunskyConfig, sample_slices
 
 MC_CHUNK = 512
 # orbit points (samples x N) handled together inside a chunk: every array of
@@ -410,8 +409,7 @@ def _deviation_chunk(args) -> dict[str, list[float]]:
     out: dict[str, list[float]] = {}
     width = max(1, MC_PASS_POINTS // N)
     for start in range(0, hi - lo, width):
-        xs, ys = orbit_rows(plan.autom, bases[start : start + width], N)
-        F = evaluate_many(plan.alpha, xs, ys)
+        (F,) = sample_slices(plan.autom, plan.alpha, bases[start : start + width], N, N)
         for name, values in FAMILIES[family].statistics(plan, lam, N, F).items():
             out.setdefault(name, []).extend(values.tolist())
     return out
@@ -612,7 +610,9 @@ def localization(
     time), and compare the decay rate with the growth rate at the
     matching angle. No in-window eigenvalues yields an empty result, not
     an error. In-window pairs over the eigen-residual tolerance are fitted
-    like the rest and counted; failed fits are skipped and counted.
+    like the rest and counted; failed fits are skipped and counted. An N
+    whose window exceeds DENSE_CAP sites raises ValueError before any
+    window is built.
     """
     if window is None:
         win = tuple(spectral_window(plan.alpha, plan.autom, delta, c))
@@ -621,6 +621,10 @@ def localization(
     rows: list[LocalizationRow] = []
     if not win:
         return LocalizationResult(rows=(), window=win)
+    # the window on [0, N] has N + 1 sites; refuse before building any
+    sites = max(plan.Ns) + 1
+    if sites > DENSE_CAP:
+        raise ValueError(f"eigenpairs capped at {DENSE_CAP} sites, window has {sites}")
     skipped = over_tol = repaired = 0
     worst = 0.0
     cell = 0

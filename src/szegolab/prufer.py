@@ -15,10 +15,11 @@ of modulus below pi automatically; zeta is renormalized to the circle each
 step. The module also evaluates the second-order expansion of the mean
 log-radius in the coupling, whose terms are the quantities controlled by
 the large-deviation estimates. It streams: the orbits of a Lyapunov cell's
-base points run side by side on the engine's batch axis, in slices of a
-fixed number of points, and only running sums and the last few samples
-cross a slice edge, so N = 10^7 takes the memory of N = 10^5. The
-materialized trace and terms are the oracles in tests/oracles.py.
+base points are the rows of one sample stream and run side by side on the
+engine's batch axis, in slices of a fixed number of points, and only
+running sums and the last few samples cross a slice edge, so N = 10^7
+takes the memory of N = 10^5. The materialized trace and terms are the
+oracles in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -30,10 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import monic_scan
-from .sampling import evaluate_many
 from .szego_cocycle import SpectralPoint, _log_rho
-from .torus_dynamics import ToralAutomorphism, orbit_blocks
-from .verblunsky import VerblunskyConfig
+from .torus_dynamics import ToralAutomorphism
+from .verblunsky import VerblunskyConfig, sample_slices
 
 
 def circle_variables(alphas: np.ndarray, z, top: np.ndarray, bot: np.ndarray):
@@ -166,9 +166,9 @@ def expansion_diagnostics(
 
     cfg is one config, or a sequence of configs that differ only in their
     base point, one row each. The rows are walked together in slices of
-    SLICE_POINTS // rows steps. Each row's points come from its own orbit
-    stream, the slice's coefficients of all rows go through circle_variables
-    as one batch, and every term is summed slice by slice. The polynomial
+    SLICE_POINTS // rows steps, read from one sample_slices stream of all
+    base points; each slice's coefficients go through circle_variables as
+    one batch, and every term is summed slice by slice. The polynomial
     pair and the last T samples and circle variables are carried across
     each slice edge, so memory does not grow with N.
     """
@@ -184,13 +184,8 @@ def expansion_diagnostics(
     lam = first.lam
     rows = len(cfgs)
     acc = _StreamSums(rows, lam, s.z, T)
-    width = max(1, SLICE_POINTS // rows)
-    orbits = [orbit_blocks(c.autom, c.base, N, width) for c in cfgs]
-    for blocks in zip(*orbits):
-        F = evaluate_many(
-            first.alpha, np.stack([bx for bx, _ in blocks]), np.stack([by for _, by in blocks])
-        )
-        del blocks  # the engine then runs with one slice's samples alive
+    starts = [[c.base.x, c.base.y] for c in cfgs]
+    for F in sample_slices(first.autom, first.alpha, starts, N, max(1, SLICE_POINTS // rows)):
         acc.add(F)
 
     log_r, log_phi, abs_sq, re_zF, re_zF_sq, re_lag = acc.sums

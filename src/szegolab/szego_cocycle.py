@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import TWO_PI, monic_scan
-from .verblunsky import VerblunskyConfig, sampled_values_blocks
+from .verblunsky import VerblunskyConfig, coefficient_slices
 
 
 @dataclass(frozen=True)
@@ -77,9 +77,7 @@ def transfer(cfg: VerblunskyConfig, s: SpectralPoint, N: int) -> ScaledProduct:
     top = np.array([[1.0, 0.0]], dtype=np.complex128)
     bot = np.array([[0.0, 1.0]], dtype=np.complex128)
     log_scale = 0.0
-    for F in sampled_values_blocks(cfg, N):
-        F *= cfg.lam  # the block's coefficients, scaled in place
-        block = F[None, :]
+    for block in coefficient_slices(cfg, N):
         log_scale += float(monic_scan(block, s.z, top, bot)[0] - _log_rho(block)[0])
     matrix = s.phase_power(-N) * np.vstack([top, bot])
     return ScaledProduct(matrix=matrix, log_scale=log_scale)
@@ -128,9 +126,7 @@ def polynomials(cfg: VerblunskyConfig, s: SpectralPoint, N: int) -> PolynomialQu
     """
     if N < 0:
         raise ValueError("step count must be nonnegative")
-    # alpha_n = lam F_n, each block scaled in place
-    blocks = (np.multiply(F, cfg.lam, out=F)[None, :] for F in sampled_values_blocks(cfg, N))
-    top, bot, log_r = _poly_run(blocks, s.z, 1)
+    top, bot, log_r = _poly_run(coefficient_slices(cfg, N), s.z, 1)
     return PolynomialQuad(
         phi=complex(top[0, 0]),
         phi_star=complex(bot[0, 0]),
@@ -178,8 +174,7 @@ def lyapunov_poly_many(
     z = np.array([s.z for s in points], dtype=np.complex128)
     if z.size == 0:
         return np.empty(0)
-    blocks = (np.multiply(F, cfg.lam, out=F)[None, :] for F in sampled_values_blocks(cfg, N))
-    top, _, log_r = _poly_run(blocks, z, z.size)
+    top, _, log_r = _poly_run(coefficient_slices(cfg, N), z, z.size)
     return _growth(top, log_r, N)
 
 

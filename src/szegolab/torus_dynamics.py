@@ -4,7 +4,8 @@ The torus is R^2 / (2 pi Z)^2. An automorphism is an integer matrix with
 determinant one and trace of modulus larger than two, acting by matrix
 multiplication modulo 2 pi. Points can carry exact rational coordinates
 (in turns, i.e. fractions of 2 pi) so periodic orbits and group laws can be
-checked without rounding.
+checked without rounding. Float orbits come from one stream, orbit_slices,
+which every consumer reads.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._kernels import TWO_PI, orbit_block
+from ._kernels import TWO_PI, WIDE_BATCH, orbit_block
 
 Entries = tuple[tuple[int, int], tuple[int, int]]
 
@@ -159,8 +160,8 @@ def iterate(A: ToralAutomorphism, p: TorusPoint, n: int) -> TorusPoint:
     """Apply the automorphism n times (inverse for negative n).
 
     Exact points go through integer matrix powers acting on turn fractions.
-    Float points are stepped one multiplication at a time, reducing modulo
-    2 pi after each step.
+    Float points take the last point of the orbit of A or its inverse,
+    reduced modulo 2 pi after each step.
     """
     if n == 0:
         return p
@@ -169,49 +170,40 @@ def iterate(A: ToralAutomorphism, p: TorusPoint, n: int) -> TorusPoint:
         fx = (a * p.x_turn + b * p.y_turn) % 1
         fy = (c * p.x_turn + d * p.y_turn) % 1
         return TorusPoint.from_turns(fx, fy)
-    ent = A.entries if n > 0 else A.inverse_entries()
-    (a, b), (c, d) = ent
-    x, y = p.x, p.y
-    for _ in range(abs(n)):
-        x, y = (a * x + b * y) % TWO_PI, (c * x + d * y) % TWO_PI
-    return TorusPoint.from_radians(x, y)
+    step = A if n > 0 else validate(A.inverse_entries())
+    for xs, ys in orbit_slices(step, [[p.x, p.y]], abs(n) + 1):
+        pass
+    return TorusPoint.from_radians(xs[0, -1], ys[0, -1])
 
 
-def orbit_rows(A: ToralAutomorphism, starts, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """First n orbit points of many starts, stepped together.
-
-    starts is a (B, 2) array of radian coordinates, reduced modulo 2 pi as
-    TorusPoint does. Returns C-contiguous (B, n) x and y arrays whose row b
-    is bitwise the orbit of starts[b] that orbit_blocks yields.
-    """
-    starts = np.asarray(starts, dtype=float) % TWO_PI
-    xs = np.empty((starts.shape[0], n))
-    ys = np.empty_like(xs)
-    (a, b), (c, d) = A.entries
-    orbit_block(float(a), float(b), float(c), float(d), starts[:, 0], starts[:, 1], xs.T, ys.T)
-    return xs, ys
-
-
-# Points per orbit chunk of the coefficient streamers. Fixed: they feed one
-# chunk at a time to the recursion engine, whose along-time schedule is cut
-# from the chunk length, so the size sets the output bits.
+# Points per orbit slice of the coefficient streamers. Fixed: they feed one
+# slice at a time to the recursion engine, whose along-time schedule is cut
+# from the slice length, so the size sets the output bits.
 ORBIT_BLOCK = 1 << 16
 
 
-def orbit_blocks(A: ToralAutomorphism, p: TorusPoint, n: int, block: int = ORBIT_BLOCK):
-    """Yield the orbit of p in chunks of block coordinate pairs, n points
-    total. The points do not depend on block."""
+def orbit_slices(A: ToralAutomorphism, starts, n: int, width: int = ORBIT_BLOCK):
+    """Yield the first n orbit points of many starts, width steps at a time.
+
+    starts is a (B, 2) array of radian coordinates, reduced modulo 2 pi as
+    TorusPoint does. Each slice is a pair of C-contiguous (B, <= width) x
+    and y arrays. Below WIDE_BATCH rows every row steps on Python floats
+    with its own carry; from there on all rows step together as arrays.
+    The points are bitwise the same either way and do not depend on width.
+    """
     (a, b), (c, d) = A.entries
-    af, bf, cf, df = float(a), float(b), float(c), float(d)
-    x, y = p.x, p.y
-    done = 0
-    while done < n:
-        size = min(block, n - done)
-        out_x = np.empty(size)
-        out_y = np.empty(size)
-        x, y = orbit_block(af, bf, cf, df, x, y, out_x, out_y)
-        yield out_x, out_y
-        done += size
+    entries = float(a), float(b), float(c), float(d)
+    starts = np.asarray(starts, dtype=float) % TWO_PI
+    rows = starts.shape[0]
+    batched = rows >= WIDE_BATCH
+    # one (x, y) carry of (B,) arrays, or one of floats per row
+    carry = [tuple(starts.T)] if batched else starts.tolist()
+    for done in range(0, n, width):
+        xs = np.empty((rows, min(width, n - done)))
+        ys = np.empty_like(xs)
+        outs = [(xs.T, ys.T)] if batched else zip(xs, ys)
+        carry = [orbit_block(*entries, *xy, *out) for xy, out in zip(carry, outs)]
+        yield xs, ys
 
 
 FREQUENCY_POWER_CAP = 200

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sampling import TrigPolynomial, evaluate, evaluate_many
-from .torus_dynamics import ToralAutomorphism, TorusPoint, iterate, orbit_blocks
+from .torus_dynamics import ORBIT_BLOCK, ToralAutomorphism, TorusPoint, iterate, orbit_slices
 
 
 @dataclass(frozen=True)
@@ -45,11 +45,21 @@ def coefficient(cfg: VerblunskyConfig, n: int) -> complex:
     return cfg.lam * evaluate(cfg.alpha, p)
 
 
-def _samples(cfg: VerblunskyConfig, N: int):
-    """The unscaled samples F_n = alpha(A^n p), n < N, one orbit block at a
-    time; every streamer below reads them from here."""
-    for bx, by in orbit_blocks(cfg.autom, cfg.base, N):
-        yield evaluate_many(cfg.alpha, bx, by)
+def sample_slices(
+    autom: ToralAutomorphism, alpha: TrigPolynomial, starts, N: int, width: int = ORBIT_BLOCK
+):
+    """The unscaled samples F_n = alpha(A^n p), n < N, of every start p of a
+    (B, 2) array, as (B, <= width) slices of its orbit_slices."""
+    for xs, ys in orbit_slices(autom, starts, N, width):
+        yield evaluate_many(alpha, xs, ys)
+
+
+def coefficient_slices(cfg: VerblunskyConfig, N: int):
+    """The first N coefficients of one config as (1, <= ORBIT_BLOCK) slices,
+    each lam times its samples, scaled in place."""
+    for F in sample_slices(cfg.autom, cfg.alpha, [[cfg.base.x, cfg.base.y]], N):
+        F *= cfg.lam
+        yield F
 
 
 def sequence(cfg: VerblunskyConfig, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -58,15 +68,8 @@ def sequence(cfg: VerblunskyConfig, N: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("length must be nonnegative")
     alphas = np.empty(N, dtype=np.complex128)
     pos = 0
-    for F in _samples(cfg, N):
-        alphas[pos : pos + len(F)] = F
-        pos += len(F)
-    alphas *= cfg.lam
+    for block in coefficient_slices(cfg, N):
+        alphas[pos : pos + block.shape[1]] = block[0]
+        pos += block.shape[1]
     rhos = np.sqrt(1.0 - np.abs(alphas) ** 2)
     return alphas, rhos
-
-
-def sampled_values_blocks(cfg: VerblunskyConfig, N: int):
-    """Stream the unscaled samples F_n, so that the coefficient sequence is
-    lam times the streamed values."""
-    yield from _samples(cfg, N)

@@ -1,11 +1,11 @@
 """Scalar and dense references the tests hold the package's engines to.
 
 Each oracle computes a quantity the package also computes, by the plain
-route: one Prufer step or one cocycle step at a time, the zeta trace and
-the expansion terms from whole-orbit arrays, the window matrix filled
-densely from its bands, the product norm by SVD, one decay fit per
-eigenvector, correlations by Monte Carlo. None of them runs in the
-package itself.
+route: one orbit step, one Prufer step or one cocycle step at a time, the
+zeta trace and the expansion terms from whole-orbit arrays, the window
+matrix filled densely from its bands, the product norm by SVD, one decay
+fit per eigenvector, correlations by Monte Carlo. None of them runs in
+the package itself.
 """
 
 import cmath
@@ -21,7 +21,23 @@ from szegolab.prufer import ExpansionDiagnostics, circle_variables, default_deco
 from szegolab.sampling import TrigPolynomial, evaluate_many
 from szegolab.szego_cocycle import SpectralPoint, _log_rho, transfer
 from szegolab.torus_dynamics import TWO_PI, ToralAutomorphism
-from szegolab.verblunsky import VerblunskyConfig, sampled_values_blocks
+from szegolab.verblunsky import VerblunskyConfig, sample_slices
+
+
+def scalar_orbit(
+    A: ToralAutomorphism, x: float, y: float, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The first n orbit points of (x, y), one Python float step at a time,
+    reducing modulo 2 pi after each step; the start is reduced as
+    TorusPoint does."""
+    (a, b), (c, d) = A.entries
+    x, y = float(x) % TWO_PI, float(y) % TWO_PI
+    xs = np.empty(n)
+    ys = np.empty(n)
+    for i in range(n):
+        xs[i], ys[i] = x, y
+        x, y = (a * x + b * y) % TWO_PI, (c * x + d * y) % TWO_PI
+    return xs, ys
 
 
 @dataclass(frozen=True)
@@ -83,14 +99,16 @@ def _samples_and_zeta_trace(
     log_r = 0.0
     log_phi = 0.0
     pos = 0
-    for Fb in sampled_values_blocks(cfg, N):
-        F[pos : pos + len(Fb)] = Fb
-        Fb *= cfg.lam  # the block's coefficients, scaled in place
-        zs, half_log_h, log_scale = circle_variables(Fb[None, :], s.z, top, bot)
-        zetas[pos : pos + len(Fb)] = zs[0, :-1]
+    # one row, in slices of the default ORBIT_BLOCK points
+    for Fb in sample_slices(cfg.autom, cfg.alpha, [[cfg.base.x, cfg.base.y]], N):
+        n = Fb.shape[1]
+        F[pos : pos + n] = Fb[0]
+        Fb *= cfg.lam  # the slice's coefficients, scaled in place
+        zs, half_log_h, log_scale = circle_variables(Fb, s.z, top, bot)
+        zetas[pos : pos + n] = zs[0, :-1]
         log_r += float(half_log_h.sum())
-        log_phi += float(log_scale[0] - _log_rho(Fb[None, :])[0])
-        pos += len(Fb)
+        log_phi += float(log_scale[0] - _log_rho(Fb)[0])
+        pos += n
     return F, zetas, log_r, log_phi + math.log(abs(top[0, 0]))
 
 

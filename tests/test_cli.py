@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -277,6 +278,20 @@ def test_localize_empty_window_json_marker(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["marker"] == EMPTY_WINDOW_MARKER
     assert payload["rows"] == []
+
+
+def test_localize_over_the_cap_refuses_before_building(capsys):
+    # the window would take about 220 B per site; the typed error must come
+    # first, not after the window is built
+    tracemalloc.start()
+    try:
+        code = main(["localize", "--N", "200000"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "capped" in capsys.readouterr().err
+    assert peak < 1 << 20
 
 
 def test_green_csv_smoke(capsys):

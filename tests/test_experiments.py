@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from szegolab import experiments, prufer
+from szegolab import experiments, verblunsky
 from szegolab.cmv_operator import build, eigenpairs
 from szegolab.experiments import (
     FAMILIES,
@@ -25,9 +25,9 @@ from szegolab.experiments import (
 from szegolab.prufer import expansion_diagnostics
 from szegolab.sampling import evaluate_many, preset, spectral_function, spectral_window
 from szegolab.szego_cocycle import SpectralPoint
-from szegolab.torus_dynamics import CAT_MAP, TWO_PI, TorusPoint, orbit_blocks
+from szegolab.torus_dynamics import CAT_MAP, TWO_PI, orbit_slices
 
-from oracles import eigenvector_decay_fit
+from oracles import eigenvector_decay_fit, scalar_orbit
 
 
 # ---------------------------------------------------------------------------
@@ -137,12 +137,12 @@ def test_lyapunov_cell_walks_each_orbit_once(monkeypatch):
     # its lag-T correction and cross_delta all come from one pass
     walked = []
 
-    def counting_blocks(*args):
-        for bx, by in orbit_blocks(*args):
-            walked.append(len(bx))
-            yield bx, by
+    def counting_slices(*args):
+        for xs, ys in orbit_slices(*args):
+            walked.append(xs.size)
+            yield xs, ys
 
-    monkeypatch.setattr(prufer, "orbit_blocks", counting_blocks)
+    monkeypatch.setattr(verblunsky, "orbit_slices", counting_slices)
     N = 20_000
     plan = ExperimentPlan(lams=(0.1,), etas=(1.5708,), Ns=(N,), seed=0, base_points=2)
     lyapunov_scaling(plan)
@@ -253,7 +253,7 @@ def test_deviation_csv_identical_across_jobs(family):
 
 def _chunk_one_orbit_at_a_time(plan, family, cell_index, chunk_index, lam, N):
     """The oracle of _deviation_chunk: each sample's orbit built alone by
-    orbit_blocks, the pass's orbits stacked, then evaluate_many."""
+    scalar_orbit, the pass's orbits stacked, then evaluate_many."""
     lo = chunk_index * experiments.MC_CHUNK
     hi = min(lo + experiments.MC_CHUNK, plan.samples)
     bases = plan.rng(cell_index, chunk_index).uniform(0.0, TWO_PI, size=(hi - lo, 2))
@@ -262,8 +262,7 @@ def _chunk_one_orbit_at_a_time(plan, family, cell_index, chunk_index, lam, N):
     for start in range(0, hi - lo, width):
         orbits = []
         for x, y in bases[start : start + width].tolist():
-            ((bx, by),) = orbit_blocks(plan.autom, TorusPoint(x, y), N)
-            orbits.append((bx, by))
+            orbits.append(scalar_orbit(plan.autom, x, y, N))
         orbits = np.array(orbits)
         F = evaluate_many(plan.alpha, orbits[:, 0], orbits[:, 1])
         for name, values in experiments.FAMILIES[family].statistics(plan, lam, N, F).items():

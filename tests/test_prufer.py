@@ -17,7 +17,7 @@ from szegolab.prufer import (
 from szegolab.sampling import preset
 from szegolab.szego_cocycle import SpectralPoint, polynomials
 from szegolab.torus_dynamics import CAT_MAP, TorusPoint
-from szegolab.verblunsky import VerblunskyConfig, coefficient, sampled_values_blocks, sequence
+from szegolab.verblunsky import VerblunskyConfig, coefficient, sample_slices, sequence
 
 from helpers import free_config, random_config, random_eta
 from oracles import PruferState, init, step, zeta_trace
@@ -175,7 +175,8 @@ def test_diagnostics_read_the_zeta_trace():
     N = (1 << 16) + 917
     d = expansion_diagnostics(cfg, s, N, T=2)
     zetas, log_r = zeta_trace(cfg, s, N)
-    F = np.concatenate(list(sampled_values_blocks(cfg, N)))
+    slices = sample_slices(cfg.autom, cfg.alpha, [[cfg.base.x, cfg.base.y]], N)
+    F = np.concatenate(list(slices), axis=1)[0]
     assert d.lhs == pytest.approx(log_r / N, rel=1e-12, abs=0.0)
     I2 = -(cfg.lam / N) * float(np.sum((zetas * F).real))
     assert abs(d.I2 - I2) <= 1e-12 * (cfg.lam / N) * float(np.sum(np.abs(F)))

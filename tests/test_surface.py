@@ -145,6 +145,30 @@ def test_kept_names_are_still_unread():
     assert not stale, f"KEPT entries now read in src/: {sorted(stale)}"
 
 
+# names that only their owners may reference: the orbit step stays behind
+# torus_dynamics.orbit_slices, and the evaluation of samples behind
+# verblunsky.sample_slices
+BOUNDARIES = {
+    "orbit_block": {"_kernels", "torus_dynamics"},
+    "evaluate_many": {"sampling", "verblunsky"},
+}
+
+
+def test_stream_internals_stay_behind_their_modules():
+    trees = _trees()
+    for name, allowed in BOUNDARIES.items():
+        users = {
+            module
+            for module, tree in trees.items()
+            for n in ast.walk(tree)
+            if (isinstance(n, ast.Name) and n.id == name)
+            or (isinstance(n, ast.Attribute) and n.attr == name)
+            or (isinstance(n, ast.alias) and n.name == name)
+            or (isinstance(n, ast.FunctionDef) and n.name == name)
+        }
+        outside = sorted(users - allowed)
+        assert not outside, f"{name} referenced outside {sorted(allowed)}: {outside}"
+
 
 def _import_roots(tree):
     """Top-level names of the modules a syntax tree imports."""

@@ -16,10 +16,11 @@ from szegolab.torus_dynamics import (
     frequency_pushforward,
     iterate,
     matrix_power,
-    orbit_blocks,
-    orbit_rows,
+    orbit_slices,
     validate,
 )
+
+from oracles import scalar_orbit
 
 
 def _turns(p: TorusPoint):
@@ -173,14 +174,14 @@ def test_pushforward_cap():
 def test_orbit_equidistributes():
     rng = np.random.default_rng(11)
     p = TorusPoint.random(rng)
-    xs, ys = orbit_rows(CAT_MAP, [[p.x, p.y]], 10_000)
+    ((xs, ys),) = orbit_slices(CAT_MAP, [[p.x, p.y]], 10_000)
     avg = np.mean(np.exp(1j * (xs[0] + ys[0])))
     assert abs(avg) <= 0.05
 
 
 def test_orbit_rows_match_iterate():
     p = TorusPoint.from_radians(0.9, 0.4)
-    xs, ys = orbit_rows(CAT_MAP, [[p.x, p.y]], 6)
+    ((xs, ys),) = orbit_slices(CAT_MAP, [[p.x, p.y]], 6)
     for n in range(6):
         q = iterate(CAT_MAP, p, n)
         assert xs[0, n] == pytest.approx(q.x, abs=1e-9)
@@ -188,13 +189,14 @@ def test_orbit_rows_match_iterate():
 
 
 def test_orbit_blocks_concatenate():
+    # the points do not depend on the slice width
     p = TorusPoint.from_radians(2.5, 0.1)
     n = 70_000
-    xs, ys = orbit_rows(CAT_MAP, [[p.x, p.y]], n)
-    bx = np.concatenate([b[0] for b in orbit_blocks(CAT_MAP, p, n)])
-    by = np.concatenate([b[1] for b in orbit_blocks(CAT_MAP, p, n)])
-    assert np.array_equal(xs[0], bx)
-    assert np.array_equal(ys[0], by)
+    ((xs, ys),) = orbit_slices(CAT_MAP, [[p.x, p.y]], n, n)
+    slices = list(orbit_slices(CAT_MAP, [[p.x, p.y]], n))
+    assert len(slices) > 1
+    assert np.array_equal(xs, np.concatenate([bx for bx, _ in slices], axis=1))
+    assert np.array_equal(ys, np.concatenate([by for _, by in slices], axis=1))
 
 
 # start coordinates at and past the edges of [0, 2 pi)
@@ -207,7 +209,8 @@ EDGE_STARTS = (0.0, np.nextafter(TWO_PI, 0.0), TWO_PI + 0.25, -0.75)
     [CAT_MAP, validate([[2, -1], [-1, 1]])],
     ids=["cat", "signed"],
 )
-@pytest.mark.parametrize("B", [1, 7, 81, 512])
+# row counts on both sides of WIDE_BATCH, where stepping turns batched
+@pytest.mark.parametrize("B", [1, 7, 63, 64, 81, 512])
 @pytest.mark.parametrize("n", [0, 1, 2, 400])
 def test_orbit_rows_bitwise_equal_to_scalar_orbits(A, B, n):
     rng = np.random.default_rng(B * 1000 + n)
@@ -215,15 +218,39 @@ def test_orbit_rows_bitwise_equal_to_scalar_orbits(A, B, n):
     k = min(B, len(EDGE_STARTS))
     starts[:k, 0] = EDGE_STARTS[:k]
     starts[:k, 1] = EDGE_STARTS[::-1][:k]
-    xs, ys = orbit_rows(A, starts, n)
-    assert xs.shape == ys.shape == (B, n)
-    assert xs.flags.c_contiguous and ys.flags.c_contiguous
+    width = 150  # does not divide 400: the last slice is shorter
+    slices = list(orbit_slices(A, starts, n, width))
+    assert len(slices) == -(-n // width)
+    for bx, by in slices:
+        assert bx.shape == by.shape and bx.shape[0] == B and bx.shape[1] <= width
+        assert bx.flags.c_contiguous and by.flags.c_contiguous
+    xs = np.concatenate([np.empty((B, 0))] + [bx for bx, _ in slices], axis=1)
+    ys = np.concatenate([np.empty((B, 0))] + [by for _, by in slices], axis=1)
     for b, (x, y) in enumerate(starts.tolist()):
-        blocks = list(orbit_blocks(A, TorusPoint(x, y), n))
-        want_x = np.concatenate([bx for bx, _ in blocks]) if blocks else np.empty(0)
-        want_y = np.concatenate([by for _, by in blocks]) if blocks else np.empty(0)
+        want_x, want_y = scalar_orbit(A, x, y, n)
         assert np.array_equal(xs[b].view(np.uint64), want_x.view(np.uint64))
         assert np.array_equal(ys[b].view(np.uint64), want_y.view(np.uint64))
+
+
+@pytest.mark.parametrize("A", [CAT_MAP, validate([[2, -1], [-1, 1]])], ids=["cat", "signed"])
+@pytest.mark.parametrize("n", [1, 65535, 65536, 65537])
+def test_iterate_float_point_is_the_scalar_orbit(A, n):
+    # across the ORBIT_BLOCK edge, forward and backward
+    p = TorusPoint.from_radians(2.5, 0.1)
+    for m, step in ((n, A), (-n, validate(A.inverse_entries()))):
+        q = iterate(A, p, m)
+        want_x, want_y = scalar_orbit(step, p.x, p.y, n + 1)
+        assert (q.x, q.y) == (want_x[-1], want_y[-1])
+
+
+@pytest.mark.parametrize("n", [1, 5, 10])
+def test_iterate_float_round_trip(n):
+    # the float orbit loses a factor rho per step in the contracting
+    # direction, so only short round trips come back to 1e-9
+    p = TorusPoint.from_radians(2.5, 0.1)
+    q = iterate(CAT_MAP, iterate(CAT_MAP, p, n), -n)
+    assert q.x == pytest.approx(p.x, abs=1e-9)
+    assert q.y == pytest.approx(p.y, abs=1e-9)
 
 
 def test_torus_point_reduces_coordinates():

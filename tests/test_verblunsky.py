@@ -12,7 +12,8 @@ from szegolab.torus_dynamics import CAT_MAP, TorusPoint
 from szegolab.verblunsky import (
     VerblunskyConfig,
     coefficient,
-    sampled_values_blocks,
+    coefficient_slices,
+    sample_slices,
     sequence,
 )
 
@@ -112,21 +113,20 @@ def test_orbit_mean_vanishes():
 
 
 def test_scaled_blocks_concatenate_to_sequence():
-    # the streaming consumers scale each block in place; across a block
+    # the streaming consumers read slices scaled in place; across a slice
     # boundary that gives the bits of the materialized sequence
     rng = np.random.default_rng(17)
     cfg = random_config(rng)
     alphas, _ = sequence(cfg, 70_000)
-    blocks = list(sampled_values_blocks(cfg, 70_000))
+    blocks = list(coefficient_slices(cfg, 70_000))
     assert len(blocks) > 1
-    for F in blocks:
-        F *= cfg.lam
-    assert np.array_equal(alphas, np.concatenate(blocks))
+    assert all(block.shape[0] == 1 for block in blocks)
+    assert np.array_equal(alphas, np.concatenate(blocks, axis=1)[0])
 
 
 def test_sampled_values_scale():
     rng = np.random.default_rng(18)
     cfg = random_config(rng)
     alphas, _ = sequence(cfg, 1000)
-    values = np.concatenate(list(sampled_values_blocks(cfg, 1000)))
+    ((values,),) = sample_slices(cfg.autom, cfg.alpha, [[cfg.base.x, cfg.base.y]], 1000)
     assert np.array_equal(cfg.lam * values, alphas)
