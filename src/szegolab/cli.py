@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+import textwrap
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -51,17 +52,6 @@ from .torus_dynamics import CAT_MAP, TWO_PI, ToralAutomorphism, TorusPoint, vali
 from .verblunsky import VerblunskyConfig
 
 EMPTY_WINDOW_MARKER = "no eigenvalues in I0"
-
-SELFTEST_TOLS = {
-    "transfer": 1e-8,
-    "prufer": 1e-8,
-    "unitarity": 1e-12,
-    "green": 1e-6,
-    "reality": 1e-10,
-    "presets": 1e-12,
-    "reconstruction": 1e-8,
-}
-
 
 class ConfigError(Exception):
     """Invalid flag, config file entry or flag combination."""
@@ -189,12 +179,11 @@ def _co_tol(value) -> dict[str, float]:
             if not sep:
                 raise ConfigError(f"tol: expected NAME=VALUE, got {item!r}")
             pairs.append((name.strip(), val.strip()))
+    names = [name for name, _, _ in _SELFTEST_CHECKS]
     out = {}
     for name, val in pairs:
-        if name not in SELFTEST_TOLS:
-            raise ConfigError(
-                f"tol: unknown tolerance {name!r}; choices: {sorted(SELFTEST_TOLS)}"
-            )
+        if name not in names:
+            raise ConfigError(f"tol: unknown tolerance {name!r}; choices: {sorted(names)}")
         out[name] = _co_pos_float(f"tol {name}", val)
     return out
 
@@ -373,8 +362,6 @@ Unknown keys are rejected.
 
 SZEGO_LAB_SEED is used when --seed is absent from flags and file.
 
-Selftest tolerance names for --tol: transfer, prufer, unitarity,
-green, reality, presets, reconstruction.
 """
 
 
@@ -397,11 +384,13 @@ def _common_options() -> argparse.ArgumentParser:
 
 def build_parser() -> argparse.ArgumentParser:
     common = _common_options()
+    names = ", ".join(name for name, _, _ in _SELFTEST_CHECKS)
+    epilog = _EPILOG + textwrap.fill(f"Selftest tolerance names for --tol: {names}.", 72) + "\n"
     parser = argparse.ArgumentParser(
         prog="szegolab",
         parents=[common],
         description=__doc__.splitlines()[0],
-        epilog=_EPILOG,
+        epilog=epilog,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
@@ -411,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
             parents=[common],
             help=text,
             description=text,
-            epilog=_EPILOG,
+            epilog=epilog,
             formatter_class=argparse.RawDescriptionHelpFormatter,
             argument_default=argparse.SUPPRESS,
         )
@@ -735,22 +724,23 @@ def _check_reconstruction(rng, run: RunConfig) -> float:
     return worst if hits else math.inf
 
 
+# name, check (rng, run) -> worst value, default tolerance
 _SELFTEST_CHECKS = (
-    ("transfer", _check_transfer),
-    ("prufer", _check_prufer),
-    ("unitarity", _check_unitarity),
-    ("green", _check_green),
-    ("reality", _check_reality),
-    ("presets", _check_presets),
-    ("reconstruction", _check_reconstruction),
+    ("transfer", _check_transfer, 1e-8),
+    ("prufer", _check_prufer, 1e-8),
+    ("unitarity", _check_unitarity, 1e-12),
+    ("green", _check_green, 1e-6),
+    ("reality", _check_reality, 1e-10),
+    ("presets", _check_presets, 1e-12),
+    ("reconstruction", _check_reconstruction, 1e-8),
 )
 
 
 def _cmd_selftest(run: RunConfig) -> int:
     rng = np.random.default_rng(run.seed)
     checks = []
-    for name, fn in _SELFTEST_CHECKS:
-        tol = run.tol.get(name, SELFTEST_TOLS[name])
+    for name, fn, default in _SELFTEST_CHECKS:
+        tol = run.tol.get(name, default)
         value = float(fn(rng, run))
         checks.append({"name": name, "value": value, "tol": tol, "ok": value <= tol})
     passed = sum(c["ok"] for c in checks)

@@ -175,6 +175,15 @@ def _pool_map(fn, args_list, jobs: int):
         return list(pool.map(fn, args_list))
 
 
+def _check_lags(plan: ExperimentPlan, lag) -> None:
+    """Every N of the plan must exceed the lag T = lag(lambda, autom) of
+    every lambda, checked before any cell runs."""
+    for lam in plan.lams:
+        T = lag(lam, plan.autom)
+        if min(plan.Ns) <= T:
+            raise ValueError(f"N = {min(plan.Ns)} must exceed the lag T = {T} at lambda = {lam}")
+
+
 # ---------------------------------------------------------------------------
 # Lyapunov scaling
 
@@ -241,8 +250,10 @@ def lyapunov_scaling(plan: ExperimentPlan, jobs: int = 1) -> LyapunovScalingResu
     rate on the same orbit pass: the Prufer sum of log(H_n) / 2 over N
     and the polynomial route's log |phi_N| / N. The residual fit regresses
     log median residual on log lambda; its slope measures the order of the
-    remainder and needs at least two distinct lambdas.
+    remainder and needs at least two distinct lambdas. Every N must exceed
+    the expansion's lag T.
     """
+    _check_lags(plan, default_decorrelation_time)
     cells = []
     idx = 0
     for lam in plan.lams:
@@ -478,10 +489,7 @@ def ldt_deviation(
     fam = FAMILIES[family]
     if fam.reads_angle and len(plan.etas) > 1:
         raise ValueError(f"the {family} family runs at one eta, got {len(plan.etas)}")
-    for lam in plan.lams:
-        T = fam.lag(lam, plan.autom)
-        if min(plan.Ns) <= T:
-            raise ValueError(f"N = {min(plan.Ns)} must exceed the lag T = {T} at lambda = {lam}")
+    _check_lags(plan, fam.lag)
     rows = _deviation_rows(plan, family, threshold_fn or fam.threshold, jobs)
     fits = tuple(
         (name, _fit_positive_cells([r for r in rows if r.family == name]))

@@ -17,7 +17,7 @@ import numpy as np
 from ._kernels import monic_scan
 from .cmv_operator import FiniteCMV, N_BANDS_UP, build, _check_unimodular
 from .experiments import _csv, linear_fit
-from .verblunsky import VerblunskyConfig, coefficient, sequence
+from .verblunsky import VerblunskyConfig, sequence
 
 DIRECT_RESIDUAL_TOL = 1e-10
 BLOWUP_DISTANCE = 1e-12
@@ -219,17 +219,19 @@ def boundary_vector(
     side: str,
     bdata: complex,
     z: complex,
-    cfg: VerblunskyConfig,
+    alphas: np.ndarray,
 ) -> complex:
     """Edge scalar pairing with a resolvent column to rebuild solutions.
 
-    xi is indexed by absolute site number and must cover the endpoint
-    and its outward neighbor (index-1 for the left edge, index+1 for
-    the right). The four cases (edge side x index parity) share one
-    shape: a z-linear combination of the endpoint value and the outward
-    neighbor, with coefficients built from the boundary value and the
-    coefficient/radius pair at the cut bond; odd indices conjugate the
-    coefficient data and flip the overall sign.
+    xi and the coefficient sequence alphas are indexed by absolute site
+    number. xi must cover the endpoint and its outward neighbor (index-1
+    for the left edge, index+1 for the right), alphas the cut bond
+    (index-1 for the left edge, index for the right). The four cases
+    (edge side x index parity) share one shape: a z-linear combination of
+    the endpoint value and the outward neighbor, with coefficients built
+    from the boundary value and the coefficient/radius pair at the cut
+    bond; odd indices conjugate the coefficient data and flip the overall
+    sign.
     """
     z = complex(z)
     bdata = complex(bdata)
@@ -238,7 +240,7 @@ def boundary_vector(
         raise ValueError("side must be 'left' or 'right'")
     if side == "left" and index < 1:
         raise ValueError("left edge vector needs index >= 1")
-    al = coefficient(cfg, index - 1 if side == "left" else index)
+    al = complex(alphas[index - 1 if side == "left" else index])
     r = math.sqrt(1.0 - (al.real * al.real + al.imag * al.imag))
     if side == "left":
         if index % 2 == 0:
@@ -286,8 +288,9 @@ def reconstruction_residual(
     op = build(cfg, a, b, beta, gamma)
     col_a = _solve_column(op, z, 0)
     col_b = _solve_column(op, z, op.m - 1)
-    xa = boundary_vector(xi, a, "left", beta, z, cfg)
-    xb = boundary_vector(xi, b, "right", gamma, z, cfg)
+    alphas = sequence(cfg, b + 1)[0]
+    xa = boundary_vector(xi, a, "left", beta, z, alphas)
+    xb = boundary_vector(xi, b, "right", gamma, z, alphas)
     scale = float(np.max(np.abs(xi[a : b + 1])))
     if scale == 0.0:
         return 0.0

@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .torus_dynamics import TWO_PI, ToralAutomorphism, TorusPoint, frequency_pushforward
+from .torus_dynamics import TWO_PI, ToralAutomorphism, frequency_pushforward
 
 
 @dataclass(frozen=True)
@@ -71,14 +71,6 @@ def preset(name: str) -> TrigPolynomial:
     except KeyError:
         raise ValueError(f"unknown preset {name!r}; choices: {sorted(PRESETS)}")
     return TrigPolynomial.from_coeffs(coeffs)
-
-
-def evaluate(alpha: TrigPolynomial, p: TorusPoint) -> complex:
-    """Value of the polynomial at one torus point."""
-    out = 0.0 + 0.0j
-    for (k1, k2), c in alpha.coeffs.items():
-        out += c * complex(math.cos(k1 * p.x + k2 * p.y), math.sin(k1 * p.x + k2 * p.y))
-    return out
 
 
 def evaluate_many(alpha: TrigPolynomial, x: np.ndarray, y: np.ndarray) -> np.ndarray:

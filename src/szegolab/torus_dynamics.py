@@ -2,9 +2,7 @@
 
 The torus is R^2 / (2 pi Z)^2. An automorphism is an integer matrix with
 determinant one and trace of modulus larger than two, acting by matrix
-multiplication modulo 2 pi. Points can carry exact rational coordinates
-(in turns, i.e. fractions of 2 pi) so periodic orbits and group laws can be
-checked without rounding. Float orbits come from one stream, orbit_slices,
+multiplication modulo 2 pi. Orbits come from one stream, orbit_slices,
 which every consumer reads.
 """
 
@@ -12,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -39,10 +36,6 @@ class ToralAutomorphism:
     def expansion_rate(self) -> float:
         """Log of the expanding eigenvalue modulus, the orbit's growth rate."""
         return math.log(abs(self.rho))
-
-    def inverse_entries(self) -> Entries:
-        (a, b), (c, d) = self.entries
-        return ((d, -b), (-c, a))
 
 
 def _eigvec(entries: Entries, t: float) -> tuple[float, float]:
@@ -97,39 +90,19 @@ CAT_MAP = validate([[2, 1], [1, 1]])
 
 @dataclass(frozen=True)
 class TorusPoint:
-    """Point on the torus, radian coordinates in [0, 2 pi).
-
-    x_turn/y_turn, when present, are exact coordinates as fractions of a
-    full turn; the float fields are derived from them.
-    """
+    """Point on the torus, radian coordinates in [0, 2 pi)."""
 
     x: float
     y: float
-    x_turn: Fraction | None = None
-    y_turn: Fraction | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "x", self.x % TWO_PI)
         object.__setattr__(self, "y", self.y % TWO_PI)
 
     @classmethod
-    def from_radians(cls, x: float, y: float) -> "TorusPoint":
-        return cls(x=float(x), y=float(y))
-
-    @classmethod
-    def from_turns(cls, x_turn, y_turn) -> "TorusPoint":
-        fx = Fraction(x_turn) % 1
-        fy = Fraction(y_turn) % 1
-        return cls(x=TWO_PI * float(fx), y=TWO_PI * float(fy), x_turn=fx, y_turn=fy)
-
-    @classmethod
     def random(cls, rng: np.random.Generator) -> "TorusPoint":
         x, y = rng.uniform(0.0, TWO_PI, size=2)
         return cls(x=float(x), y=float(y))
-
-    @property
-    def is_exact(self) -> bool:
-        return self.x_turn is not None and self.y_turn is not None
 
 
 def matrix_power(entries: Entries, n: int) -> Entries:
@@ -154,26 +127,6 @@ def matrix_power(entries: Entries, n: int) -> Entries:
         )
         n >>= 1
     return result
-
-
-def iterate(A: ToralAutomorphism, p: TorusPoint, n: int) -> TorusPoint:
-    """Apply the automorphism n times (inverse for negative n).
-
-    Exact points go through integer matrix powers acting on turn fractions.
-    Float points take the last point of the orbit of A or its inverse,
-    reduced modulo 2 pi after each step.
-    """
-    if n == 0:
-        return p
-    if p.is_exact:
-        (a, b), (c, d) = matrix_power(A.entries, n)
-        fx = (a * p.x_turn + b * p.y_turn) % 1
-        fy = (c * p.x_turn + d * p.y_turn) % 1
-        return TorusPoint.from_turns(fx, fy)
-    step = A if n > 0 else validate(A.inverse_entries())
-    for xs, ys in orbit_slices(step, [[p.x, p.y]], abs(n) + 1):
-        pass
-    return TorusPoint.from_radians(xs[0, -1], ys[0, -1])
 
 
 # Points per orbit slice of the coefficient streamers. Fixed: they feed one

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampling import TrigPolynomial, evaluate, evaluate_many
-from .torus_dynamics import ORBIT_BLOCK, ToralAutomorphism, TorusPoint, iterate, orbit_slices
+from .sampling import TrigPolynomial, evaluate_many
+from .torus_dynamics import ORBIT_BLOCK, ToralAutomorphism, TorusPoint, orbit_slices
 
 
 @dataclass(frozen=True)
@@ -35,14 +35,6 @@ class VerblunskyConfig:
                 "lam * sup_bound must stay below 1, got "
                 f"{self.lam * self.alpha.sup_bound}"
             )
-
-
-def coefficient(cfg: VerblunskyConfig, n: int) -> complex:
-    """Single coefficient alpha_n; n must be nonnegative."""
-    if n < 0:
-        raise ValueError("coefficient index must be nonnegative")
-    p = iterate(cfg.autom, cfg.base, n)
-    return cfg.lam * evaluate(cfg.alpha, p)
 
 
 def sample_slices(

@@ -67,7 +67,7 @@ def free_config(lam: float = 1e-300) -> VerblunskyConfig:
     """
     return VerblunskyConfig(
         lam=lam,
-        base=TorusPoint.from_radians(0.7, 1.3),
+        base=TorusPoint(0.7, 1.3),
         autom=CAT_MAP,
         alpha=preset("alpha0"),
     )

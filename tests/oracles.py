@@ -1,7 +1,8 @@
 """Scalar and dense references the tests hold the package's engines to.
 
 Each oracle computes a quantity the package also computes, by the plain
-route: one orbit step, one Prufer step or one cocycle step at a time, the
+route: one orbit step at a time (in floats, or exactly in fractions of a
+turn), one sample, one Prufer step or one cocycle step at a time, the
 zeta trace and the expansion terms from whole-orbit arrays, the window
 matrix filled densely from its bands, the product norm by SVD, one decay
 fit per eigenvector, correlations by Monte Carlo. None of them runs in
@@ -11,6 +12,7 @@ the package itself.
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -38,6 +40,29 @@ def scalar_orbit(
         xs[i], ys[i] = x, y
         x, y = (a * x + b * y) % TWO_PI, (c * x + d * y) % TWO_PI
     return xs, ys
+
+
+def exact_orbit(
+    A: ToralAutomorphism, x_turn, y_turn, n: int
+) -> list[tuple[Fraction, Fraction]]:
+    """The first n orbit points of a rational start, in turns (fractions
+    of 2 pi), stepped exactly and reduced modulo one turn."""
+    (a, b), (c, d) = A.entries
+    x, y = Fraction(x_turn) % 1, Fraction(y_turn) % 1
+    out = []
+    for _ in range(n):
+        out.append((x, y))
+        x, y = (a * x + b * y) % 1, (c * x + d * y) % 1
+    return out
+
+
+def evaluate(alpha: TrigPolynomial, x: float, y: float) -> complex:
+    """Value of the polynomial at one point of radian coordinates, one
+    frequency at a time through math.cos and math.sin."""
+    out = 0.0 + 0.0j
+    for (k1, k2), c in alpha.coeffs.items():
+        out += c * complex(math.cos(k1 * x + k2 * y), math.sin(k1 * x + k2 * y))
+    return out
 
 
 @dataclass(frozen=True)
@@ -246,9 +271,9 @@ def autocorrelation_birkhoff(
     x = rng.uniform(0.0, TWO_PI, size=samples)
     y = rng.uniform(0.0, TWO_PI, size=samples)
     v0 = evaluate_many(alpha, x, y)
-    (a, b), (c, d) = A.entries if n >= 0 else (
-        A.inverse_entries()
-    )
+    (a, b), (c, d) = A.entries
+    if n < 0:
+        (a, b), (c, d) = (d, -b), (-c, a)
     for _ in range(abs(n)):
         x, y = (a * x + b * y) % TWO_PI, (c * x + d * y) % TWO_PI
     vn = evaluate_many(alpha, x, y)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import szegolab
-from szegolab import cli
+from szegolab import cli, experiments
 from szegolab.cli import EMPTY_WINDOW_MARKER, main, parse
 from szegolab.experiments import FAMILIES, ExperimentPlan, lyapunov_scaling
 
@@ -32,6 +32,10 @@ STUDIES = {
     "localization": ("localize", dict(
         lams=(0.5,), etas=None, Ns=(400,), seed=3, lyap_N=200_000)),
 }
+
+
+# the selftest checks, in run order
+SELFTEST_NAMES = ("transfer", "prufer", "unitarity", "green", "reality", "presets", "reconstruction")
 
 
 @pytest.fixture(autouse=True)
@@ -101,7 +105,9 @@ def test_bad_tol_rejected(capsys):
     assert "NAME=VALUE" in capsys.readouterr().err
 
     assert main(["selftest", "--tol", "nonsense=1e-8"]) == 2
-    assert "unknown tolerance" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unknown tolerance" in err
+    assert all(repr(name) in err for name in SELFTEST_NAMES)
 
 
 def test_nonpositive_lambda_rejected(capsys):
@@ -113,10 +119,13 @@ def test_help_lists_every_option(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["ldt", "--help"])
     assert exc.value.code == 0
-    listed = re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.MULTILINE)
+    out = capsys.readouterr().out
+    listed = re.findall(r"^  (--[\w-]+)", out, re.MULTILINE)
     expected = ["--config", *(o.flag for o in cli._OPTIONS), "--tol"]
     assert sorted(listed) == sorted(expected)
     assert len(listed) == 24
+    tol_names = out.split("Selftest tolerance names for --tol:")[1]
+    assert re.findall(r"\w+", tol_names) == list(SELFTEST_NAMES)
 
 
 def test_family_choices_are_the_family_table():
@@ -292,6 +301,17 @@ def test_localize_over_the_cap_refuses_before_building(capsys):
     assert code == 2
     assert "capped" in capsys.readouterr().err
     assert peak < 1 << 20
+
+
+def test_lyapunov_refuses_a_short_N_before_any_cell(capsys, monkeypatch):
+    # N = 2 is below the lag T = 3 at lambda = 0.1; the 3e5-step cell that
+    # comes first in the grid must not run
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell ran before the lag check")
+
+    monkeypatch.setattr(experiments, "expansion_diagnostics", no_cell)
+    assert main(["lyapunov", "--N-grid", "300000,2", "--jobs", "1"]) == 2
+    assert "N = 2 must exceed the lag T = 3 at lambda = 0.1" in capsys.readouterr().err
 
 
 def test_green_csv_smoke(capsys):

@@ -23,7 +23,7 @@ from szegolab.greens import (
 from szegolab.sampling import preset
 from szegolab.szego_cocycle import SpectralPoint
 from szegolab.torus_dynamics import CAT_MAP, TorusPoint
-from szegolab.verblunsky import VerblunskyConfig
+from szegolab.verblunsky import VerblunskyConfig, sequence
 
 from helpers import free_config, random_config
 from oracles import dense, lyapunov_norm
@@ -118,31 +118,40 @@ def test_boundary_vector_validation():
     rng = np.random.default_rng(9)
     cfg = random_config(rng)
     xi = np.ones(10, dtype=np.complex128)
+    alphas, _ = sequence(cfg, 10)
     with pytest.raises(ValueError):
-        boundary_vector(xi, 0, "left", 1.0, 1.0, cfg)
+        boundary_vector(xi, 0, "left", 1.0, 1.0, alphas)
     with pytest.raises(ValueError):
-        boundary_vector(xi, 3, "middle", 1.0, 1.0, cfg)
+        boundary_vector(xi, 3, "middle", 1.0, 1.0, alphas)
+
+
+# (base point, window [0, N], reconstructed stretch [a, b])
+RECONSTRUCTION_CASES = [
+    ((1.1, 0.4), 80, 20, 60),
+    # both edges past step 40, where the float orbit of this start and its
+    # exact rational orbit have parted: the edge coefficients must be the
+    # window's own
+    ((2.0 * math.pi / 7.0, 4.0 * math.pi / 9.0), 160, 60, 120),
+]
 
 
 def test_eigenvector_reconstructs_through_window():
-    base = TorusPoint.from_radians(1.1, 0.4)
-    cfg = VerblunskyConfig(lam=0.5, base=base, autom=CAT_MAP, alpha=preset("alpha0"))
-    op = build(cfg, 0, 80, None, 1.0)
-    dec = eigenpairs(op)
-    peaks = np.argmax(np.abs(dec.vectors), axis=0)
-    candidates = np.argsort(np.abs(peaks - 40))
-    checked = 0
-    for j in candidates[:6]:
-        xi = dec.vectors[:, j]
-        try:
-            res = reconstruction_residual(
-                cfg, dec.eigenvalues[j], 20, 60, 1.0, 1.0, xi
-            )
-        except ResolventBlowupError:
-            continue
-        assert res <= 1e-6
-        checked += 1
-    assert checked >= 1
+    for (x, y), N, a, b in RECONSTRUCTION_CASES:
+        base = TorusPoint(x, y)
+        cfg = VerblunskyConfig(lam=0.5, base=base, autom=CAT_MAP, alpha=preset("alpha0"))
+        dec = eigenpairs(build(cfg, 0, N, None, 1.0))
+        peaks = np.argmax(np.abs(dec.vectors), axis=0)
+        candidates = np.argsort(np.abs(peaks - (a + b) // 2))
+        checked = 0
+        for j in candidates[:6]:
+            xi = dec.vectors[:, j]
+            try:
+                res = reconstruction_residual(cfg, dec.eigenvalues[j], a, b, 1.0, 1.0, xi)
+            except ResolventBlowupError:
+                continue
+            assert res <= 1e-6, (x, y, N, res)
+            checked += 1
+        assert checked >= 1
 
 
 def test_reconstruction_zero_input():
@@ -175,7 +184,7 @@ def test_random_vector_fails_reconstruction():
 
 
 def test_decay_rate_tracks_lyapunov_exponent():
-    base = TorusPoint.from_radians(0.8, 2.1)
+    base = TorusPoint(0.8, 2.1)
     cfg = VerblunskyConfig(lam=0.5, base=base, autom=CAT_MAP, alpha=preset("alpha0"))
     s = SpectralPoint(1.5708)
     prof = decay_profile(cfg, s.z, 300, None, 1.0)

@@ -17,7 +17,7 @@ from szegolab.prufer import (
 from szegolab.sampling import preset
 from szegolab.szego_cocycle import SpectralPoint, polynomials
 from szegolab.torus_dynamics import CAT_MAP, TorusPoint
-from szegolab.verblunsky import VerblunskyConfig, coefficient, sample_slices, sequence
+from szegolab.verblunsky import VerblunskyConfig, sample_slices, sequence
 
 from helpers import free_config, random_config, random_eta
 from oracles import PruferState, init, step, zeta_trace
@@ -25,7 +25,7 @@ from oracles import expansion_diagnostics as materialized_diagnostics
 
 
 def _cfg(lam, x=0.8, y=2.1, alpha="alpha0"):
-    base = TorusPoint.from_radians(x, y)
+    base = TorusPoint(x, y)
     return VerblunskyConfig(lam=lam, base=base, autom=CAT_MAP, alpha=preset(alpha))
 
 
@@ -59,7 +59,7 @@ def test_one_step_matches_first_polynomial():
         cfg = random_config(rng)
         eta = random_eta(rng)
         s = SpectralPoint(eta)
-        a = coefficient(cfg, 0)
+        a = complex(sequence(cfg, 1)[0][0])
         st = step(init(s), a, s)
         phi1 = (s.z - np.conj(a)) / math.sqrt(1.0 - abs(a) ** 2)
         assert math.exp(st.log_r) == pytest.approx(abs(phi1), rel=1e-14)
@@ -112,11 +112,12 @@ def test_zeta_trace_matches_run():
     s = SpectralPoint(random_eta(rng))
     N = 200
     zetas, log_r = zeta_trace(cfg, s, N)
+    alphas, _ = sequence(cfg, N)
     state = init(s)
     want = []
     for n in range(N):
         want.append(state.zeta)
-        state = step(state, coefficient(cfg, n), s)
+        state = step(state, alphas[n], s)
     assert len(zetas) == N
     assert np.allclose(zetas, want, atol=1e-12)
     assert log_r == pytest.approx(state.log_r, rel=1e-12, abs=1e-12)

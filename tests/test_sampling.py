@@ -9,13 +9,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import random_trig_poly
-from oracles import autocorrelation_birkhoff
+from oracles import autocorrelation_birkhoff, evaluate
 from szegolab.sampling import (
     CorrelationSpectrum,
     TrigPolynomial,
     autocorrelation_exact,
     correlation_cutoff,
-    evaluate,
     evaluate_many,
     preset,
     spectral_function,
@@ -66,13 +65,12 @@ def test_unknown_preset():
 
 
 def test_evaluate_examples():
-    assert evaluate(ALPHA0, TorusPoint.from_radians(0, 0)) == pytest.approx(1.0)
-    assert evaluate(ALPHA0, TorusPoint.from_radians(math.pi, 0)) == pytest.approx(
-        0.0, abs=1e-15
-    )
-    assert evaluate(
-        ALPHA0, TorusPoint.from_radians(math.pi / 2, math.pi)
-    ) == pytest.approx((1j - 1) / 2)
+    xs = np.array([0.0, math.pi, math.pi / 2])
+    ys = np.array([0.0, 0.0, math.pi])
+    values = evaluate_many(ALPHA0, xs, ys)
+    assert values[0] == pytest.approx(1.0)
+    assert values[1] == pytest.approx(0.0, abs=1e-15)
+    assert values[2] == pytest.approx((1j - 1) / 2)
 
 
 def test_evaluate_many_matches_pointwise():
@@ -83,7 +81,7 @@ def test_evaluate_many_matches_pointwise():
     vec = evaluate_many(alpha, xs, ys)
     for i in range(20):
         assert vec[i] == pytest.approx(
-            evaluate(alpha, TorusPoint.from_radians(xs[i], ys[i])), abs=1e-12
+            evaluate(alpha, xs[i], ys[i]), abs=1e-12
         )
 
 
@@ -92,7 +90,7 @@ def test_evaluate_bounded_by_sup(seed):
     rng = np.random.default_rng(seed)
     alpha = random_trig_poly(rng)
     p = TorusPoint.random(rng)
-    assert abs(evaluate(alpha, p)) <= alpha.sup_bound + 1e-12
+    assert abs(evaluate_many(alpha, p.x, p.y)) <= alpha.sup_bound + 1e-12
 
 
 # --- exact autocorrelation ------------------------------------------------

@@ -16,7 +16,7 @@ from szegolab.szego_cocycle import (
     transfer,
     transfer_identity_residual,
 )
-from szegolab.verblunsky import VerblunskyConfig, coefficient, sequence
+from szegolab.verblunsky import VerblunskyConfig, sequence
 from szegolab.torus_dynamics import CAT_MAP, TorusPoint
 
 from helpers import free_config, random_config, random_eta
@@ -110,7 +110,7 @@ def test_single_step_transfer_matches_step_matrix():
     cfg = random_config(rng)
     s = SpectralPoint(random_eta(rng))
     prod = transfer(cfg, s, 1)
-    expect = step_matrix(coefficient(cfg, 0), s)
+    expect = step_matrix(sequence(cfg, 1)[0][0], s)
     assert np.allclose(_recover(prod), expect, rtol=1e-14, atol=1e-14)
 
 
@@ -173,7 +173,7 @@ def test_single_step_polynomials():
     cfg = random_config(rng)
     eta = random_eta(rng)
     s = SpectralPoint(eta)
-    a = coefficient(cfg, 0)
+    a = complex(sequence(cfg, 1)[0][0])
     r = math.sqrt(1.0 - abs(a) ** 2)
     z = s.z
     q = polynomials(cfg, s, 1)
@@ -222,7 +222,7 @@ def test_modulus_duality_on_circle():
 
 
 def test_modulus_duality_long_run():
-    base = TorusPoint.from_radians(0.4, 1.9)
+    base = TorusPoint(0.4, 1.9)
     cfg = VerblunskyConfig(lam=0.3, base=base, autom=CAT_MAP, alpha=preset("alpha0"))
     q = polynomials(cfg, SpectralPoint(1.5708), 100_000)
     assert abs(q.phi_star) == pytest.approx(abs(q.phi), rel=1e-10)
@@ -253,7 +253,7 @@ def test_transfer_identity_long_product():
 
 
 def test_lyapunov_estimators_cross_agree():
-    base = TorusPoint.from_radians(2.2, 0.6)
+    base = TorusPoint(2.2, 0.6)
     cfg = VerblunskyConfig(lam=0.2, base=base, autom=CAT_MAP, alpha=preset("alpha0"))
     s = SpectralPoint(1.5708)
     N = 100_000

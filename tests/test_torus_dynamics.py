@@ -1,4 +1,5 @@
-"""Automorphism validation, orbit exactness, and frequency pushforward."""
+"""Automorphism validation, orbits against the exact rational orbit, and
+frequency pushforward."""
 
 import math
 from fractions import Fraction
@@ -14,19 +15,20 @@ from szegolab.torus_dynamics import (
     TWO_PI,
     TorusPoint,
     frequency_pushforward,
-    iterate,
     matrix_power,
     orbit_slices,
     validate,
 )
 
-from oracles import scalar_orbit
+from oracles import exact_orbit, scalar_orbit
 
 
-def _turns(p: TorusPoint):
-    """The exact coordinates of p, in turns."""
-    assert p.is_exact
-    return p.x_turn, p.y_turn
+def _radians(turns):
+    """(x, y) arrays of radian coordinates of points given in turns."""
+    return (
+        np.array([TWO_PI * float(x) for x, _ in turns]),
+        np.array([TWO_PI * float(y) for _, y in turns]),
+    )
 
 
 HYPERBOLIC = [
@@ -88,56 +90,53 @@ def test_eigen_data(mat):
 
 
 def test_origin_is_fixed():
-    p = TorusPoint.from_turns(0, 0)
-    for n in (1, 2, 17, -5):
-        assert _turns(iterate(CAT_MAP, p, n)) == _turns(p)
+    exact = exact_orbit(CAT_MAP, 0, 0, 40)
+    assert set(exact) == {(0, 0)}
+    ((xs, ys),) = orbit_slices(CAT_MAP, [[0.0, 0.0]], 40)
+    want_x, want_y = _radians(exact)
+    assert np.array_equal(xs[0], want_x) and np.array_equal(ys[0], want_y)
 
 
 def test_period_three_orbit():
-    # (pi, 0) -> (0, pi) -> (pi, pi) -> (pi, 0) under the cat map
-    p = TorusPoint.from_turns(Fraction(1, 2), 0)
-    q1 = iterate(CAT_MAP, p, 1)
-    q2 = iterate(CAT_MAP, p, 2)
-    q3 = iterate(CAT_MAP, p, 3)
-    assert _turns(q1) == (0, Fraction(1, 2))
-    assert _turns(q2) == (Fraction(1, 2), Fraction(1, 2))
-    assert _turns(q3) == _turns(p)
+    # (pi, 0) -> (0, pi) -> (pi, pi) -> (pi, 0) under the cat map; pi, 2 pi
+    # and 3 pi are exact in floats, so the float orbit is bitwise periodic
+    exact = exact_orbit(CAT_MAP, Fraction(1, 2), 0, 30)
+    half = Fraction(1, 2)
+    assert exact[:4] == [(half, 0), (0, half), (half, half), (half, 0)]
+    assert exact == exact[:3] * 10
+    ((xs, ys),) = orbit_slices(CAT_MAP, [[math.pi, 0.0]], 30)
+    want_x, want_y = _radians(exact)
+    assert np.array_equal(xs[0], want_x) and np.array_equal(ys[0], want_y)
 
 
 def test_fifth_root_step():
-    p = TorusPoint.from_turns(Fraction(1, 5), Fraction(1, 5))
-    q = iterate(CAT_MAP, p, 1)
-    assert _turns(q) == (Fraction(3, 5), Fraction(2, 5))
-    # float route lands on the same spot
-    pf = TorusPoint.from_radians(TWO_PI / 5.0, TWO_PI / 5.0)
-    qf = iterate(CAT_MAP, pf, 1)
-    assert qf.x == pytest.approx(6.0 * math.pi / 5.0, abs=1e-12)
-    assert qf.y == pytest.approx(4.0 * math.pi / 5.0, abs=1e-12)
+    assert exact_orbit(CAT_MAP, Fraction(1, 5), Fraction(1, 5), 2)[1] == (
+        Fraction(3, 5),
+        Fraction(2, 5),
+    )
+    # the float orbit lands on the same spot
+    ((xs, ys),) = orbit_slices(CAT_MAP, [[TWO_PI / 5.0, TWO_PI / 5.0]], 2)
+    assert xs[0, 1] == pytest.approx(6.0 * math.pi / 5.0, abs=1e-12)
+    assert ys[0, 1] == pytest.approx(4.0 * math.pi / 5.0, abs=1e-12)
 
 
-def test_iterate_zero_is_identity():
-    p = TorusPoint.from_radians(1.1, 2.2)
-    assert iterate(CAT_MAP, p, 0) is p
-
-
-def test_float_inverse_roundtrip():
-    p = TorusPoint.from_radians(0.37, 5.11)
-    q = iterate(CAT_MAP, iterate(CAT_MAP, p, 3), -3)
-    assert q.x == pytest.approx(p.x, abs=1e-9)
-    assert q.y == pytest.approx(p.y, abs=1e-9)
-
-
-turn = st.fractions(
-    min_value=0, max_value=1, max_denominator=97
-)
-
-
-@given(xt=turn, yt=turn, m=st.integers(-50, 50), n=st.integers(-50, 50))
-def test_group_property_exact(xt, yt, m, n):
-    p = TorusPoint.from_turns(xt, yt)
-    lhs = iterate(CAT_MAP, p, m + n)
-    rhs = iterate(CAT_MAP, iterate(CAT_MAP, p, m), n)
-    assert _turns(lhs) == _turns(rhs)
+@pytest.mark.parametrize("A", [CAT_MAP, validate([[2, -1], [-1, 1]])], ids=["cat", "signed"])
+def test_orbit_slices_shadow_exact_orbit(A):
+    # every start with denominator 5, 7 or 9, all rows of one batched
+    # stream: the float orbit leaves the exact one by at most a rounding
+    # of the coordinates, grown by rho per step
+    n = 31
+    starts = [
+        (Fraction(i, q), Fraction(j, q)) for q in (5, 7, 9) for i in range(q) for j in range(q)
+    ]
+    ((xs, ys),) = orbit_slices(A, np.column_stack(_radians(starts)), n)
+    bound = 2.0 * TWO_PI * np.finfo(float).eps * abs(A.rho) ** np.arange(n)
+    for row, (xt, yt) in enumerate(starts):
+        want_x, want_y = _radians(exact_orbit(A, xt, yt, n))
+        for got, want in ((xs[row], want_x), (ys[row], want_y)):
+            # distance on the circle of length 2 pi
+            gap = np.abs((got - want + math.pi) % TWO_PI - math.pi)
+            assert np.all(gap <= bound), (xt, yt)
 
 
 def test_matrix_power_inverse_cancels():
@@ -179,18 +178,9 @@ def test_orbit_equidistributes():
     assert abs(avg) <= 0.05
 
 
-def test_orbit_rows_match_iterate():
-    p = TorusPoint.from_radians(0.9, 0.4)
-    ((xs, ys),) = orbit_slices(CAT_MAP, [[p.x, p.y]], 6)
-    for n in range(6):
-        q = iterate(CAT_MAP, p, n)
-        assert xs[0, n] == pytest.approx(q.x, abs=1e-9)
-        assert ys[0, n] == pytest.approx(q.y, abs=1e-9)
-
-
 def test_orbit_blocks_concatenate():
     # the points do not depend on the slice width
-    p = TorusPoint.from_radians(2.5, 0.1)
+    p = TorusPoint(2.5, 0.1)
     n = 70_000
     ((xs, ys),) = orbit_slices(CAT_MAP, [[p.x, p.y]], n, n)
     slices = list(orbit_slices(CAT_MAP, [[p.x, p.y]], n))
@@ -232,29 +222,8 @@ def test_orbit_rows_bitwise_equal_to_scalar_orbits(A, B, n):
         assert np.array_equal(ys[b].view(np.uint64), want_y.view(np.uint64))
 
 
-@pytest.mark.parametrize("A", [CAT_MAP, validate([[2, -1], [-1, 1]])], ids=["cat", "signed"])
-@pytest.mark.parametrize("n", [1, 65535, 65536, 65537])
-def test_iterate_float_point_is_the_scalar_orbit(A, n):
-    # across the ORBIT_BLOCK edge, forward and backward
-    p = TorusPoint.from_radians(2.5, 0.1)
-    for m, step in ((n, A), (-n, validate(A.inverse_entries()))):
-        q = iterate(A, p, m)
-        want_x, want_y = scalar_orbit(step, p.x, p.y, n + 1)
-        assert (q.x, q.y) == (want_x[-1], want_y[-1])
-
-
-@pytest.mark.parametrize("n", [1, 5, 10])
-def test_iterate_float_round_trip(n):
-    # the float orbit loses a factor rho per step in the contracting
-    # direction, so only short round trips come back to 1e-9
-    p = TorusPoint.from_radians(2.5, 0.1)
-    q = iterate(CAT_MAP, iterate(CAT_MAP, p, n), -n)
-    assert q.x == pytest.approx(p.x, abs=1e-9)
-    assert q.y == pytest.approx(p.y, abs=1e-9)
-
-
 def test_torus_point_reduces_coordinates():
-    p = TorusPoint.from_radians(TWO_PI + 0.5, -0.5)
+    p = TorusPoint(TWO_PI + 0.5, -0.5)
     assert 0.0 <= p.x < TWO_PI
     assert 0.0 <= p.y < TWO_PI
     assert p.x == pytest.approx(0.5)

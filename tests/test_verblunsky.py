@@ -1,17 +1,16 @@
 """Coefficient sequences sampled along torus orbits."""
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from helpers import random_config
+from oracles import evaluate, scalar_orbit
 from szegolab.sampling import preset
 from szegolab.torus_dynamics import CAT_MAP, TorusPoint
 from szegolab.verblunsky import (
     VerblunskyConfig,
-    coefficient,
     coefficient_slices,
     sample_slices,
     sequence,
@@ -22,43 +21,45 @@ ALPHA0 = preset("alpha0")
 
 def fixed_point_config(lam=0.1):
     return VerblunskyConfig(
-        lam=lam, base=TorusPoint.from_turns(0, 0), autom=CAT_MAP, alpha=ALPHA0
+        lam=lam, base=TorusPoint(0.0, 0.0), autom=CAT_MAP, alpha=ALPHA0
     )
 
 
 def test_fixed_point_coefficients_constant():
-    cfg = fixed_point_config(0.1)
+    alphas, _ = sequence(fixed_point_config(0.1), 41)
     for n in (0, 1, 5, 40):
-        assert coefficient(cfg, n) == pytest.approx(0.1, abs=1e-15)
+        assert alphas[n] == pytest.approx(0.1, abs=1e-15)
 
 
 def test_period_three_zeros():
     cfg = VerblunskyConfig(
         lam=0.2,
-        base=TorusPoint.from_turns(Fraction(1, 2), 0),
+        base=TorusPoint(math.pi, 0.0),
         autom=CAT_MAP,
         alpha=ALPHA0,
     )
     # the orbit visits (pi,0), (0,pi), (pi,pi); alpha0 vanishes at the
     # first two and equals -1 at the third
-    assert coefficient(cfg, 0) == pytest.approx(0.0, abs=1e-15)
-    assert coefficient(cfg, 1) == pytest.approx(0.0, abs=1e-15)
-    assert coefficient(cfg, 2) == pytest.approx(-0.2, abs=1e-15)
+    alphas, _ = sequence(cfg, 3)
+    assert alphas[0] == pytest.approx(0.0, abs=1e-15)
+    assert alphas[1] == pytest.approx(0.0, abs=1e-15)
+    assert alphas[2] == pytest.approx(-0.2, abs=1e-15)
 
 
 def test_negative_index_rejected():
+    # a sequence of negative length
     with pytest.raises(ValueError):
-        coefficient(fixed_point_config(), -1)
+        sequence(fixed_point_config(), -1)
 
 
 def test_coupling_validation():
     with pytest.raises(ValueError):
         VerblunskyConfig(
-            lam=1.0, base=TorusPoint.from_radians(0, 0), autom=CAT_MAP, alpha=ALPHA0
+            lam=1.0, base=TorusPoint(0.0, 0.0), autom=CAT_MAP, alpha=ALPHA0
         )
     with pytest.raises(ValueError):
         VerblunskyConfig(
-            lam=-0.1, base=TorusPoint.from_radians(0, 0), autom=CAT_MAP, alpha=ALPHA0
+            lam=-0.1, base=TorusPoint(0.0, 0.0), autom=CAT_MAP, alpha=ALPHA0
         )
 
 
@@ -67,7 +68,7 @@ def test_rho_examples():
     assert sequence(cfg, 1)[1][0] == pytest.approx(math.sqrt(0.99), abs=1e-15)
     zero = VerblunskyConfig(
         lam=0.2,
-        base=TorusPoint.from_turns(Fraction(1, 2), 0),
+        base=TorusPoint(math.pi, 0.0),
         autom=CAT_MAP,
         alpha=ALPHA0,
     )
@@ -83,16 +84,16 @@ def test_pythagorean_identity():
 
 
 def test_sequence_matches_pointwise():
-    # comparison indices stay small: the orbit is chaotic, so any one-ulp
-    # difference between the batch and pointwise coordinate paths would be
-    # amplified by rho^n
+    # against the scalar orbit and one scalar evaluation per point
     rng = np.random.default_rng(13)
     cfg = random_config(rng)
     alphas, rhos = sequence(cfg, 50)
     assert len(alphas) == len(rhos) == 50
-    for n in (0, 1, 5, 9):
-        assert alphas[n] == pytest.approx(coefficient(cfg, n), abs=1e-9)
-        assert rhos[n] == pytest.approx(math.sqrt(1.0 - abs(coefficient(cfg, n)) ** 2), abs=1e-9)
+    xs, ys = scalar_orbit(cfg.autom, cfg.base.x, cfg.base.y, 50)
+    for n in range(50):
+        want = cfg.lam * evaluate(cfg.alpha, xs[n], ys[n])
+        assert alphas[n] == pytest.approx(want, abs=1e-12)
+        assert rhos[n] == pytest.approx(math.sqrt(1.0 - abs(want) ** 2), abs=1e-12)
 
 
 def test_sup_bound_strict():
