@@ -32,7 +32,6 @@ from .experiments import (
 )
 from .greens import (
     GreenFitError,
-    GreenQuery,
     ResolventBlowupError,
     decay_profile,
     green_direct,
@@ -578,9 +577,8 @@ def _cmd_green(run: RunConfig) -> int:
         alpha=run.alpha,
     )
     eta = run.etas[0] if run.etas is not None else 0.5 * math.pi
-    profile = decay_profile(
-        cfg, SpectralPoint(eta=eta).z, run.Ns[0], None, run.gamma, columns=run.columns
-    )
+    op = build(cfg, 0, run.Ns[0], None, run.gamma)
+    profile = decay_profile(op, SpectralPoint(eta=eta).z, columns=run.columns)
     return _emit_table(
         run,
         profile.csv,
@@ -669,14 +667,12 @@ def _check_green(rng, run: RunConfig) -> float:
         cfg, s = _random_case(rng, run)
         b = int(rng.integers(12, 60))
         n1, n2 = (int(n) for n in rng.integers(0, b + 1, size=2))
-        q = GreenQuery(
-            cfg=cfg, a=0, b=b, beta=None, gamma=_unimodular(rng), z=s.z, n1=n1, n2=n2
-        )
+        op = build(cfg, 0, b, None, _unimodular(rng))
         try:
-            direct = abs(green_direct(q))
+            direct = abs(green_direct(op, s.z, n1, n2))
         except ResolventBlowupError:
             continue
-        formula = green_modulus_formula(q)
+        formula = green_modulus_formula(op, s.z, n1, n2)
         worst = max(worst, abs(formula - direct) / max(direct, 1e-300))
         hits += 1
     return worst if hits >= 6 else math.inf
@@ -707,16 +703,14 @@ def _check_presets(rng, run: RunConfig) -> float:
 
 def _check_reconstruction(rng, run: RunConfig) -> float:
     cfg, _ = _random_case(rng, run)
-    op = build(cfg, 0, 80, None, 1.0)
-    dec = eigenpairs(op)
+    dec = eigenpairs(build(cfg, 0, 80, None, 1.0))
+    window = build(cfg, 20, 60, 1.0, 1.0)
     worst = 0.0
     hits = 0
     for j in range(min(3, dec.count)):
         xi = dec.vectors[:, j]
         try:
-            resid = reconstruction_residual(
-                cfg, complex(dec.eigenvalues[j]), 20, 60, 1.0, 1.0, xi
-            )
+            resid = reconstruction_residual(window, complex(dec.eigenvalues[j]), xi)
         except ResolventBlowupError:
             continue
         worst = max(worst, resid)

@@ -133,11 +133,16 @@ def band_matvec(bands: np.ndarray, v: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class FiniteCMV:
     """Unitary restriction of the half-line operator to [a, b], stored as
-    its pentadiagonal bands."""
+    its pentadiagonal bands, with what build read: the unmodified
+    coefficients alpha_0 .. alpha_{b+1} and the boundary values beta (None
+    when a == 0) and gamma."""
 
     a: int
     b: int
     bands: np.ndarray
+    alphas: np.ndarray
+    beta: complex | None
+    gamma: complex
 
     @property
     def m(self) -> int:
@@ -177,27 +182,34 @@ def build(
     cfg: VerblunskyConfig,
     a: int,
     b: int,
-    beta: complex,
+    beta: complex | None,
     gamma: complex,
 ) -> FiniteCMV:
     """Unitary finite matrix on [a, b] with boundary data (beta, gamma).
 
-    beta replaces the coefficient at index a - 1 (ignored when a == 0,
-    where the half line already starts cleanly); gamma replaces the one at
-    index b. Both must be unimodular. Fails hard when the assembled matrix
-    is not unitary to 1e-10.
+    beta replaces the coefficient at index a - 1 and must be None exactly
+    when a == 0, where the half line already starts cleanly; gamma
+    replaces the one at index b. Both must be unimodular. The window's
+    coefficients are read once, here: the result keeps them with beta and
+    gamma, and the resolvent routes read nothing else. Fails hard when the
+    assembled matrix is not unitary to 1e-10.
     """
     if not (0 <= a < b):
         raise ValueError("need 0 <= a < b")
     if b - a < 2:
         raise ValueError("window needs at least 3 sites")
+    if (beta is None) != (a == 0):
+        raise ValueError("beta must be None exactly when a == 0")
     gamma = _check_unimodular("gamma", gamma)
-    beta = _check_unimodular("beta", beta) if a >= 1 else None
-    alphas = sequence(cfg, b + 2)[0].copy()
+    alphas = sequence(cfg, b + 2)[0]
+    modified = alphas.copy()
     if beta is not None:
-        alphas[a - 1] = beta
-    alphas[b] = gamma
-    op = FiniteCMV(a=a, b=b, bands=_window_bands(alphas, a, b))
+        beta = _check_unimodular("beta", beta)
+        modified[a - 1] = beta
+    modified[b] = gamma
+    op = FiniteCMV(
+        a=a, b=b, bands=_window_bands(modified, a, b), alphas=alphas, beta=beta, gamma=gamma
+    )
     defect = op.unitarity_defect()
     if defect > UNITARITY_HARD_TOL:
         raise ConstructionError(f"unitarity defect {defect:.3e} exceeds hard bound")

@@ -5,6 +5,9 @@ of the half-line operator: direct entry queries by banded solve, a
 three-determinant product formula for |G| on the unit circle, edge
 vectors that rebuild interior solution values from the two extreme
 resolvent columns, and decay-rate profiles of log|G| along a window.
+Each route takes a window from cmv_operator.build and reads its bands,
+coefficients and boundary values; none walks an orbit. Sites are
+absolute: a window on [a, b] answers for n1, n2 in [a, b].
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import monic_scan
-from .cmv_operator import FiniteCMV, N_BANDS_UP, build, _check_unimodular
+from .cmv_operator import FiniteCMV, N_BANDS_UP
 from .experiments import _csv, linear_fit
-from .verblunsky import VerblunskyConfig, sequence
+from .szego_cocycle import _log_rho
 
 DIRECT_RESIDUAL_TOL = 1e-10
 BLOWUP_DISTANCE = 1e-12
@@ -38,40 +41,6 @@ class ResolventBlowupError(Exception):
 
 class GreenFitError(Exception):
     """Too few usable entries survived to fit a decay rate."""
-
-
-@dataclass(frozen=True)
-class GreenQuery:
-    """One resolvent entry request on the window [a, b].
-
-    z is a plain complex number so that off-circle queries reach the
-    direct solver; the modulus formula itself insists on |z| = 1. beta
-    is None exactly when a == 0 (the half-line start needs no left
-    boundary value), matching the window constructor.
-    """
-
-    cfg: VerblunskyConfig
-    a: int
-    b: int
-    beta: complex | None
-    gamma: complex
-    z: complex
-    n1: int
-    n2: int
-
-    def __post_init__(self):
-        if not (0 <= self.a < self.b):
-            raise ValueError("need 0 <= a < b")
-        if self.b - self.a < 2:
-            raise ValueError("window needs at least 3 sites")
-        if (self.beta is None) != (self.a == 0):
-            raise ValueError("beta must be None exactly when a == 0")
-        if self.beta is not None:
-            _check_unimodular("beta", self.beta)
-        _check_unimodular("gamma", self.gamma)
-        for name, n in (("n1", self.n1), ("n2", self.n2)):
-            if not (self.a <= n <= self.b):
-                raise ValueError(f"{name} = {n} outside [{self.a}, {self.b}]")
 
 
 def _solve_column(op: FiniteCMV, z: complex, col: int) -> np.ndarray:
@@ -101,11 +70,18 @@ def _solve_column(op: FiniteCMV, z: complex, col: int) -> np.ndarray:
     return u
 
 
-def green_direct(q: GreenQuery) -> complex:
-    """Entry (n1, n2) of (C - z)^{-1} on the window, by banded solve."""
-    op = build(q.cfg, q.a, q.b, q.beta, q.gamma)
-    u = _solve_column(op, q.z, q.n2 - q.a)
-    return complex(u[q.n1 - q.a])
+def _check_sites(op: FiniteCMV, n1: int, n2: int) -> None:
+    for name, n in (("n1", n1), ("n2", n2)):
+        if not (op.a <= n <= op.b):
+            raise ValueError(f"{name} = {n} outside [{op.a}, {op.b}]")
+
+
+def green_direct(op: FiniteCMV, z: complex, n1: int, n2: int) -> complex:
+    """Entry (n1, n2) of (C - z)^{-1} on the window, by banded solve, at
+    any z off the spectrum (the modulus formula needs |z| = 1)."""
+    _check_sites(op, n1, n2)
+    u = _solve_column(op, z, n2 - op.a)
+    return complex(u[n1 - op.a])
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +114,6 @@ def _edge_det(phi: complex, phs: complex, gamma_bar: complex, z: complex) -> com
 
 def _log_green_formula(
     alphas: np.ndarray,
-    rhos: np.ndarray,
     b: int,
     gamma: complex,
     z: complex,
@@ -181,12 +156,11 @@ def _log_green_formula(
             raise ResolventBlowupError("interior determinant underflow", 0.0)
         log_det2 = math.log(abs(det2)) + m_ls
 
-    log_rho = float(np.sum(np.log(rhos[n1:n2]))) if n2 > n1 else 0.0
-    return log_det1 + log_det2 - log_det3 + log_rho
+    return log_det1 + log_det2 - log_det3 + float(_log_rho(alphas[n1:n2]))
 
 
-def green_modulus_formula(q: GreenQuery) -> float:
-    """|G(n1, n2)| on [0, b] from three boundary determinants.
+def green_modulus_formula(op: FiniteCMV, z: complex, n1: int, n2: int) -> float:
+    """|G(n1, n2)| on a window [0, b] from three boundary determinants.
 
     The identity expresses the entry modulus as |d1 d2 / d3| times the
     product of complementary radii between the two indices, where d1 is
@@ -199,14 +173,14 @@ def green_modulus_formula(q: GreenQuery) -> float:
     through the direct solver. Index order does not matter: the entry
     modulus is symmetric, so the query is normalized to n1 <= n2.
     """
-    if q.a != 0:
+    if op.a != 0:
         raise ValueError("formula route needs the window to start at 0")
-    z = complex(q.z)
+    _check_sites(op, n1, n2)
+    z = complex(z)
     if abs(abs(z) - 1.0) > 1e-9:
         raise ValueError("modulus formula holds on the unit circle only")
-    n1, n2 = min(q.n1, q.n2), max(q.n1, q.n2)
-    alphas, rhos = sequence(q.cfg, q.b + 1)
-    return math.exp(_log_green_formula(alphas, rhos, q.b, q.gamma, z, n1, n2))
+    n1, n2 = min(n1, n2), max(n1, n2)
+    return math.exp(_log_green_formula(op.alphas, op.b, op.gamma, z, n1, n2))
 
 
 # ---------------------------------------------------------------------------
@@ -261,36 +235,28 @@ def boundary_vector(
     )
 
 
-def reconstruction_residual(
-    cfg: VerblunskyConfig,
-    z: complex,
-    a: int,
-    b: int,
-    beta: complex,
-    gamma: complex,
-    xi: np.ndarray,
-) -> float:
+def reconstruction_residual(op: FiniteCMV, z: complex, xi: np.ndarray) -> float:
     """Sup-norm defect of the two-column interior reconstruction.
 
     xi must solve the full operator's eigenvalue equation at z on an
-    interval strictly containing [a, b] (one extra site on each side).
+    interval strictly containing the window [a, b] (one extra site on each
+    side), indexed by absolute site. The window must start at a >= 1.
     Interior values are rebuilt as G(n, a) xitilde(a) + G(n, b)
     xitilde(b) from the window resolvent columns at the two edges; the
     return value is the max interior mismatch over the sup of |xi| on
     the window. Zero input gives zero.
     """
+    a, b = op.a, op.b
     if a < 1:
         raise ValueError("reconstruction needs a >= 1 for the left edge vector")
     z = complex(z)
     xi = np.asarray(xi, dtype=np.complex128)
     if len(xi) < b + 2:
         raise ValueError("xi must cover the outward neighbors of both edges")
-    op = build(cfg, a, b, beta, gamma)
     col_a = _solve_column(op, z, 0)
     col_b = _solve_column(op, z, op.m - 1)
-    alphas = sequence(cfg, b + 1)[0]
-    xa = boundary_vector(xi, a, "left", beta, z, alphas)
-    xb = boundary_vector(xi, b, "right", gamma, z, alphas)
+    xa = boundary_vector(xi, a, "left", op.beta, z, op.alphas)
+    xb = boundary_vector(xi, b, "right", op.gamma, z, op.alphas)
     scale = float(np.max(np.abs(xi[a : b + 1])))
     if scale == 0.0:
         return 0.0
@@ -325,15 +291,8 @@ class DecayProfile:
 MIN_FIT_PAIRS = 10
 
 
-def decay_profile(
-    cfg: VerblunskyConfig,
-    z: complex,
-    N: int,
-    beta: complex | None,
-    gamma: complex,
-    columns: int = 12,
-) -> DecayProfile:
-    """Decay-rate fit of resolvent entries over the window [0, N].
+def decay_profile(op: FiniteCMV, z: complex, columns: int = 12) -> DecayProfile:
+    """Decay-rate fit of resolvent entries over the window.
 
     Samples min(columns, hi - lo + 1) evenly spaced resolvent columns
     over the middle [lo, hi] of the window, keeps every finite log-modulus
@@ -342,10 +301,10 @@ def decay_profile(
     blows up are skipped and counted; fewer than MIN_FIT_PAIRS surviving
     entries abort the fit. The caller is responsible for keeping z away
     from the window spectrum (the experiment layer picks z inside a
-    spectral window and at a checked distance).
+    spectral window and at a checked distance). The rows give absolute
+    sites.
     """
     z = complex(z)
-    op = build(cfg, 0, N, None, gamma)
     m = op.m
     lo, hi = m // 8, (7 * m) // 8
     k = min(columns, hi - lo + 1)
@@ -364,9 +323,11 @@ def decay_profile(
         mags = np.abs(u[lo : hi + 1])
         with np.errstate(divide="ignore"):
             logs = np.log(mags)
-        for i, lg in enumerate(logs):
+        # one int per column, shared by its rows (one per row: +3 MiB at 10^4 sites)
+        col = op.a + n2
+        for n1, lg in enumerate(logs, op.a + lo):
             if math.isfinite(lg):
-                rows.append((lo + i, n2, float(lg)))
+                rows.append((n1, col, float(lg)))
     if len(rows) < MIN_FIT_PAIRS:
         raise GreenFitError(f"only {len(rows)} usable entries, need {MIN_FIT_PAIRS}")
     fit = linear_fit([-abs(n1 - n2) for n1, n2, _ in rows], [lg for _, _, lg in rows])

@@ -95,7 +95,7 @@ def test_free_five_site_window_is_a_cycle():
 )
 def test_window_matches_dense_factor_product(a, b):
     rng = np.random.default_rng(a + b)
-    beta = cmath.exp(0.4j)
+    beta = cmath.exp(0.4j) if a >= 1 else None
     gamma = cmath.exp(-1.1j)
     # moderate coefficients, then coefficients close to the unit circle
     for cfg in (random_config(rng), random_config(rng, lam_hi_frac=0.999)):
@@ -120,6 +120,10 @@ def test_window_metadata():
     gamma = cmath.exp(0.3j)
     op = build(cfg, 3, 9, beta, gamma)
     assert op.m == 7
+    # the window keeps what it read: the unmodified coefficients 0 .. b+1
+    assert np.array_equal(op.alphas, sequence(cfg, 11)[0])
+    assert (op.beta, op.gamma) == (beta, gamma)
+    assert build(cfg, 0, 9, None, gamma).beta is None
 
 
 def test_build_validation():
@@ -133,6 +137,11 @@ def test_build_validation():
         build(cfg, 0, 4, None, 0.5)
     with pytest.raises(ConstructionError):
         build(cfg, 2, 6, 0.5, 1.0)
+    # beta is None exactly when a == 0
+    with pytest.raises(ValueError, match="beta"):
+        build(cfg, 2, 6, None, 1.0)
+    with pytest.raises(ValueError, match="beta"):
+        build(cfg, 0, 4, 1.0, 1.0)
 
 
 def test_unitarity_defect_small():
@@ -153,7 +162,8 @@ def test_unitarity_defect_matches_dense():
         cfg = random_config(rng, lam_hi_frac=0.999 if k % 2 else 0.9)
         a = int(rng.integers(0, 4))
         b = a + int(rng.integers(2, 80))
-        op = build(cfg, a, b, cmath.exp(0.7j * k), cmath.exp(-1.3j * k))
+        beta = cmath.exp(0.7j * k) if a >= 1 else None
+        op = build(cfg, a, b, beta, cmath.exp(-1.3j * k))
         assert abs(op.unitarity_defect() - _dense_defect(dense(op))) <= 1e-15
 
 
@@ -378,7 +388,9 @@ def test_eigenpairs_split_exactly_degenerate_eigenvalues_of_c():
     # the right edge alpha_{2k+1} = -1 repeats alpha_k
     alphas = np.concatenate((half, [-1.0], half, [-1.0, 0.0]))
     b = 2 * k + 1
-    op = FiniteCMV(a=0, b=b, bands=_window_bands(alphas, 0, b))
+    op = FiniteCMV(
+        a=0, b=b, bands=_window_bands(alphas, 0, b), alphas=alphas, beta=None, gamma=-1.0
+    )
     assert op.unitarity_defect() <= 1e-14
     schur = _schur_etas(op)
     assert np.max(np.abs(schur[0::2] - schur[1::2])) <= 1e-12

@@ -8,11 +8,10 @@ import math
 import numpy as np
 import pytest
 
-from szegolab import greens
+from szegolab import greens, verblunsky
 from szegolab.cmv_operator import build, eigenpairs
 from szegolab.greens import (
     GreenFitError,
-    GreenQuery,
     ResolventBlowupError,
     boundary_vector,
     decay_profile,
@@ -23,6 +22,7 @@ from szegolab.greens import (
 from szegolab.sampling import preset
 from szegolab.szego_cocycle import SpectralPoint
 from szegolab.torus_dynamics import CAT_MAP, TorusPoint
+from szegolab.torus_dynamics import orbit_slices
 from szegolab.verblunsky import VerblunskyConfig, sequence
 
 from helpers import free_config, random_config
@@ -44,11 +44,11 @@ def _gap_midpoint(op):
 def test_free_three_site_against_dense_inverse():
     cfg = free_config()
     z = 2.0
-    inv = np.linalg.inv(dense(build(cfg, 0, 2, None, 1.0)) - z * np.eye(3))
+    op = build(cfg, 0, 2, None, 1.0)
+    inv = np.linalg.inv(dense(op) - z * np.eye(3))
     for n1 in range(3):
         for n2 in range(3):
-            q = GreenQuery(cfg=cfg, a=0, b=2, beta=None, gamma=1.0, z=z, n1=n1, n2=n2)
-            assert green_direct(q) == pytest.approx(inv[n1, n2], abs=1e-12)
+            assert green_direct(op, z, n1, n2) == pytest.approx(inv[n1, n2], abs=1e-12)
 
 
 def test_direct_respects_resolvent_norm_bound():
@@ -57,21 +57,32 @@ def test_direct_respects_resolvent_norm_bound():
     z = 1.3 * cmath.exp(0.9j)
     op = build(cfg, 0, 30, None, 1.0)
     dist = float(np.min(np.abs(eigenpairs(op).eigenvalues - z)))
-    q = GreenQuery(cfg=cfg, a=0, b=30, beta=None, gamma=1.0, z=z, n1=4, n2=17)
-    assert abs(green_direct(q)) <= 1.0 / dist + 1e-10
+    assert abs(green_direct(op, z, 4, 17)) <= 1.0 / dist + 1e-10
 
 
-def test_query_validation():
+def test_shifted_window_takes_absolute_sites():
+    rng = np.random.default_rng(5)
+    cfg = random_config(rng)
+    op = build(cfg, 3, 12, cmath.exp(0.4j), 1.0)
+    z = 1.3 * cmath.exp(0.9j)
+    inv = np.linalg.inv(dense(op) - z * np.eye(op.m))
+    assert green_direct(op, z, 3, 12) == pytest.approx(inv[0, 9], abs=1e-12)
+    assert green_direct(op, z, 7, 5) == pytest.approx(inv[4, 2], abs=1e-12)
+
+
+def test_routes_reject_sites_outside_the_window():
     rng = np.random.default_rng(4)
     cfg = random_config(rng)
-    with pytest.raises(ValueError):
-        GreenQuery(cfg=cfg, a=0, b=1, beta=None, gamma=1.0, z=2.0, n1=0, n2=0)
-    with pytest.raises(ValueError):
-        GreenQuery(cfg=cfg, a=0, b=4, beta=1.0, gamma=1.0, z=2.0, n1=0, n2=1)
-    with pytest.raises(ValueError):
-        GreenQuery(cfg=cfg, a=2, b=6, beta=None, gamma=1.0, z=2.0, n1=2, n2=3)
-    with pytest.raises(ValueError):
-        GreenQuery(cfg=cfg, a=0, b=4, beta=None, gamma=1.0, z=2.0, n1=0, n2=5)
+    op = build(cfg, 0, 4, None, 1.0)
+    shifted = build(cfg, 2, 8, 1.0, 1.0)
+    for n1, n2 in ((0, 5), (-1, 2), (5, 0)):
+        with pytest.raises(ValueError, match="outside"):
+            green_direct(op, 2.0, n1, n2)
+        with pytest.raises(ValueError, match="outside"):
+            green_modulus_formula(op, cmath.exp(0.4j), n1, n2)
+    for n1, n2 in ((1, 4), (2, 9)):
+        with pytest.raises(ValueError, match="outside"):
+            green_direct(shifted, 2.0, n1, n2)
 
 
 # ---------------------------------------------------------------------------
@@ -87,27 +98,22 @@ def test_formula_matches_direct_on_circle():
         z = cmath.exp(1j * _gap_midpoint(op))
         pairs = [(0, 0), (0, b), (3, b - 2), (b - 1, 2), (b, b)]
         for n1, n2 in pairs:
-            q = GreenQuery(cfg=cfg, a=0, b=b, beta=None, gamma=gamma, z=z, n1=n1, n2=n2)
-            want = abs(green_direct(q))
-            assert green_modulus_formula(q) == pytest.approx(want, rel=1e-6)
+            want = abs(green_direct(op, z, n1, n2))
+            assert green_modulus_formula(op, z, n1, n2) == pytest.approx(want, rel=1e-6)
 
 
 def test_formula_rejects_off_circle():
     rng = np.random.default_rng(7)
-    cfg = random_config(rng)
-    q = GreenQuery(cfg=cfg, a=0, b=6, beta=None, gamma=1.0, z=2.0, n1=1, n2=3)
+    op = build(random_config(rng), 0, 6, None, 1.0)
     with pytest.raises(ValueError):
-        green_modulus_formula(q)
+        green_modulus_formula(op, 2.0, 1, 3)
 
 
 def test_formula_rejects_shifted_window():
     rng = np.random.default_rng(8)
-    cfg = random_config(rng)
-    q = GreenQuery(
-        cfg=cfg, a=1, b=7, beta=1.0, gamma=1.0, z=cmath.exp(0.4j), n1=2, n2=5
-    )
+    op = build(random_config(rng), 1, 7, 1.0, 1.0)
     with pytest.raises(ValueError):
-        green_modulus_formula(q)
+        green_modulus_formula(op, cmath.exp(0.4j), 2, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -140,13 +146,14 @@ def test_eigenvector_reconstructs_through_window():
         base = TorusPoint(x, y)
         cfg = VerblunskyConfig(lam=0.5, base=base, autom=CAT_MAP, alpha=preset("alpha0"))
         dec = eigenpairs(build(cfg, 0, N, None, 1.0))
+        window = build(cfg, a, b, 1.0, 1.0)
         peaks = np.argmax(np.abs(dec.vectors), axis=0)
         candidates = np.argsort(np.abs(peaks - (a + b) // 2))
         checked = 0
         for j in candidates[:6]:
             xi = dec.vectors[:, j]
             try:
-                res = reconstruction_residual(cfg, dec.eigenvalues[j], a, b, 1.0, 1.0, xi)
+                res = reconstruction_residual(window, dec.eigenvalues[j], xi)
             except ResolventBlowupError:
                 continue
             assert res <= 1e-6, (x, y, N, res)
@@ -158,7 +165,8 @@ def test_reconstruction_zero_input():
     rng = np.random.default_rng(10)
     cfg = random_config(rng)
     xi = np.zeros(40, dtype=np.complex128)
-    assert reconstruction_residual(cfg, cmath.exp(0.3j), 5, 20, 1.0, 1.0, xi) == 0.0
+    op = build(cfg, 5, 20, 1.0, 1.0)
+    assert reconstruction_residual(op, cmath.exp(0.3j), xi) == 0.0
 
 
 def test_reconstruction_validation():
@@ -166,16 +174,16 @@ def test_reconstruction_validation():
     cfg = random_config(rng)
     xi = np.ones(40, dtype=np.complex128)
     with pytest.raises(ValueError):
-        reconstruction_residual(cfg, 2.0, 0, 20, None, 1.0, xi)
+        reconstruction_residual(build(cfg, 0, 20, None, 1.0), 2.0, xi)
     with pytest.raises(ValueError):
-        reconstruction_residual(cfg, 2.0, 5, 39, 1.0, 1.0, xi)
+        reconstruction_residual(build(cfg, 5, 39, 1.0, 1.0), 2.0, xi)
 
 
 def test_random_vector_fails_reconstruction():
     rng = np.random.default_rng(12)
     cfg = random_config(rng)
     xi = rng.standard_normal(40) + 1j * rng.standard_normal(40)
-    res = reconstruction_residual(cfg, 1.2 * cmath.exp(0.9j), 5, 30, 1.0, 1.0, xi)
+    res = reconstruction_residual(build(cfg, 5, 30, 1.0, 1.0), 1.2 * cmath.exp(0.9j), xi)
     assert res >= 0.01
 
 
@@ -187,14 +195,14 @@ def test_decay_rate_tracks_lyapunov_exponent():
     base = TorusPoint(0.8, 2.1)
     cfg = VerblunskyConfig(lam=0.5, base=base, autom=CAT_MAP, alpha=preset("alpha0"))
     s = SpectralPoint(1.5708)
-    prof = decay_profile(cfg, s.z, 300, None, 1.0)
+    prof = decay_profile(build(cfg, 0, 300, None, 1.0), s.z)
     L = lyapunov_norm(cfg, s, 200_000)
     assert 0.0 <= prof.r2 <= 1.0
     assert 0.5 * L <= prof.slope <= 2.0 * L
 
 
 def test_free_profile_is_flat():
-    prof = decay_profile(free_config(), cmath.exp(0.77j), 200, None, 1.0)
+    prof = decay_profile(build(free_config(), 0, 200, None, 1.0), cmath.exp(0.77j))
     assert abs(prof.slope) <= 0.01
     assert 0.0 <= prof.r2 <= 1.0
 
@@ -202,11 +210,11 @@ def test_free_profile_is_flat():
 def test_profile_aborts_on_spectrum():
     # z = 1 is an eigenvalue of the free window, every column blows up
     with pytest.raises(GreenFitError):
-        decay_profile(free_config(), 1.0, 40, None, 1.0)
+        decay_profile(build(free_config(), 0, 40, None, 1.0), 1.0)
 
 
 def test_profile_csv_shape():
-    prof = decay_profile(free_config(), cmath.exp(0.77j), 120, None, 1.0)
+    prof = decay_profile(build(free_config(), 0, 120, None, 1.0), cmath.exp(0.77j))
     lines = prof.csv().strip().split("\n")
     assert lines[0] == "n1,n2,log_abs_G"
     assert len(lines) == len(prof.rows) + 1
@@ -226,7 +234,7 @@ def test_profile_samples_exactly_the_requested_columns(monkeypatch, N, K):
 
     monkeypatch.setattr(greens, "_solve_column", record)
     cfg = random_config(np.random.default_rng(N + K))
-    prof = decay_profile(cfg, 0.7 * cmath.exp(1.3j), N, None, 1.0, columns=K)
+    prof = decay_profile(build(cfg, 0, N, None, 1.0), 0.7 * cmath.exp(1.3j), columns=K)
     m = N + 1
     lo, hi = m // 8, (7 * m) // 8
     assert len(solved) == min(K, hi - lo + 1)
@@ -241,3 +249,47 @@ def test_profile_samples_exactly_the_requested_columns(monkeypatch, N, K):
     grid = list(range(lo, hi + 1, step))
     if len(grid) == K:
         assert solved == grid
+
+
+def test_shifted_profile_rows_are_absolute_entries():
+    rng = np.random.default_rng(13)
+    cfg = random_config(rng)
+    a = 37
+    op = build(cfg, a, a + 90, cmath.exp(0.6j), 1.0)
+    z = 0.7 * cmath.exp(1.3j)
+    prof = decay_profile(op, z, columns=4)
+    m = op.m
+    lo, hi = m // 8, (7 * m) // 8
+    assert {n1 for n1, _, _ in prof.rows} == set(range(a + lo, a + hi + 1))
+    for n1, n2, lg in prof.rows[:: len(prof.rows) // 25]:
+        assert lg == pytest.approx(math.log(abs(green_direct(op, z, n1, n2))), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# one walk per window
+
+
+def test_window_orbit_is_walked_once(monkeypatch):
+    # build reads the coefficients 0 .. b+1 in one walk; every resolvent
+    # route then reads the window and walks nothing
+    walks = []
+
+    def counting_slices(*args):
+        walks.append(0)
+        for xs, ys in orbit_slices(*args):
+            walks[-1] += xs.size
+            yield xs, ys
+
+    monkeypatch.setattr(verblunsky, "orbit_slices", counting_slices)
+    cfg = random_config(np.random.default_rng(14))
+    N, a, b = 60, 20, 40
+    op = build(cfg, 0, N, None, 1.0)
+    window = build(cfg, a, b, 1.0, 1.0)
+    assert walks == [N + 2, b + 2]
+    z = cmath.exp(1j * _gap_midpoint(op))
+    green_direct(op, z, 5, 30)
+    green_modulus_formula(op, z, 5, 30)
+    decay_profile(op, z)
+    xi = np.ones(N + 1, dtype=np.complex128)
+    reconstruction_residual(window, 1.2 * cmath.exp(0.9j), xi)
+    assert walks == [N + 2, b + 2]

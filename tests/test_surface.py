@@ -147,11 +147,14 @@ def test_kept_names_are_still_unread():
 
 # names that only their owners may reference: the orbit step stays behind
 # torus_dynamics.orbit_slices, and the orbit walk and the evaluation of
-# samples behind verblunsky.sample_slices, so there is one orbit stream
+# samples behind verblunsky.sample_slices, so there is one orbit stream;
+# a window's coefficients are read by cmv_operator.build alone, and the
+# routes that take the window read them from it
 BOUNDARIES = {
     "orbit_block": {"_kernels", "torus_dynamics"},
     "orbit_slices": {"torus_dynamics", "verblunsky"},
     "evaluate_many": {"sampling", "verblunsky"},
+    "sequence": {"verblunsky", "cmv_operator"},
 }
 
 
