@@ -552,8 +552,7 @@ def _cmd_ldt(run: RunConfig) -> int:
     if not FAMILIES[run.family].reads_angle and run.etas is not None:
         raise ConfigError(f"ldt --family {run.family} reads no angle: drop --eta/--eta-grid")
     plan = _plan(run)
-    thr = None if run.threshold is None else (lambda lam: run.threshold)
-    result = ldt_deviation(plan, family=run.family, threshold_fn=thr, jobs=run.jobs)
+    result = ldt_deviation(plan, family=run.family, threshold=run.threshold, jobs=run.jobs)
     names = result.CSV_HEADER.split(",")
     return _emit_table(
         run,
@@ -642,7 +641,7 @@ def _check_prufer(rng, run: RunConfig) -> float:
     worst = 0.0
     for _ in range(5):
         cfg, s = _random_case(rng, run)
-        log_r = 2000 * expansion_diagnostics(cfg, s, 2000).lhs
+        log_r = 2000 * expansion_diagnostics([cfg], s, 2000).lhs[0]
         quad = polynomials(cfg, s, 2000)
         worst = max(worst, abs(math.exp(log_r - quad.log_abs_phi()) - 1.0))
     return worst

@@ -56,9 +56,11 @@ N_BANDS_LOW = 2
 DENSE_CAP = 5000
 UNITARITY_HARD_TOL = 1e-10
 
-# eigenpairs: columns per block of Rayleigh quotients and residuals;
+# eigenpairs: the residual tolerance of a pair, ||C v - z v||_2;
+# columns per block of Rayleigh quotients and residuals;
 # clusters for reorthogonalization, in units of ||H||_1; the fixed start
 # vectors of inverse iteration have phases proportional to k * GOLDEN_ANGLE
+EIGEN_TOL = 1e-8
 EIGEN_BLOCK = 64
 INVIT_GAP = 1e-6
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
@@ -201,7 +203,7 @@ def build(
     if (beta is None) != (a == 0):
         raise ValueError("beta must be None exactly when a == 0")
     gamma = _check_unimodular("gamma", gamma)
-    alphas = sequence(cfg, b + 2)[0]
+    alphas = sequence(cfg, b + 2)
     modified = alphas.copy()
     if beta is not None:
         beta = _check_unimodular("beta", beta)
@@ -221,9 +223,9 @@ class EigenDecomposition:
     """Eigenpairs of a finite unitary matrix, sorted by spectral angle.
 
     residuals[j] = ||C xi_j - z_j xi_j||_2; ok[j] flags residuals within
-    the requested tolerance; repaired counts the pairs that the cluster
-    Rayleigh-Ritz step rotated. Nothing is hidden: callers see every pair
-    with its residual.
+    EIGEN_TOL; repaired counts the pairs that the cluster Rayleigh-Ritz
+    step rotated. Nothing is hidden: callers see every pair with its
+    residual.
     """
 
     eigenvalues: np.ndarray
@@ -356,7 +358,7 @@ def _permute_columns(a: np.ndarray, order: np.ndarray) -> None:
         placed[j] = True
 
 
-def eigenpairs(op: FiniteCMV, tol: float = 1e-8) -> EigenDecomposition:
+def eigenpairs(op: FiniteCMV) -> EigenDecomposition:
     """Full eigendecomposition through the banded Hermitian part of C.
 
     C is unitary, hence normal, so every eigenvector of C is one of the
@@ -368,13 +370,13 @@ def eigenpairs(op: FiniteCMV, tol: float = 1e-8) -> EigenDecomposition:
     so no m x m product C V is ever held.
 
     eta and 2 pi - eta share cos eta, so where such a pair is close the
-    H-eigenvector can be a mix of the two C-eigenvectors. Every pair over
-    tol is grouped with its nearest neighbours in the H-spectrum, and the
-    group is rotated by the complex Schur form of the small matrix
-    Vc* C Vc (Rayleigh-Ritz), which separates the two eigenvalues again;
-    repaired counts the rotated pairs. Pairs still over tol after that are
-    flagged in ok, not dropped. Dense complex Schur of the whole window
-    is the oracle in the tests.
+    H-eigenvector can be a mix of the two C-eigenvectors. Every pair whose
+    residual exceeds EIGEN_TOL is grouped with its nearest neighbours in
+    the H-spectrum, and the group is rotated by the complex Schur form of
+    the small matrix Vc* C Vc (Rayleigh-Ritz), which separates the two
+    eigenvalues again; repaired counts the rotated pairs. Pairs still over
+    EIGEN_TOL after that are flagged in ok, not dropped. Dense complex
+    Schur of the whole window is the oracle in the tests.
     """
     import scipy.linalg as sla
 
@@ -393,7 +395,7 @@ def eigenpairs(op: FiniteCMV, tol: float = 1e-8) -> EigenDecomposition:
         vals[s:e] = np.einsum("ij,ij->j", v.conj(), cv)
         residuals[s:e] = np.linalg.norm(cv - v * vals[s:e], axis=0)
     repaired = 0
-    for s, e in _cluster_runs(h_vals, residuals > tol):
+    for s, e in _cluster_runs(h_vals, residuals > EIGEN_TOL):
         vc = vectors[:, s:e]
         cvc = band_matvec(op.bands, vc)
         T, Q = sla.schur(vc.conj().T @ cvc, output="complex")
@@ -411,6 +413,6 @@ def eigenpairs(op: FiniteCMV, tol: float = 1e-8) -> EigenDecomposition:
         etas=etas[order],
         vectors=vectors,
         residuals=residuals,
-        ok=residuals <= tol,
+        ok=residuals <= EIGEN_TOL,
         repaired=repaired,
     )

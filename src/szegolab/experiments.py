@@ -29,14 +29,9 @@ from .sampling import (
 )
 from .szego_cocycle import SpectralPoint, lyapunov_poly_many, lyapunov_poly_rows
 from .torus_dynamics import CAT_MAP, TWO_PI, ToralAutomorphism, TorusPoint
-from .verblunsky import VerblunskyConfig, sample_slices
+from .verblunsky import SLICE_POINTS, VerblunskyConfig, sample_slices
 
 MC_CHUNK = 512
-# orbit points (samples x N) handled together inside a chunk: every array of
-# a pass, the orbit coordinates as well as F, then holds at most this many
-# points (one orbit when N is larger), and N <= 512 still gives the engine a
-# batch of at least 64 samples
-MC_PASS_POINTS = 1 << 15
 CONFIDENCE = 0.95
 GOOD_R2 = 0.8
 # minimum distance every eta of a plan keeps from the degenerate angles {0, pi}
@@ -408,7 +403,7 @@ def _deviation_chunk(args) -> dict[str, list[float]]:
     """One deterministic chunk of Monte Carlo samples for one cell.
 
     Draws the chunk's base points and works through them in passes of at
-    most MC_PASS_POINTS orbit points: each pass steps the orbits of all its
+    most SLICE_POINTS orbit points: each pass steps the orbits of all its
     samples together, builds the unscaled orbit samples F from them, and
     hands F to the family's statistics. Returns every statistic's raw
     values.
@@ -418,7 +413,9 @@ def _deviation_chunk(args) -> dict[str, list[float]]:
     hi = min(lo + MC_CHUNK, plan.samples)
     bases = plan.rng(cell_index, chunk_index).uniform(0.0, TWO_PI, size=(hi - lo, 2))
     out: dict[str, list[float]] = {}
-    width = max(1, MC_PASS_POINTS // N)
+    # samples per pass: one orbit when N is larger than SLICE_POINTS, and
+    # N <= 512 still gives the engine a batch of at least 64 samples
+    width = max(1, SLICE_POINTS // N)
     for start in range(0, hi - lo, width):
         (F,) = sample_slices(plan.autom, plan.alpha, bases[start : start + width], N, N)
         for name, values in FAMILIES[family].statistics(plan, lam, N, F).items():
@@ -426,14 +423,21 @@ def _deviation_chunk(args) -> dict[str, list[float]]:
     return out
 
 
-def _deviation_rows(plan: ExperimentPlan, family: str, threshold_fn, jobs: int):
-    """Rows of every (lambda, N) cell and statistic of the family.
+def _deviation_rows(plan: ExperimentPlan, family: str, threshold: float | None, jobs: int):
+    """Rows of every (lambda, N) cell and statistic of the family, each cell
+    against the constant threshold, or the family's default at its lambda
+    when that is None.
 
     Chunks run through the pool in a layout fixed by the plan, and are
     merged in that order, so the rows never depend on jobs.
     """
     n_chunks = (plan.samples + MC_CHUNK - 1) // MC_CHUNK
-    cells = [(lam, N, float(threshold_fn(lam))) for lam in plan.lams for N in plan.Ns]
+    default = FAMILIES[family].threshold
+    cells = [
+        (lam, N, float(default(lam) if threshold is None else threshold))
+        for lam in plan.lams
+        for N in plan.Ns
+    ]
     work = [
         (plan, family, ci, c, lam, N)
         for ci, (lam, N, _) in enumerate(cells)
@@ -462,7 +466,7 @@ def _deviation_rows(plan: ExperimentPlan, family: str, threshold_fn, jobs: int):
 def ldt_deviation(
     plan: ExperimentPlan,
     family: str = "birkhoff",
-    threshold_fn=None,
+    threshold: float | None = None,
     jobs: int = 1,
 ) -> DeviationResult:
     """Monte Carlo deviation fractions along the N grid.
@@ -479,9 +483,10 @@ def ldt_deviation(
       exact limit; "zeta2" the squared-phase average Re(zeta_n^2 F_n^2) / 2.
       Every N must exceed the lag T of the expansion, or the lagged terms
       have no samples.
-    Families that read an angle run at one eta. threshold_fn maps lambda
-    to the event threshold. Zero-count cells stay in the table; their
-    upper95 column carries the one-sided binomial bound, and each
+    Families that read an angle run at one eta. threshold, when given, is
+    the event threshold of every cell and statistic, in place of the
+    family's lambda-dependent default. Zero-count cells stay in the table;
+    their upper95 column carries the one-sided binomial bound, and each
     statistic's exponential fit uses only its strictly positive cells.
     """
     if family not in FAMILIES:
@@ -490,7 +495,7 @@ def ldt_deviation(
     if fam.reads_angle and len(plan.etas) > 1:
         raise ValueError(f"the {family} family runs at one eta, got {len(plan.etas)}")
     _check_lags(plan, fam.lag)
-    rows = _deviation_rows(plan, family, threshold_fn or fam.threshold, jobs)
+    rows = _deviation_rows(plan, family, threshold, jobs)
     fits = tuple(
         (name, _fit_positive_cells([r for r in rows if r.family == name]))
         for name in dict.fromkeys(r.family for r in rows)
@@ -605,27 +610,23 @@ def localization(
     delta: float = 0.3,
     c: float = 0.05,
     gamma: complex = 1.0,
-    window: tuple[tuple[float, float], ...] | None = None,
     lyap_N: int = 200_000,
 ) -> LocalizationResult:
     """Eigenfunction decay rates inside a spectral window.
 
     For each (lambda, N) cell: build the window operator on [0, N] with
     right boundary value gamma (the a = 0 edge needs no left value),
-    keep eigenpairs whose angle lies in the window (computed from the
-    spectral function level set unless an explicit window is given),
-    fit each eigenvector's exponential profile (FIT_BLOCK columns at a
-    time), and compare the decay rate with the growth rate at the
-    matching angle. No in-window eigenvalues yields an empty result, not
+    keep eigenpairs whose angle lies in the spectral window (where the
+    spectral function exceeds c, at least delta away from 0 and pi), fit
+    each eigenvector's exponential profile (FIT_BLOCK columns at a time),
+    and compare the decay rate with the growth rate at the matching
+    angle. No in-window eigenvalues yields an empty result, not
     an error. In-window pairs over the eigen-residual tolerance are fitted
     like the rest and counted; failed fits are skipped and counted. An N
     whose window exceeds DENSE_CAP sites raises ValueError before any
     window is built.
     """
-    if window is None:
-        win = tuple(spectral_window(plan.alpha, plan.autom, delta, c))
-    else:
-        win = tuple((float(lo), float(hi)) for lo, hi in window)
+    win = tuple(spectral_window(plan.alpha, plan.autom, delta, c))
     rows: list[LocalizationRow] = []
     if not win:
         return LocalizationResult(rows=(), window=win)

@@ -33,7 +33,7 @@ import numpy as np
 from ._kernels import monic_scan
 from .szego_cocycle import SpectralPoint, _log_rho
 from .torus_dynamics import ToralAutomorphism
-from .verblunsky import VerblunskyConfig, sample_slices
+from .verblunsky import SLICE_POINTS, VerblunskyConfig, sample_slices
 
 
 def circle_variables(alphas: np.ndarray, z, top: np.ndarray, bot: np.ndarray):
@@ -61,12 +61,6 @@ def default_decorrelation_time(lam: float, autom: ToralAutomorphism) -> int:
     return max(1, math.ceil(math.log(1.0 / lam) / autom.expansion_rate))
 
 
-# orbit points (rows x steps) of one slice of expansion_diagnostics: the
-# coordinates, coefficients and circle variables of a slice hold at most this
-# many points, whatever N is
-SLICE_POINTS = 1 << 15
-
-
 @dataclass(frozen=True)
 class ExpansionDiagnostics:
     """Terms of the second-order expansion of the mean log-radius.
@@ -75,21 +69,21 @@ class ExpansionDiagnostics:
     from the monic products of the same pass, is a second formula for it.
     I1 + I2 + I3 approximates lhs to third order in the coupling; I4 + I5 + I6
     re-expands I2 by pushing the circle variable T steps back along the orbit.
-    The terms are floats for one config and (rows,) arrays for a cell.
+    Every term is a (rows,) array, one entry per config of the cell.
     """
 
     N: int
     T: int
-    I1: float | np.ndarray
-    I2: float | np.ndarray
-    I3: float | np.ndarray
-    I4: float | np.ndarray
-    I5: float | np.ndarray
-    I6: float | np.ndarray
-    lhs: float | np.ndarray
-    lhs_poly: float | np.ndarray
-    residual_123: float | np.ndarray
-    residual_456: float | np.ndarray
+    I1: np.ndarray
+    I2: np.ndarray
+    I3: np.ndarray
+    I4: np.ndarray
+    I5: np.ndarray
+    I6: np.ndarray
+    lhs: np.ndarray
+    lhs_poly: np.ndarray
+    residual_123: np.ndarray
+    residual_456: np.ndarray
 
 
 class _StreamSums:
@@ -157,30 +151,25 @@ class _StreamSums:
 
 
 def expansion_diagnostics(
-    cfg: VerblunskyConfig | Sequence[VerblunskyConfig],
-    s: SpectralPoint,
-    N: int,
-    T: int | None = None,
+    cfgs: Sequence[VerblunskyConfig], s: SpectralPoint, N: int
 ) -> ExpansionDiagnostics:
-    """Evaluate the expansion terms on one orbit, or on the orbits of a cell.
+    """Evaluate the expansion terms on the orbits of a cell.
 
-    cfg is one config, or a sequence of configs that differ only in their
-    base point, one row each. The rows are walked together in slices of
+    cfgs are configs that differ only in their base point, one row each.
+    The lag is T = default_decorrelation_time of their coupling, and N
+    must exceed it. The rows are walked together in slices of
     SLICE_POINTS // rows steps, read from one sample_slices stream of all
     base points; each slice's coefficients go through circle_variables as
     one batch, and every term is summed slice by slice. The polynomial
     pair and the last T samples and circle variables are carried across
     each slice edge, so memory does not grow with N.
     """
-    single = isinstance(cfg, VerblunskyConfig)
-    cfgs = (cfg,) if single else tuple(cfg)
     first = cfgs[0]
     if any((c.lam, c.autom, c.alpha) != (first.lam, first.autom, first.alpha) for c in cfgs):
         raise ValueError("the rows must differ only in their base point")
-    if T is None:
-        T = default_decorrelation_time(first.lam, first.autom)
-    if not (1 <= T < N):
-        raise ValueError("need 1 <= T < N")
+    T = default_decorrelation_time(first.lam, first.autom)
+    if N <= T:
+        raise ValueError(f"N = {N} must exceed the lag T = {T}")
     lam = first.lam
     rows = len(cfgs)
     acc = _StreamSums(rows, lam, s.z, T)
@@ -199,7 +188,9 @@ def expansion_diagnostics(
     for k in range(T):
         I5 += (lam**2 / N) * acc.shifted[0, k]
         I6 -= (lam**2 / N) * acc.shifted[1, k]
-    terms = dict(
+    return ExpansionDiagnostics(
+        N=N,
+        T=T,
         I1=I1,
         I2=I2,
         I3=I3,
@@ -211,6 +202,3 @@ def expansion_diagnostics(
         residual_123=np.abs(lhs - (I1 + I2 + I3)),
         residual_456=np.abs(I2 - (I4 + I5 + I6)),
     )
-    if single:
-        terms = {name: float(value[0]) for name, value in terms.items()}
-    return ExpansionDiagnostics(N=N, T=T, **terms)

@@ -37,6 +37,12 @@ class VerblunskyConfig:
             )
 
 
+# orbit points (rows x steps) of one slice of a many-row stream: the slices
+# of a Lyapunov cell's expansion sums and of a deviation chunk's Monte Carlo
+# passes hold at most this many points per array, whatever N is
+SLICE_POINTS = 1 << 15
+
+
 def sample_slices(
     autom: ToralAutomorphism, alpha: TrigPolynomial, starts, N: int, width: int = ORBIT_BLOCK
 ):
@@ -54,8 +60,8 @@ def coefficient_slices(cfg: VerblunskyConfig, N: int):
         yield F
 
 
-def sequence(cfg: VerblunskyConfig, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """First N coefficients and their complementary radii as arrays."""
+def sequence(cfg: VerblunskyConfig, N: int) -> np.ndarray:
+    """The first N coefficients as one array."""
     if N < 0:
         raise ValueError("length must be nonnegative")
     alphas = np.empty(N, dtype=np.complex128)
@@ -63,5 +69,4 @@ def sequence(cfg: VerblunskyConfig, N: int) -> tuple[np.ndarray, np.ndarray]:
     for block in coefficient_slices(cfg, N):
         alphas[pos : pos + block.shape[1]] = block[0]
         pos += block.shape[1]
-    rhos = np.sqrt(1.0 - np.abs(alphas) ** 2)
-    return alphas, rhos
+    return alphas

@@ -137,21 +137,15 @@ def _samples_and_zeta_trace(
     return F, zetas, log_r, log_phi + math.log(abs(top[0, 0]))
 
 
-def expansion_diagnostics(
-    cfg: VerblunskyConfig,
-    s: SpectralPoint,
-    N: int,
-    T: int | None = None,
-) -> ExpansionDiagnostics:
-    """Evaluate the expansion terms on one orbit.
+def expansion_diagnostics(cfg: VerblunskyConfig, s: SpectralPoint, N: int) -> ExpansionDiagnostics:
+    """Evaluate the expansion terms on one orbit, as a cell of one row.
 
     Materializes the sample values and circle variables (32 bytes per
     step), so N around 10^6 is comfortable and 10^7 is the practical top.
     """
-    if T is None:
-        T = default_decorrelation_time(cfg.lam, cfg.autom)
-    if not (1 <= T < N):
-        raise ValueError("need 1 <= T < N")
+    T = default_decorrelation_time(cfg.lam, cfg.autom)
+    if N <= T:
+        raise ValueError(f"N = {N} must exceed the lag T = {T}")
     lam = cfg.lam
     z = s.z
     F, zetas, log_r, log_phi = _samples_and_zeta_trace(cfg, s, N)
@@ -174,9 +168,7 @@ def expansion_diagnostics(
         tangled = zeta_back_sq * F[T - sh : N - sh] * F[T:]
         I6 -= (lam**2 / N) * float(np.sum((z ** (2 * T - sh) * tangled).real))
     residual_456 = abs(I2 - (I4 + I5 + I6))
-    return ExpansionDiagnostics(
-        N=N,
-        T=T,
+    terms = dict(
         I1=I1,
         I2=I2,
         I3=I3,
@@ -188,6 +180,7 @@ def expansion_diagnostics(
         residual_123=residual_123,
         residual_456=residual_456,
     )
+    return ExpansionDiagnostics(N=N, T=T, **{k: np.array([v]) for k, v in terms.items()})
 
 
 def step_matrix(alpha_n: complex, s: SpectralPoint) -> np.ndarray:

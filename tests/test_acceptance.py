@@ -209,11 +209,11 @@ def test_criterion_07_large_deviation_decay():
         f"birkhoff threshold {birkhoff_t} is unresolvable at N = {max(plan.Ns)}"
         f" with {plan.samples} samples: {expected:.2g} expected exceedances < 50"
     )
-    thresholds = {"birkhoff": lambda lam: birkhoff_t, "lyapunov": None}
+    thresholds = {"birkhoff": birkhoff_t, "lyapunov": None}
     clauses = []
     details = []
     for family in ("birkhoff", "lyapunov"):
-        result = ldt_deviation(plan, family=family, threshold_fn=thresholds[family])
+        result = ldt_deviation(plan, family=family, threshold=thresholds[family])
         fractions = [r.fraction for r in result.rows]
         decreasing = all(b < a for a, b in zip(fractions, fractions[1:]))
         fit = dict(result.fits)[family]
@@ -289,9 +289,9 @@ def test_criterion_09_phase_expansion_residuals():
                 lam=lam, base=TorusPoint.random(rng), autom=CAT_MAP, alpha=ALPHA0
             )
             s = SpectralPoint(eta=float(rng.uniform(0.2, TWO_PI - 0.2)))
-            diag = expansion_diagnostics(cfg, s, 100_000)
-            w123 = max(w123, diag.residual_123)
-            w456 = max(w456, diag.residual_456)
+            diag = expansion_diagnostics([cfg], s, 100_000)
+            w123 = max(w123, diag.residual_123[0])
+            w456 = max(w456, diag.residual_456[0])
         worst.append((lam, w123, bound_123, w456, bound_456))
     elapsed = time.perf_counter() - t0
     ok = all(w1 <= b1 and w4 <= b4 for _, w1, b1, w4, b4 in worst) and elapsed < 60.0

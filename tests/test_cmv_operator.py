@@ -13,6 +13,7 @@ import scipy.linalg as sla
 
 from szegolab.cmv_operator import (
     DENSE_CAP,
+    EIGEN_TOL,
     ConstructionError,
     FiniteCMV,
     _hermitian_part,
@@ -55,7 +56,7 @@ def _dense_window_oracle(alphas_mod, a, b):
 
 
 def _modified_alphas(cfg, a, b, beta, gamma):
-    alphas, _ = sequence(cfg, b + 2)
+    alphas = sequence(cfg, b + 2)
     alphas = alphas.copy()
     if a >= 1:
         alphas[a - 1] = beta
@@ -121,7 +122,7 @@ def test_window_metadata():
     op = build(cfg, 3, 9, beta, gamma)
     assert op.m == 7
     # the window keeps what it read: the unmodified coefficients 0 .. b+1
-    assert np.array_equal(op.alphas, sequence(cfg, 11)[0])
+    assert np.array_equal(op.alphas, sequence(cfg, 11))
     assert (op.beta, op.gamma) == (beta, gamma)
     assert build(cfg, 0, 9, None, gamma).beta is None
 
@@ -256,7 +257,7 @@ def test_restriction_matches_monic_recursion():
     rng = np.random.default_rng(16)
     for n in (1, 2, 5, 12):
         cfg = random_config(rng)
-        alphas, _ = sequence(cfg, n + 1)
+        alphas = sequence(cfg, n + 1)
         for eta in (0.4, 2.9):
             _assert_edge_identity(alphas, n - 1, alphas[n - 1], cmath.exp(1j * eta))
 
@@ -265,7 +266,7 @@ def test_right_boundary_splits_into_monic_pair():
     rng = np.random.default_rng(17)
     cfg = random_config(rng)
     for b in (3, 9):
-        alphas, _ = sequence(cfg, b + 2)
+        alphas = sequence(cfg, b + 2)
         for gamma in (1.0, 1j, cmath.exp(0.3j)):
             for eta in (1.2, 5.1):
                 _assert_edge_identity(alphas, b, gamma, cmath.exp(1j * eta))
@@ -273,7 +274,7 @@ def test_right_boundary_splits_into_monic_pair():
 
 def test_replacement_outside_the_disk_rejected():
     rng = np.random.default_rng(26)
-    alphas, _ = sequence(random_config(rng), 8)
+    alphas = sequence(random_config(rng), 8)
     for a, index, value in ((2, 1, 1.5), (0, 6, 1.0 + 1e-11)):
         bad = alphas.copy()
         bad[index] = value
@@ -309,12 +310,12 @@ def _schur_etas(op):
     return np.sort(np.angle(vals) % (2.0 * math.pi))
 
 
-def _unrepaired_over_tol(op, tol=1e-8):
-    """Pairs of the raw banded solve of H whose residual misses tol."""
+def _unrepaired_over_tol(op):
+    """Pairs of the raw banded solve of H whose residual misses EIGEN_TOL."""
     _, V = sla.eig_banded(_hermitian_part(op.bands))
     cv = band_matvec(op.bands, V)
     z = np.sum(V.conj() * cv, axis=0)
-    return int(np.sum(np.linalg.norm(cv - V * z, axis=0) > tol))
+    return int(np.sum(np.linalg.norm(cv - V * z, axis=0) > EIGEN_TOL))
 
 
 def _circle_mismatch(x, y):

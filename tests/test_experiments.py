@@ -228,8 +228,19 @@ def test_family_table_row(family):
         ldt_deviation(two_etas, family)
 
 
+def test_threshold_override_replaces_the_default():
+    # a constant equal to the family's default at the plan's one lambda
+    # changes nothing; any other constant is every row's threshold
+    plan = _small_plan(lams=(0.3,))
+    default = ldt_deviation(plan, "lyapunov").csv()
+    assert ldt_deviation(plan, "lyapunov", threshold=0.3**3).csv() == default
+    res = ldt_deviation(plan, "birkhoff", threshold=0.08)
+    assert [row.threshold for row in res.rows] == [0.08] * len(res.rows)
+    assert all(line.endswith(",0.08") for line in res.csv().splitlines()[1:])
+
+
 def test_threshold_too_large_reports_bounds():
-    res = ldt_deviation(_small_plan(), "birkhoff", threshold_fn=lambda lam: 1e6)
+    res = ldt_deviation(_small_plan(), "birkhoff", threshold=1e6)
     assert len(res.rows) == 2
     for row in res.rows:
         assert row.count == 0
@@ -258,7 +269,7 @@ def _chunk_one_orbit_at_a_time(plan, family, cell_index, chunk_index, lam, N):
     hi = min(lo + experiments.MC_CHUNK, plan.samples)
     bases = plan.rng(cell_index, chunk_index).uniform(0.0, TWO_PI, size=(hi - lo, 2))
     out = {}
-    width = max(1, experiments.MC_PASS_POINTS // N)
+    width = max(1, verblunsky.SLICE_POINTS // N)
     for start in range(0, hi - lo, width):
         orbits = []
         for x, y in bases[start : start + width].tolist():
@@ -332,7 +343,7 @@ def test_prufer_terms_need_orbits_longer_than_the_lag():
 
 def test_prufer_terms_all_quiet_under_huge_threshold():
     plan = _small_plan(samples=32, Ns=(400,))
-    res = ldt_deviation(plan, "prufer", threshold_fn=lambda lam: 1e9)
+    res = ldt_deviation(plan, "prufer", threshold=1e9)
     assert all(row.count == 0 for row in res.rows)
     assert json.loads(json.dumps(res.summary())) == res.summary()
 
@@ -367,10 +378,10 @@ def test_localization_small_run():
 
 def test_localization_counts_what_it_drops(monkeypatch):
     # one in-window pair is flagged over tolerance and another has a
-    # vector no fit can use; both are counted, only the second loses its row
+    # vector no fit can use; both are counted, only the second loses its row.
+    # Both are picked in [1, 2], inside the default window
     plan = ExperimentPlan(lams=(0.7,), etas=(1.5708,), Ns=(200,), seed=0)
-    window = ((1.0, 2.0),)
-    clean = localization(plan, window=window, lyap_N=5_000)
+    clean = localization(plan, lyap_N=5_000)
     assert clean.fits_skipped == 0
     assert clean.eigen_over_tol == 0
     assert 0.0 < clean.worst_eigen_residual <= 1e-8
@@ -390,7 +401,7 @@ def test_localization_counts_what_it_drops(monkeypatch):
         return dec
 
     monkeypatch.setattr(experiments, "eigenpairs", tampered)
-    res = localization(plan, window=window, lyap_N=5_000)
+    res = localization(plan, lyap_N=5_000)
     assert res.fits_skipped == 1
     assert res.eigen_over_tol == 1
     assert res.worst_eigen_residual == 0.5
@@ -410,7 +421,7 @@ def test_localization_sums_the_repaired_pairs(monkeypatch):
     monkeypatch.setattr(
         experiments, "eigenpairs", lambda op: dataclasses.replace(real(op), repaired=3)
     )
-    res = localization(plan, window=((1.0, 2.0),), lyap_N=2_000)
+    res = localization(plan, lyap_N=2_000)
     assert res.eigen_repaired == 6
     summary = res.summary()
     assert json.loads(json.dumps(summary)) == summary
@@ -423,13 +434,6 @@ def test_localization_empty_window():
     assert res.empty
     assert res.rows == ()
     assert math.isnan(res.median_ratio())
-
-
-def test_localization_window_override():
-    plan = ExperimentPlan(lams=(0.7,), etas=(1.5708,), Ns=(200,), seed=0)
-    res = localization(plan, window=((1.0, 2.0),), lyap_N=50_000)
-    assert res.window == ((1.0, 2.0),)
-    assert all(1.0 <= row.eta <= 2.0 for row in res.rows)
 
 
 def test_boundary_value_barely_moves_decay_rates():

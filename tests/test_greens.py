@@ -124,7 +124,7 @@ def test_boundary_vector_validation():
     rng = np.random.default_rng(9)
     cfg = random_config(rng)
     xi = np.ones(10, dtype=np.complex128)
-    alphas, _ = sequence(cfg, 10)
+    alphas = sequence(cfg, 10)
     with pytest.raises(ValueError):
         boundary_vector(xi, 0, "left", 1.0, 1.0, alphas)
     with pytest.raises(ValueError):

@@ -176,7 +176,7 @@ def test_lyapunov_rows_match_route():
     rng = np.random.default_rng(71)
     cfg = random_config(rng)
     s = SpectralPoint(2.2)
-    alphas, _ = sequence(cfg, 800)
+    alphas = sequence(cfg, 800)
     rows = np.stack([alphas, alphas[::-1]])
     got = lyapunov_poly_rows(rows, s)
     assert got[0] == pytest.approx(lyapunov_poly_many(cfg, [s], 800)[0], rel=1e-12)
@@ -189,7 +189,7 @@ def test_route_near_sup_bound_matches_oracle():
     for eta in (1e-3, math.pi - 1e-3, math.pi + 1e-4):
         s = SpectralPoint(eta)
         got = transfer(cfg, s, 301)
-        alphas, _ = sequence(cfg, 301)
+        alphas = sequence(cfg, 301)
         want, want_log = _oracle_transfer(alphas, s)
         assert _rel(got.matrix, got.log_scale, want, want_log) <= REL
 

@@ -8,16 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from szegolab.prufer import (
-    SLICE_POINTS,
-    circle_variables,
-    default_decorrelation_time,
-    expansion_diagnostics,
-)
+from szegolab.prufer import circle_variables, default_decorrelation_time, expansion_diagnostics
 from szegolab.sampling import preset
 from szegolab.szego_cocycle import SpectralPoint, polynomials
 from szegolab.torus_dynamics import CAT_MAP, TorusPoint
-from szegolab.verblunsky import VerblunskyConfig, sample_slices, sequence
+from szegolab.verblunsky import SLICE_POINTS, VerblunskyConfig, sample_slices, sequence
 
 from helpers import free_config, random_config, random_eta
 from oracles import PruferState, init, step, zeta_trace
@@ -59,7 +54,7 @@ def test_one_step_matches_first_polynomial():
         cfg = random_config(rng)
         eta = random_eta(rng)
         s = SpectralPoint(eta)
-        a = complex(sequence(cfg, 1)[0][0])
+        a = complex(sequence(cfg, 1)[0])
         st = step(init(s), a, s)
         phi1 = (s.z - np.conj(a)) / math.sqrt(1.0 - abs(a) ** 2)
         assert math.exp(st.log_r) == pytest.approx(abs(phi1), rel=1e-14)
@@ -75,7 +70,7 @@ def test_one_step_matches_first_polynomial():
 def _circle_trace(cfg, s, N):
     """zeta_0 .. zeta_N and log r_0 .. log r_N of one block through
     circle_variables, and theta_0 .. theta_N of the scalar step oracle."""
-    alphas = sequence(cfg, N)[0][None, :]
+    alphas = sequence(cfg, N)[None, :]
     top = np.ones((1, 1), dtype=np.complex128)
     bot = np.ones((1, 1), dtype=np.complex128)
     zetas, half_log_h, _ = circle_variables(alphas, s.z, top, bot)
@@ -112,7 +107,7 @@ def test_zeta_trace_matches_run():
     s = SpectralPoint(random_eta(rng))
     N = 200
     zetas, log_r = zeta_trace(cfg, s, N)
-    alphas, _ = sequence(cfg, N)
+    alphas = sequence(cfg, N)
     state = init(s)
     want = []
     for n in range(N):
@@ -158,12 +153,12 @@ def test_default_decorrelation_time():
 
 
 def test_diagnostics_validation():
+    # lambda = 0.1 puts the lag at T = 3: the lagged terms need N > T
     cfg = _cfg(0.1)
     s = SpectralPoint(1.5708)
-    with pytest.raises(ValueError):
-        expansion_diagnostics(cfg, s, 100, T=0)
-    with pytest.raises(ValueError):
-        expansion_diagnostics(cfg, s, 100, T=100)
+    with pytest.raises(ValueError, match="must exceed the lag T = 3"):
+        expansion_diagnostics([cfg], s, 3)
+    assert expansion_diagnostics([cfg], s, 4).T == 3
 
 
 def test_diagnostics_read_the_zeta_trace():
@@ -174,13 +169,13 @@ def test_diagnostics_read_the_zeta_trace():
     cfg = _cfg(0.3)
     s = SpectralPoint(2.2)
     N = (1 << 16) + 917
-    d = expansion_diagnostics(cfg, s, N, T=2)
+    d = expansion_diagnostics([cfg], s, N)
     zetas, log_r = zeta_trace(cfg, s, N)
     slices = sample_slices(cfg.autom, cfg.alpha, [[cfg.base.x, cfg.base.y]], N)
     F = np.concatenate(list(slices), axis=1)[0]
-    assert d.lhs == pytest.approx(log_r / N, rel=1e-12, abs=0.0)
+    assert d.lhs[0] == pytest.approx(log_r / N, rel=1e-12, abs=0.0)
     I2 = -(cfg.lam / N) * float(np.sum((zetas * F).real))
-    assert abs(d.I2 - I2) <= 1e-12 * (cfg.lam / N) * float(np.sum(np.abs(F)))
+    assert abs(d.I2[0] - I2) <= 1e-12 * (cfg.lam / N) * float(np.sum(np.abs(F)))
 
 
 def test_diagnostics_rows_differ_only_in_the_base_point():
@@ -210,15 +205,16 @@ _TERM_SIZES = {
 
 @given(
     rows=st.integers(1, 9),
-    T=st.integers(1, 4),
     offset=st.sampled_from(("T+1", "S-1", "S", "S+1", "S+T-1", "3S+917")),
     lam=st.floats(0.05, 0.9),
     eta=st.floats(0.1, 2.0 * math.pi - 0.1),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_streamed_rows_match_the_materialized_oracle(rows, T, offset, lam, eta, seed):
+def test_streamed_rows_match_the_materialized_oracle(rows, offset, lam, eta, seed):
     # the last slice can be shorter than T, so the lag sums must reach back
-    # across the slice edge into the carried samples and circle variables
+    # across the slice edge into the carried samples and circle variables;
+    # the coupling range puts the lag T anywhere in 1 .. 4
+    T = default_decorrelation_time(lam, CAT_MAP)
     S = SLICE_POINTS // rows
     N = {"T+1": T + 1, "S-1": S - 1, "S": S, "S+1": S + 1, "S+T-1": S + T - 1,
          "3S+917": 3 * S + 917}[offset]
@@ -228,13 +224,13 @@ def test_streamed_rows_match_the_materialized_oracle(rows, T, offset, lam, eta, 
         for _ in range(rows)
     ]
     s = SpectralPoint(eta)
-    got = expansion_diagnostics(cfgs, s, N, T=T)
+    got = expansion_diagnostics(cfgs, s, N)
     assert (got.N, got.T) == (N, T)
     sup = cfgs[0].alpha.sup_bound
     for r, cfg in enumerate(cfgs):
-        want = materialized_diagnostics(cfg, s, N, T=T)
+        want = materialized_diagnostics(cfg, s, N)
         for name, size in _TERM_SIZES.items():
-            g, w = getattr(got, name)[r], getattr(want, name)
+            g, w = getattr(got, name)[r], getattr(want, name)[0]
             assert abs(g - w) <= 1e-12 * max(abs(w), size(lam, sup, T)), name
 
 
@@ -245,18 +241,18 @@ def test_diagnostics_growth_rate_by_both_routes():
     cfg = _cfg(0.1)
     s = SpectralPoint(1.3)
     N = (1 << 16) + 917
-    d = expansion_diagnostics(cfg, s, N)
+    d = expansion_diagnostics([cfg], s, N)
     want = polynomials(cfg, s, N).log_abs_phi() / N
-    assert d.lhs_poly == pytest.approx(want, rel=1e-12, abs=0.0)
-    assert abs(d.lhs - d.lhs_poly) <= 1e-12
+    assert d.lhs_poly[0] == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert abs(d.lhs[0] - d.lhs_poly[0]) <= 1e-12
 
 
 def test_second_order_residual_small():
     lam = 0.1
-    d = expansion_diagnostics(_cfg(lam), SpectralPoint(1.5708), 100_000)
+    d = expansion_diagnostics([_cfg(lam)], SpectralPoint(1.5708), 100_000)
     assert d.T == 3
-    assert d.residual_123 <= 5.0 * lam**3
-    assert d.residual_456 <= 5.0 * lam**3 * math.log(1.0 / lam) ** 2
+    assert d.residual_123[0] <= 5.0 * lam**3
+    assert d.residual_456[0] <= 5.0 * lam**3 * math.log(1.0 / lam) ** 2
 
 
 def test_leading_term_matches_mean_square():
@@ -265,9 +261,9 @@ def test_leading_term_matches_mean_square():
     # cos(x - y) vanish at every lag, so a plain 3 sigma band applies
     lam = 0.3
     N = 100_000
-    d = expansion_diagnostics(_cfg(lam), SpectralPoint(1.5708), N)
+    d = expansion_diagnostics([_cfg(lam)], SpectralPoint(1.5708), N)
     sigma = (lam**2 / 2.0) * math.sqrt(0.125) / math.sqrt(N)
-    assert abs(d.I1 - lam**2 / 4.0) <= 3.0 * sigma
+    assert abs(d.I1[0] - lam**2 / 4.0) <= 3.0 * sigma
 
 
 def test_residual_scales_like_coupling_cubed():
@@ -277,15 +273,15 @@ def test_residual_scales_like_coupling_cubed():
     logs = []
     for lam in lams:
         cfg = VerblunskyConfig(lam=lam, base=base, autom=CAT_MAP, alpha=preset("alpha0"))
-        d = expansion_diagnostics(cfg, SpectralPoint(1.5708), 100_000)
-        logs.append(math.log(d.residual_123))
+        d = expansion_diagnostics([cfg], SpectralPoint(1.5708), 100_000)
+        logs.append(math.log(d.residual_123[0]))
     slope = np.polyfit(np.log(lams), logs, 1)[0]
     assert slope >= 2.5
 
 
 def test_free_diagnostics_vanish():
-    d = expansion_diagnostics(free_config(), SpectralPoint(1.0), 1000, T=2)
-    assert d.lhs == 0.0
-    assert d.residual_123 <= 1e-200
-    assert d.residual_456 <= 1e-200
+    d = expansion_diagnostics([free_config()], SpectralPoint(1.0), 1000)
+    assert d.lhs[0] == 0.0
+    assert d.residual_123[0] <= 1e-200
+    assert d.residual_456[0] <= 1e-200
 

@@ -9,10 +9,17 @@ that name anywhere. A dataclass's fields also count as read when astuple
 or asdict is applied over an attribute whose annotation names the class
 (rows: tuple[Row, ...] serialized row by row). The match is by name, so
 two methods or fields of one name share their references.
-Names kept on purpose are listed in KEPT with the reason. The references
-the tests compare against live in tests/oracles.py instead; every public
-name there must be imported by a test, and nothing in src/ imports from
-tests.
+Names kept on purpose are listed in KEPT with the reason.
+
+Every setting has a caller too: each defaulted parameter of a public
+function or method, and each defaulted field of a public dataclass, must
+be passed by some call in the package, by keyword, by position or through
+**. Calls are matched by the name they call, as above. Settings kept on
+purpose are listed in KEPT_SETTINGS with the reason.
+
+The references the tests compare against live in tests/oracles.py
+instead; every public name there must be imported by a test, and nothing
+in src/ imports from tests.
 """
 
 import ast
@@ -143,6 +150,102 @@ def test_kept_names_are_still_unread():
     # a kept name that gained a caller no longer needs its entry
     stale = set(KEPT) - _unreferenced()
     assert not stale, f"KEPT entries now read in src/: {sorted(stale)}"
+
+
+# defaulted settings nothing in the package passes, each with why it stays
+KEPT_SETTINGS = {
+    "main.argv": "cli: the console script calls main() with nothing; the tests and the "
+    "benchmark pass the command line",
+    "ExperimentPlan.base_points": "experiments: the benchmark's tracer reads plan.base_points, "
+    "and the test at N = 10^6 that checks a cell's memory stays flat in N runs two rows, "
+    "not the default eight",
+}
+
+
+def _parameters(item, method):
+    """(name, positional index or None) of each defaulted parameter of a
+    function node; a method's self or cls takes no index."""
+    args = item.args
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    if method and not any(ast.unparse(d) == "staticmethod" for d in item.decorator_list):
+        positional = positional[1:]
+    for name in positional[len(positional) - len(args.defaults) :]:
+        yield name, positional.index(name)
+    for a, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield a.arg, None
+
+
+def _settings(trees):
+    """(key, called name, positional index or None, owner node) for every
+    defaulted setting: function.param, Class.method.param or Class.field.
+    A field is set by a call of its class, a parameter by a call of its
+    function or method."""
+    for tree in trees.values():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            if isinstance(node, ast.FunctionDef):
+                for name, index in _parameters(node, method=False):
+                    yield f"{node.name}.{name}", node.name, index, node
+                continue
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    for name, index in _parameters(item, method=True):
+                        yield f"{node.name}.{item.name}.{name}", item.name, index, item
+            if _is_dataclass(node):
+                fields = [
+                    item for item in node.body
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                ]
+                for index, item in enumerate(fields):
+                    if item.value is not None and not item.target.id.startswith("_"):
+                        yield f"{node.name}.{item.target.id}", node.name, index, node
+
+
+def _passes(call, setting, index):
+    """Whether a call can set the parameter or field named setting, found
+    at the given positional index."""
+    if any(k.arg is None or k.arg == setting for k in call.keywords):
+        return True
+    if index is None:
+        return False
+    for i, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred) or i == index:
+            return True
+    return False
+
+
+def _uncalled_settings():
+    trees = _trees()
+    calls = {}
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call):
+                func = n.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(n)
+    found = set()
+    for key, called, index, owner in _settings(trees):
+        own = {id(n) for n in ast.walk(owner)}
+        setting = key.rsplit(".", 1)[-1]
+        if not any(
+            id(call) not in own and _passes(call, setting, index)
+            for call in calls.get(called, [])
+        ):
+            found.add(key)
+    return found
+
+
+def test_every_setting_has_a_caller():
+    uncalled = _uncalled_settings() - set(KEPT_SETTINGS)
+    assert not uncalled, f"defaulted settings nothing in src/ passes: {sorted(uncalled)}"
+
+
+def test_kept_settings_are_still_uncalled():
+    # a kept setting that gained a caller, or is gone, no longer needs its entry
+    stale = set(KEPT_SETTINGS) - _uncalled_settings()
+    assert not stale, f"KEPT_SETTINGS entries now passed in src/ or gone: {sorted(stale)}"
 
 
 # names that only their owners may reference: the orbit step stays behind

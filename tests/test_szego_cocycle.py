@@ -110,7 +110,7 @@ def test_single_step_transfer_matches_step_matrix():
     cfg = random_config(rng)
     s = SpectralPoint(random_eta(rng))
     prod = transfer(cfg, s, 1)
-    expect = step_matrix(sequence(cfg, 1)[0][0], s)
+    expect = step_matrix(sequence(cfg, 1)[0], s)
     assert np.allclose(_recover(prod), expect, rtol=1e-14, atol=1e-14)
 
 
@@ -120,7 +120,7 @@ def test_transfer_matches_brute_force_product():
         cfg = random_config(rng)
         s = SpectralPoint(random_eta(rng))
         N = 20
-        alphas, _ = sequence(cfg, N)
+        alphas = sequence(cfg, N)
         brute = np.eye(2, dtype=np.complex128)
         for a in alphas:
             brute = step_matrix(a, s) @ brute
@@ -173,7 +173,7 @@ def test_single_step_polynomials():
     cfg = random_config(rng)
     eta = random_eta(rng)
     s = SpectralPoint(eta)
-    a = complex(sequence(cfg, 1)[0][0])
+    a = complex(sequence(cfg, 1)[0])
     r = math.sqrt(1.0 - abs(a) ** 2)
     z = s.z
     q = polynomials(cfg, s, 1)
@@ -202,7 +202,7 @@ def test_polynomials_match_plain_recursion():
         eta = random_eta(rng)
         s = SpectralPoint(eta)
         N = int(rng.integers(2, 16))
-        alphas, _ = sequence(cfg, N)
+        alphas = sequence(cfg, N)
         want = _plain_recursion(alphas, s.z)
         q = polynomials(cfg, s, N)
         scale = math.exp(q.log_r)

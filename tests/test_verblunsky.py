@@ -26,7 +26,7 @@ def fixed_point_config(lam=0.1):
 
 
 def test_fixed_point_coefficients_constant():
-    alphas, _ = sequence(fixed_point_config(0.1), 41)
+    alphas = sequence(fixed_point_config(0.1), 41)
     for n in (0, 1, 5, 40):
         assert alphas[n] == pytest.approx(0.1, abs=1e-15)
 
@@ -40,7 +40,7 @@ def test_period_three_zeros():
     )
     # the orbit visits (pi,0), (0,pi), (pi,pi); alpha0 vanishes at the
     # first two and equals -1 at the third
-    alphas, _ = sequence(cfg, 3)
+    alphas = sequence(cfg, 3)
     assert alphas[0] == pytest.approx(0.0, abs=1e-15)
     assert alphas[1] == pytest.approx(0.0, abs=1e-15)
     assert alphas[2] == pytest.approx(-0.2, abs=1e-15)
@@ -63,23 +63,29 @@ def test_coupling_validation():
         )
 
 
+def _rho(alpha):
+    """The complementary radius sqrt(1 - |alpha|^2) of a coefficient."""
+    return math.sqrt(1.0 - abs(alpha) ** 2)
+
+
 def test_rho_examples():
     cfg = fixed_point_config(0.1)
-    assert sequence(cfg, 1)[1][0] == pytest.approx(math.sqrt(0.99), abs=1e-15)
+    assert _rho(sequence(cfg, 1)[0]) == pytest.approx(math.sqrt(0.99), abs=1e-15)
     zero = VerblunskyConfig(
         lam=0.2,
         base=TorusPoint(math.pi, 0.0),
         autom=CAT_MAP,
         alpha=ALPHA0,
     )
-    assert sequence(zero, 1)[1][0] == pytest.approx(1.0, abs=1e-15)
+    assert _rho(sequence(zero, 1)[0]) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_pythagorean_identity():
     rng = np.random.default_rng(31)
     for _ in range(5):
         cfg = random_config(rng)
-        alphas, rhos = sequence(cfg, 2000)
+        alphas = sequence(cfg, 2000)
+        rhos = np.sqrt(1.0 - np.abs(alphas) ** 2)
         assert np.max(np.abs(np.abs(alphas) ** 2 + rhos**2 - 1.0)) <= 1e-15
 
 
@@ -87,20 +93,19 @@ def test_sequence_matches_pointwise():
     # against the scalar orbit and one scalar evaluation per point
     rng = np.random.default_rng(13)
     cfg = random_config(rng)
-    alphas, rhos = sequence(cfg, 50)
-    assert len(alphas) == len(rhos) == 50
+    alphas = sequence(cfg, 50)
+    assert alphas.shape == (50,)
     xs, ys = scalar_orbit(cfg.autom, cfg.base.x, cfg.base.y, 50)
     for n in range(50):
         want = cfg.lam * evaluate(cfg.alpha, xs[n], ys[n])
         assert alphas[n] == pytest.approx(want, abs=1e-12)
-        assert rhos[n] == pytest.approx(math.sqrt(1.0 - abs(want) ** 2), abs=1e-12)
 
 
 def test_sup_bound_strict():
     rng = np.random.default_rng(15)
     for _ in range(3):
         cfg = random_config(rng)
-        alphas, _ = sequence(cfg, 100_000)
+        alphas = sequence(cfg, 100_000)
         assert np.max(np.abs(alphas)) <= cfg.lam * cfg.alpha.sup_bound
 
 
@@ -109,7 +114,7 @@ def test_orbit_mean_vanishes():
     cfg = VerblunskyConfig(
         lam=0.5, base=TorusPoint.random(rng), autom=CAT_MAP, alpha=ALPHA0
     )
-    alphas, _ = sequence(cfg, 100_000)
+    alphas = sequence(cfg, 100_000)
     assert abs(np.mean(alphas)) / cfg.lam <= 0.05
 
 
@@ -118,7 +123,7 @@ def test_scaled_blocks_concatenate_to_sequence():
     # boundary that gives the bits of the materialized sequence
     rng = np.random.default_rng(17)
     cfg = random_config(rng)
-    alphas, _ = sequence(cfg, 70_000)
+    alphas = sequence(cfg, 70_000)
     blocks = list(coefficient_slices(cfg, 70_000))
     assert len(blocks) > 1
     assert all(block.shape[0] == 1 for block in blocks)
@@ -128,6 +133,6 @@ def test_scaled_blocks_concatenate_to_sequence():
 def test_sampled_values_scale():
     rng = np.random.default_rng(18)
     cfg = random_config(rng)
-    alphas, _ = sequence(cfg, 1000)
+    alphas = sequence(cfg, 1000)
     ((values,),) = sample_slices(cfg.autom, cfg.alpha, [[cfg.base.x, cfg.base.y]], 1000)
     assert np.array_equal(cfg.lam * values, alphas)
