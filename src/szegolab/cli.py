@@ -509,18 +509,15 @@ def _emit_table(run: RunConfig, csv_text, payload) -> int:
 
 
 def _plan(run: RunConfig) -> ExperimentPlan:
-    try:
-        return ExperimentPlan(
-            lams=run.lams,
-            etas=run.etas if run.etas is not None else (0.5 * math.pi,),
-            Ns=run.Ns,
-            samples=run.samples,
-            seed=run.seed,
-            autom=run.autom,
-            alpha=run.alpha,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return ExperimentPlan(
+        lams=run.lams,
+        etas=run.etas if run.etas is not None else (0.5 * math.pi,),
+        Ns=run.Ns,
+        samples=run.samples,
+        seed=run.seed,
+        autom=run.autom,
+        alpha=run.alpha,
+    )
 
 
 def _cmd_lyapunov(run: RunConfig) -> int:

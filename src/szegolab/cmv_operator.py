@@ -23,14 +23,15 @@ restriction unitary; those two values are the boundary data of the
 finite matrix. The dense factor product L M, projected onto the window,
 is the oracle of the assembly tests.
 
-The restricted matrix is pentadiagonal, stored in solve_banded layout (row
+The restricted matrix is pentadiagonal, stored as its five bands (row
 u + i - j holds entry (i, j), with u = l = 2); tests/oracles.py fills it
-into a dense matrix for the tests.
+into a dense matrix for the tests. Only this module reads that layout;
+inverse iteration and the resolvent routes share its one banded LU.
 
 Eigenpairs come from the Hermitian pentadiagonal H = C + C*: C is unitary,
 hence normal, so its eigenvectors are eigenvectors of H with eigenvalue
 2 cos eta. eig_banded gives the eigenvalues of H alone; each vector comes
-from inverse iteration with the banded LU of H - h I (zgbtrf), O(m) per
+from inverse iteration with the banded LU of H - h I, O(m) per
 pair (Bunse-Gerstner & Elsner, LAA 1991; Simon, OPUC section 2.2), so no
 step is cubic in m and the vectors are the one m x m array. The Rayleigh
 quotient v* C v of each vector, taken in column blocks, gives its
@@ -132,6 +133,27 @@ def band_matvec(bands: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
+def _banded_lu(bands: np.ndarray):
+    """factor(shift) for a five-band matrix B: the banded LU of B - shift I
+    (zgbtrf) as a solve(rhs) through it (zgbtrs) and U's diagonal, where an
+    exact zero marks a singular factor. B is padded into zgbtrf's layout
+    (N_BANDS_LOW fill-in rows on top) once, and each shift factors a copy.
+    """
+    from scipy.linalg import lapack
+
+    kl, ku = N_BANDS_LOW, N_BANDS_UP
+    base = np.zeros((kl + bands.shape[0], bands.shape[1]), dtype=np.complex128, order="F")
+    base[kl:] = bands
+
+    def factor(shift):
+        ab = base.copy(order="F")
+        ab[kl + ku] -= shift
+        lu, ipiv, _ = lapack.zgbtrf(ab, kl, ku, overwrite_ab=1)
+        return (lambda rhs: lapack.zgbtrs(lu, kl, ku, rhs, ipiv)[0]), lu[kl + ku]
+
+    return factor
+
+
 @dataclass(frozen=True)
 class FiniteCMV:
     """Unitary restriction of the half-line operator to [a, b], stored as
@@ -150,11 +172,9 @@ class FiniteCMV:
     def m(self) -> int:
         return self.b - self.a + 1
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=np.complex128)
-        if v.shape != (self.m,):
-            raise ValueError(f"vector length {v.shape} does not match {self.m}")
-        return band_matvec(self.bands, v)
+    def factor(self, z: complex):
+        """Banded LU of C - z: a solve and U's diagonal (_banded_lu)."""
+        return _banded_lu(self.bands)(z)
 
     def unitarity_defect(self) -> float:
         """max |C*C - I|, read off the bands.
@@ -241,24 +261,25 @@ class EigenDecomposition:
 
 
 def _hermitian_part(bands: np.ndarray) -> np.ndarray:
-    """Upper bands of H = C + C* in eig_banded's layout.
+    """The five bands of H = C + C*, in the layout of C's bands.
 
-    Row u - k, column i + k holds H[i, i+k] = C[i, i+k] + conj(C[i+k, i]);
-    row u holds the real diagonal 2 Re C[i, i]. Entries within eps max|H|
-    of zero are flushed to zero: that is inside the solver's own backward
-    error, and left in place (tiny coefficients, e.g. 1e-300) they drive
-    LAPACK into slow subnormal arithmetic.
+    Row u - k, column i + k holds H[i, i+k] = C[i, i+k] + conj(C[i+k, i]),
+    row u + k, column i its mirror conj(H[i, i+k]); row u holds the real
+    diagonal 2 Re C[i, i]. Rows 0 .. u are eig_banded's upper layout.
+    Entries within eps max|H| of zero are flushed to zero: that is inside
+    the solver's own backward error, and left in place (tiny coefficients,
+    e.g. 1e-300) they drive LAPACK into slow subnormal arithmetic.
     """
     m = bands.shape[1]
-    upper = np.zeros((N_BANDS_UP + 1, m), dtype=np.complex128)
-    upper[N_BANDS_UP] = 2.0 * bands[N_BANDS_UP].real
-    for k in range(1, N_BANDS_UP + 1):
-        upper[N_BANDS_UP - k, k:] = bands[N_BANDS_UP - k, k:] + np.conj(
-            bands[N_BANDS_UP + k, : m - k]
-        )
-    mags = np.abs(upper)
-    upper[mags <= np.finfo(np.float64).eps * mags.max()] = 0.0
-    return upper
+    u = N_BANDS_UP
+    hb = np.zeros_like(bands)
+    hb[u] = 2.0 * bands[u].real
+    for k in range(1, u + 1):
+        hb[u - k, k:] = bands[u - k, k:] + np.conj(bands[u + k, : m - k])
+        hb[u + k, : m - k] = np.conj(hb[u - k, k:])
+    mags = np.abs(hb)
+    hb[mags <= np.finfo(np.float64).eps * mags.max()] = 0.0
+    return hb
 
 
 def _cluster_runs(h_vals: np.ndarray, bad: np.ndarray) -> list[tuple[int, int]]:
@@ -282,30 +303,22 @@ def _cluster_runs(h_vals: np.ndarray, bad: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(starts.tolist(), stops.tolist()))
 
 
-def _inverse_iteration(upper: np.ndarray, h_vals: np.ndarray) -> np.ndarray:
+def _inverse_iteration(hb: np.ndarray, h_vals: np.ndarray) -> np.ndarray:
     """Unit eigenvectors of H for its sorted eigenvalues h_vals.
 
-    upper holds H's upper bands in eig_banded's layout. Each column comes
-    from two solves with the banded LU of H - h I (zgbtrf, kl = ku = 2),
-    started from fixed vectors, so the result does not depend on any
-    random state. A column whose h lies within INVIT_GAP * ||H||_1 of the
-    previous one belongs to the same cluster, starts from its own vector
-    and is orthogonalized against the cluster's earlier columns after
-    each solve; an exactly double eigenvalue thus yields two orthonormal
-    vectors, not one twice. A shift whose factor comes out singular to
-    working precision is moved by eps ||H||_1.
+    hb holds H's five bands (_hermitian_part). Each column comes from two
+    solves with the banded LU of H - h I (_banded_lu), started from fixed
+    vectors, so the result does not depend on any random state. A column
+    whose h lies within INVIT_GAP * ||H||_1 of the previous one belongs to
+    the same cluster, starts from its own vector and is orthogonalized
+    against the cluster's earlier columns after each solve; an exactly
+    double eigenvalue thus yields two orthonormal vectors, not one twice.
+    A shift whose factor comes out singular to working precision is moved
+    by eps ||H||_1.
     """
-    from scipy.linalg import lapack
-
-    kl = ku = N_BANDS_UP
-    m = upper.shape[1]
-    # H - h I in zgbtrf's layout: kl fill-in rows above the five bands,
-    # entry (i, j) at row kl + ku + i - j
-    base = np.zeros((2 * kl + ku + 1, m), dtype=np.complex128, order="F")
-    base[kl : kl + ku + 1] = upper
-    for k in range(1, kl + 1):
-        base[kl + ku + k, : m - k] = np.conj(upper[ku - k, k:])
-    norm1 = float(np.abs(base).sum(axis=0).max())
+    m = hb.shape[1]
+    factor = _banded_lu(hb)
+    norm1 = float(np.abs(hb).sum(axis=0).max())
     eps = np.finfo(np.float64).eps
     nudge = eps * norm1
     tiny = eps * nudge
@@ -319,13 +332,10 @@ def _inverse_iteration(upper: np.ndarray, h_vals: np.ndarray) -> np.ndarray:
         earlier = vectors[:, first:j]
         shift = h
         while True:
-            ab = base.copy(order="F")
-            ab[kl + ku] -= shift
-            lu, ipiv, _ = lapack.zgbtrf(ab, kl, ku, overwrite_ab=1)
-            # a zero pivot (zgbtrf's info > 0) or one below eps^2 ||H||_1
-            # is singular to working precision: solves through two such
-            # pivots overflow
-            if np.abs(lu[kl + ku]).min() > tiny:
+            solve, pivots = factor(shift)
+            # a zero pivot or one below eps^2 ||H||_1 is singular to
+            # working precision: solves through two such pivots overflow
+            if np.abs(pivots).min() > tiny:
                 break
             shift += nudge
         # the r-th member of a cluster starts from phases k * r * GOLDEN_ANGLE:
@@ -333,7 +343,7 @@ def _inverse_iteration(upper: np.ndarray, h_vals: np.ndarray) -> np.ndarray:
         # double eigenvalue no component to grow from
         x = start if j == first else np.exp(1j * (j - first + 1) * phases)
         for _ in range(2):
-            x = lapack.zgbtrs(lu, kl, ku, x, ipiv)[0]
+            x = solve(x)
             if j > first:
                 x -= earlier @ (earlier.conj().T @ x)
             x /= np.linalg.norm(x)
@@ -383,9 +393,9 @@ def eigenpairs(op: FiniteCMV) -> EigenDecomposition:
     m = op.m
     if m > DENSE_CAP:
         raise ValueError(f"eigenpairs capped at {DENSE_CAP} sites, window has {m}")
-    upper = _hermitian_part(op.bands)
-    h_vals = sla.eig_banded(upper, eigvals_only=True)
-    vectors = _inverse_iteration(upper, h_vals)
+    hb = _hermitian_part(op.bands)
+    h_vals = sla.eig_banded(hb[: N_BANDS_UP + 1], eigvals_only=True)
+    vectors = _inverse_iteration(hb, h_vals)
     vals = np.empty(m, dtype=np.complex128)
     residuals = np.empty(m)
     for s in range(0, m, EIGEN_BLOCK):

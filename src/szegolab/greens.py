@@ -5,9 +5,11 @@ of the half-line operator: direct entry queries by banded solve, a
 three-determinant product formula for |G| on the unit circle, edge
 vectors that rebuild interior solution values from the two extreme
 resolvent columns, and decay-rate profiles of log|G| along a window.
-Each route takes a window from cmv_operator.build and reads its bands,
-coefficients and boundary values; none walks an orbit. Sites are
-absolute: a window on [a, b] answers for n1, n2 in [a, b].
+Each route takes a window from cmv_operator.build and reads its
+coefficients and boundary values; none walks an orbit. Each resolvent
+call factors C - z once (FiniteCMV.factor) and solves its columns
+through that LU. Sites are absolute: a window on [a, b] answers for
+n1, n2 in [a, b].
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import monic_scan
-from .cmv_operator import FiniteCMV, N_BANDS_UP
+from .cmv_operator import FiniteCMV, band_matvec
 from .experiments import _csv, linear_fit
 from .szego_cocycle import _log_rho
 
@@ -43,31 +45,32 @@ class GreenFitError(Exception):
     """Too few usable entries survived to fit a decay rate."""
 
 
-def _solve_column(op: FiniteCMV, z: complex, col: int) -> np.ndarray:
-    """Column col (window-relative) of (C - z)^{-1}, with blowup checks."""
-    import scipy.linalg as sla
+def _column_solver(op: FiniteCMV, z: complex):
+    """Columns of (C - z)^{-1}, by window-relative index, from one banded
+    LU of C - z; each column is checked for a singular factor, a norm
+    blowup and its residual."""
+    solve, pivots = op.factor(z)
 
-    m = op.m
-    e = np.zeros(m, dtype=np.complex128)
-    e[col] = 1.0
-    ab = op.bands.copy()
-    ab[N_BANDS_UP] -= z
-    try:
-        u = sla.solve_banded((N_BANDS_UP, N_BANDS_UP), ab, e)
-    except np.linalg.LinAlgError as exc:
-        raise ResolventBlowupError(f"singular solve: {exc}", 0.0) from exc
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(u))
-    if not math.isfinite(norm) or norm * BLOWUP_DISTANCE > 1.0:
-        dist = 0.0 if not math.isfinite(norm) or norm == 0.0 else 1.0 / norm
-        raise ResolventBlowupError("resolvent norm blowup", dist)
-    residual = float(np.linalg.norm(op.apply(u) - z * u - e))
-    if residual > DIRECT_RESIDUAL_TOL * (1.0 + norm):
-        raise ResolventBlowupError(
-            f"solve residual {residual:.3e} above {DIRECT_RESIDUAL_TOL:.1e} relative",
-            1.0 / norm if norm > 0 else 0.0,
-        )
-    return u
+    def column(col: int) -> np.ndarray:
+        if not np.all(pivots):
+            raise ResolventBlowupError("singular solve: singular matrix", 0.0)
+        e = np.zeros(op.m, dtype=np.complex128)
+        e[col] = 1.0
+        u = solve(e)
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(u))
+        if not math.isfinite(norm) or norm * BLOWUP_DISTANCE > 1.0:
+            dist = 0.0 if not math.isfinite(norm) or norm == 0.0 else 1.0 / norm
+            raise ResolventBlowupError("resolvent norm blowup", dist)
+        residual = float(np.linalg.norm(band_matvec(op.bands, u) - z * u - e))
+        if residual > DIRECT_RESIDUAL_TOL * (1.0 + norm):
+            raise ResolventBlowupError(
+                f"solve residual {residual:.3e} above {DIRECT_RESIDUAL_TOL:.1e} relative",
+                1.0 / norm if norm > 0 else 0.0,
+            )
+        return u
+
+    return column
 
 
 def _check_sites(op: FiniteCMV, n1: int, n2: int) -> None:
@@ -77,10 +80,11 @@ def _check_sites(op: FiniteCMV, n1: int, n2: int) -> None:
 
 
 def green_direct(op: FiniteCMV, z: complex, n1: int, n2: int) -> complex:
-    """Entry (n1, n2) of (C - z)^{-1} on the window, by banded solve, at
-    any z off the spectrum (the modulus formula needs |z| = 1)."""
+    """Entry (n1, n2) of (C - z)^{-1} on the window, by one banded LU of
+    C - z and one column solve, at any z off the spectrum (the modulus
+    formula needs |z| = 1)."""
     _check_sites(op, n1, n2)
-    u = _solve_column(op, z, n2 - op.a)
+    u = _column_solver(op, z)(n2 - op.a)
     return complex(u[n1 - op.a])
 
 
@@ -201,11 +205,11 @@ def boundary_vector(
     number. xi must cover the endpoint and its outward neighbor (index-1
     for the left edge, index+1 for the right), alphas the cut bond
     (index-1 for the left edge, index for the right). The four cases
-    (edge side x index parity) share one shape: a z-linear combination of
-    the endpoint value and the outward neighbor, with coefficients built
-    from the boundary value and the coefficient/radius pair at the cut
-    bond; odd indices conjugate the coefficient data and flip the overall
-    sign.
+    (edge side x index parity) are one z-linear combination of the
+    endpoint value and the outward neighbor, with coefficients from the
+    boundary value and the cut bond's coefficient/radius pair; odd
+    indices conjugate the coefficient data, and the sign turns with the
+    parity and with the side.
     """
     z = complex(z)
     bdata = complex(bdata)
@@ -216,23 +220,12 @@ def boundary_vector(
         raise ValueError("left edge vector needs index >= 1")
     al = complex(alphas[index - 1 if side == "left" else index])
     r = math.sqrt(1.0 - (al.real * al.real + al.imag * al.imag))
-    if side == "left":
-        if index % 2 == 0:
-            return z * (
-                (1 - bdata.conjugate() * al) * xi[index]
-                + bdata.conjugate() * r * xi[index - 1]
-            )
-        return -z * (
-            (1 - bdata * al.conjugate()) * xi[index] + bdata * r * xi[index - 1]
-        )
-    if index % 2 == 0:
-        return -z * (
-            (1 - bdata.conjugate() * al) * xi[index]
-            - bdata.conjugate() * r * xi[index + 1]
-        )
-    return z * (
-        (1 - bdata * al.conjugate()) * xi[index] - bdata * r * xi[index + 1]
-    )
+    even = index % 2 == 0
+    w = bdata.conjugate() if even else bdata
+    c = w * (al if even else al.conjugate())
+    neighbor = xi[index - 1] if side == "left" else -xi[index + 1]
+    signed_z = z if even == (side == "left") else -z
+    return signed_z * ((1 - c) * xi[index] + w * r * neighbor)
 
 
 def reconstruction_residual(op: FiniteCMV, z: complex, xi: np.ndarray) -> float:
@@ -253,8 +246,9 @@ def reconstruction_residual(op: FiniteCMV, z: complex, xi: np.ndarray) -> float:
     xi = np.asarray(xi, dtype=np.complex128)
     if len(xi) < b + 2:
         raise ValueError("xi must cover the outward neighbors of both edges")
-    col_a = _solve_column(op, z, 0)
-    col_b = _solve_column(op, z, op.m - 1)
+    column = _column_solver(op, z)
+    col_a = column(0)
+    col_b = column(op.m - 1)
     xa = boundary_vector(xi, a, "left", op.beta, z, op.alphas)
     xb = boundary_vector(xi, b, "right", op.gamma, z, op.alphas)
     scale = float(np.max(np.abs(xi[a : b + 1])))
@@ -311,12 +305,13 @@ def decay_profile(op: FiniteCMV, z: complex, columns: int = 12) -> DecayProfile:
     # a grid of step (hi - lo) // (k - 1) holds at least k columns; take k
     # of them spread over it (all of them when it holds exactly k)
     grid = range(lo, hi + 1, max(1, (hi - lo) // max(1, k - 1)))
+    column = _column_solver(op, z)
     rows: list[tuple[int, int, float]] = []
     skipped = 0
     for j in range(k):
         n2 = grid[j * (len(grid) - 1) // max(1, k - 1)]
         try:
-            u = _solve_column(op, z, n2)
+            u = column(n2)
         except ResolventBlowupError:
             skipped += 1
             continue

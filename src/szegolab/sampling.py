@@ -24,13 +24,11 @@ class TrigPolynomial:
     """Zero-mean trigonometric polynomial sum_k c_k exp(i k . p).
 
     coeffs maps integer frequency pairs to complex amplitudes. sup_bound is
-    the triangle-inequality bound sum |c_k| and must not exceed one;
-    grad_bound is sum |k|_2 |c_k|.
+    the triangle-inequality bound sum |c_k| and must not exceed one.
     """
 
     coeffs: Mapping[tuple[int, int], complex]
     sup_bound: float
-    grad_bound: float
 
     @classmethod
     def from_coeffs(cls, coeffs: Mapping[tuple[int, int], complex]) -> "TrigPolynomial":
@@ -51,8 +49,7 @@ class TrigPolynomial:
         sup = sum(abs(c) for c in clean.values())
         if sup > 1.0 + 1e-12:
             raise ValueError(f"sup-norm bound {sup} exceeds 1")
-        grad = sum(math.hypot(k[0], k[1]) * abs(c) for k, c in clean.items())
-        return cls(coeffs=clean, sup_bound=sup, grad_bound=grad)
+        return cls(coeffs=clean, sup_bound=sup)
 
     def mean_square(self) -> float:
         """Spatial average of |value|^2 (Parseval)."""

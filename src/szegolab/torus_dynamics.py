@@ -22,13 +22,12 @@ Entries = tuple[tuple[int, int], tuple[int, int]]
 class ToralAutomorphism:
     """Validated integer matrix together with its eigendata.
 
-    rho is the eigenvalue of modulus larger than one, rho_minus the other
-    one; v_plus and v_minus are unit eigenvectors for them.
+    rho is the eigenvalue of modulus larger than one; v_plus and v_minus
+    are unit eigenvectors for rho and for the other eigenvalue 1/rho.
     """
 
     entries: Entries
     rho: float
-    rho_minus: float
     v_plus: tuple[float, float]
     v_minus: tuple[float, float]
 
@@ -75,13 +74,11 @@ def validate(matrix) -> ToralAutomorphism:
         rho = (tr + disc) / 2.0
     else:
         rho = (tr - disc) / 2.0
-    rho_minus = 1.0 / rho
     return ToralAutomorphism(
         entries=entries,
         rho=rho,
-        rho_minus=rho_minus,
         v_plus=_eigvec(entries, rho),
-        v_minus=_eigvec(entries, rho_minus),
+        v_minus=_eigvec(entries, 1.0 / rho),
     )
 
 

@@ -431,20 +431,25 @@ def test_json_text_writes_non_finite_as_null():
 def test_green_json_counts_skipped_columns(capsys, monkeypatch):
     from szegolab import greens
 
-    solve = greens._solve_column
+    solver = greens._column_solver
     first = 121 // 8  # the first sampled column of the 121-site window
 
-    def blow_up_first(op, z, col):
-        if col == first:
-            raise greens.ResolventBlowupError("forced", 0.0)
-        return solve(op, z, col)
+    def blow_up_first(op, z):
+        column = solver(op, z)
+
+        def solve(col):
+            if col == first:
+                raise greens.ResolventBlowupError("forced", 0.0)
+            return column(col)
+
+        return solve
 
     args = ["green", "--lambda", "0.5", "--eta", "1.5708", "--N", "120",
             "--seed", "2", "--columns", "6", "--format", "json"]
     assert main(args) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["columns_skipped"] == 0
-    monkeypatch.setattr(greens, "_solve_column", blow_up_first)
+    monkeypatch.setattr(greens, "_column_solver", blow_up_first)
     assert main(args) == 0
     skipped = json.loads(capsys.readouterr().out)
     assert skipped["columns_skipped"] == 1

@@ -3,6 +3,7 @@ inverses, the on-circle modulus formula against the direct route, interior
 reconstruction from edge columns, and decay-rate profiles."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -226,13 +227,18 @@ def test_profile_csv_shape():
 @pytest.mark.parametrize("K", [1, 2, 5, 12])
 def test_profile_samples_exactly_the_requested_columns(monkeypatch, N, K):
     solved = []
-    solve = greens._solve_column
+    solver = greens._column_solver
 
-    def record(op, z, col):
-        solved.append(col)
-        return solve(op, z, col)
+    def record(op, z):
+        column = solver(op, z)
 
-    monkeypatch.setattr(greens, "_solve_column", record)
+        def recorded(col):
+            solved.append(col)
+            return column(col)
+
+        return recorded
+
+    monkeypatch.setattr(greens, "_column_solver", record)
     cfg = random_config(np.random.default_rng(N + K))
     prof = decay_profile(build(cfg, 0, N, None, 1.0), 0.7 * cmath.exp(1.3j), columns=K)
     m = N + 1
@@ -249,6 +255,40 @@ def test_profile_samples_exactly_the_requested_columns(monkeypatch, N, K):
     grid = list(range(lo, hi + 1, step))
     if len(grid) == K:
         assert solved == grid
+
+
+def test_each_resolvent_call_factors_once(monkeypatch):
+    # one banded LU of C - z per call, however many columns it solves
+    from scipy.linalg import lapack
+
+    factored = []
+    zgbtrf = lapack.zgbtrf
+
+    def counted(*args, **kwargs):
+        factored.append(args[0].shape)
+        return zgbtrf(*args, **kwargs)
+
+    monkeypatch.setattr(lapack, "zgbtrf", counted)
+    op = build(random_config(np.random.default_rng(41)), 3, 200, cmath.exp(0.4j), 1.0)
+    z = 0.7 * cmath.exp(1.3j)
+    prof = decay_profile(op, z, columns=12)
+    assert len({n2 for _, n2, _ in prof.rows}) == 12
+    assert len(factored) == 1
+    reconstruction_residual(op, z, np.ones(op.b + 2, dtype=np.complex128))
+    assert len(factored) == 2
+    green_direct(op, z, 50, 120)
+    assert factored == [(7, op.m)] * 3
+
+
+def test_singular_factor_raises_blowup():
+    # C - z with an exact zero pivot: every column is a singular solve
+    op = build(random_config(np.random.default_rng(42)), 0, 40, None, 1.0)
+    zero = dataclasses.replace(op, bands=np.zeros_like(op.bands))
+    with pytest.raises(ResolventBlowupError, match="^singular solve: ") as info:
+        green_direct(zero, 0.0, 3, 7)
+    assert info.value.distance_estimate == 0.0
+    with pytest.raises(GreenFitError, match="only 0 usable entries"):
+        decay_profile(zero, 0.0)
 
 
 def test_shifted_profile_rows_are_absolute_entries():

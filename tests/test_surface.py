@@ -33,9 +33,6 @@ SERIALIZERS = {"astuple", "asdict"}
 # public names nothing in the package calls, each with why it stays
 KEPT = {
     "warmup": "_kernels: called by the benchmark worker before timing",
-    "TrigPolynomial.grad_bound": "sampling: the map's Lipschitz bound, pinned by test_sampling",
-    "ToralAutomorphism.rho_minus": "torus_dynamics: the contracting eigenvalue, pinned with "
-    "v_minus by test_torus_dynamics",
     **{
         f"ExpansionDiagnostics.{field}": "prufer: criterion 09 and test_prufer read the terms"
         for field in ("I1", "I2", "I3", "I5", "I6", "residual_123", "residual_456")
@@ -252,12 +249,19 @@ def test_kept_settings_are_still_uncalled():
 # torus_dynamics.orbit_slices, and the orbit walk and the evaluation of
 # samples behind verblunsky.sample_slices, so there is one orbit stream;
 # a window's coefficients are read by cmv_operator.build alone, and the
-# routes that take the window read them from it
+# routes that take the window read them from it; the band layout and the
+# banded LU that every solve shares stay in cmv_operator, and no other
+# banded solver comes back
 BOUNDARIES = {
     "orbit_block": {"_kernels", "torus_dynamics"},
     "orbit_slices": {"torus_dynamics", "verblunsky"},
     "evaluate_many": {"sampling", "verblunsky"},
     "sequence": {"verblunsky", "cmv_operator"},
+    "zgbtrf": {"cmv_operator"},
+    "zgbtrs": {"cmv_operator"},
+    "N_BANDS_UP": {"cmv_operator"},
+    "N_BANDS_LOW": {"cmv_operator"},
+    "solve_banded": set(),
 }
 
 

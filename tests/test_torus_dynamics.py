@@ -81,8 +81,10 @@ def test_eigen_data(mat):
     vp = np.array(A.v_plus)
     vm = np.array(A.v_minus)
     assert np.max(np.abs(M @ vp - A.rho * vp)) <= 1e-12
-    assert np.max(np.abs(M @ vm - A.rho_minus * vm)) <= 1e-12
-    assert abs(A.rho * A.rho_minus - 1.0) <= 1e-12
+    # det M = 1: the contracting eigenvalue is 1 / rho, and the two sum to the trace
+    rho_minus = 1.0 / A.rho
+    assert np.max(np.abs(M @ vm - rho_minus * vm)) <= 1e-12
+    assert abs(A.rho + rho_minus - np.trace(M)) <= 1e-12
     assert abs(np.linalg.norm(vp) - 1.0) <= 1e-12
     assert abs(np.linalg.norm(vm) - 1.0) <= 1e-12
     assert abs(A.rho) > 1.0

@@ -80,15 +80,6 @@ def test_rho_examples():
     assert _rho(sequence(zero, 1)[0]) == pytest.approx(1.0, abs=1e-15)
 
 
-def test_pythagorean_identity():
-    rng = np.random.default_rng(31)
-    for _ in range(5):
-        cfg = random_config(rng)
-        alphas = sequence(cfg, 2000)
-        rhos = np.sqrt(1.0 - np.abs(alphas) ** 2)
-        assert np.max(np.abs(np.abs(alphas) ** 2 + rhos**2 - 1.0)) <= 1e-15
-
-
 def test_sequence_matches_pointwise():
     # against the scalar orbit and one scalar evaluation per point
     rng = np.random.default_rng(13)
