@@ -25,7 +25,7 @@ from .cmv_operator import ConstructionError, build, eigenpairs
 from .experiments import (
     FAMILIES,
     ExperimentPlan,
-    _csv,
+    _csv_blocks,
     ldt_deviation,
     localization,
     lyapunov_scaling,
@@ -472,12 +472,13 @@ def _default_jobs() -> int:
 # dispatch
 
 
-def _emit(out: str | None, text: str) -> None:
+def _emit(out: str | None, blocks) -> None:
+    """Write an iterable of text blocks to out, or to stdout when out is None."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
     else:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(blocks)
 
 
 def _finite_or_null(value):
@@ -497,14 +498,15 @@ def _json_text(payload: dict) -> str:
     return text + "\n"
 
 
-def _emit_table(run: RunConfig, csv_text, payload) -> int:
-    """Emit csv_text() or, under --format json, the JSON of payload()
-    tagged with the command; only the chosen one is built."""
+def _emit_table(run: RunConfig, csv_blocks, payload) -> int:
+    """Emit the text blocks of csv_blocks() or, under --format json, the
+    JSON of payload() tagged with the command; only the chosen one is
+    built."""
     if run.fmt == "csv":
-        text = csv_text()
+        blocks = csv_blocks()
     else:
-        text = _json_text({"command": run.command, **payload()})
-    _emit(run.out, text)
+        blocks = [_json_text({"command": run.command, **payload()})]
+    _emit(run.out, blocks)
     return 0
 
 
@@ -524,7 +526,7 @@ def _cmd_lyapunov(run: RunConfig) -> int:
     result = lyapunov_scaling(_plan(run), jobs=run.jobs)
     return _emit_table(
         run,
-        result.csv,
+        lambda: [result.csv()],
         lambda: {
             "rows": [dataclasses.asdict(r) for r in result.rows],
             "summary": result.summary(),
@@ -540,7 +542,7 @@ def _cmd_jspec(run: RunConfig) -> int:
     rows = list(zip(etas, spectral_function(run.alpha, run.autom, np.array(etas)).tolist()))
     return _emit_table(
         run,
-        lambda: _csv("eta,J", rows),
+        lambda: _csv_blocks("eta,J", rows),
         lambda: {"rows": [{"eta": eta, "J": val} for eta, val in rows]},
     )
 
@@ -553,7 +555,7 @@ def _cmd_ldt(run: RunConfig) -> int:
     names = result.CSV_HEADER.split(",")
     return _emit_table(
         run,
-        result.csv,
+        lambda: [result.csv()],
         lambda: {
             "rows": [dict(zip(names, values)) for values in result.table()],
             "summary": result.summary(),
@@ -577,7 +579,7 @@ def _cmd_green(run: RunConfig) -> int:
     profile = decay_profile(op, SpectralPoint(eta=eta).z, columns=run.columns)
     return _emit_table(
         run,
-        profile.csv,
+        profile.csv_blocks,
         lambda: {
             "slope": profile.slope,
             "intercept": profile.intercept,
@@ -598,7 +600,7 @@ def _cmd_localize(run: RunConfig) -> int:
     marker = {"marker": EMPTY_WINDOW_MARKER} if result.empty else {}
     return _emit_table(
         run,
-        lambda: result.csv() + "".join(v + "\n" for v in marker.values()),
+        lambda: [result.csv(), *(v + "\n" for v in marker.values())],
         lambda: {
             "rows": [dataclasses.asdict(r) for r in result.rows],
             "summary": result.summary(),
@@ -744,7 +746,7 @@ def _cmd_selftest(run: RunConfig) -> int:
         lines.append(f"selftest: {'PASS' if passed == total else 'FAIL'} ({passed}/{total} checks)")
         return "\n".join(lines) + "\n"
 
-    _emit_table(run, text, lambda: {"checks": checks, "passed": passed, "total": total})
+    _emit_table(run, lambda: [text()], lambda: {"checks": checks, "passed": passed, "total": total})
     return 0 if passed == total else 1
 
 

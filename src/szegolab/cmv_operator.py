@@ -33,12 +33,14 @@ hence normal, so its eigenvectors are eigenvectors of H with eigenvalue
 2 cos eta. eig_banded gives the eigenvalues of H alone; each vector comes
 from inverse iteration with the banded LU of H - h I, O(m) per
 pair (Bunse-Gerstner & Elsner, LAA 1991; Simon, OPUC section 2.2), so no
-step is cubic in m and the vectors are the one m x m array. The Rayleigh
-quotient v* C v of each vector, taken in column blocks, gives its
+step is cubic in m. The Rayleigh quotient v* C v of each vector gives its
 eigenvalue on the circle and a residual against C. eta and 2 pi - eta
 share cos eta, so nearly colliding pairs come back mixed and are
-separated again by Rayleigh-Ritz on the small cluster. Dense complex Schur
-of that dense window is the oracle of the eigenpair tests.
+separated again by Rayleigh-Ritz on the small cluster. eigenpair_blocks
+streams the pairs in blocks of about EIGEN_BLOCK columns, so a consumer
+that drops each block holds O(EIGEN_BLOCK m) memory; eigenpairs collects
+them into one m x m array sorted by angle. Dense complex Schur of the
+dense window is the oracle of the eigenpair tests.
 """
 
 from __future__ import annotations
@@ -58,11 +60,11 @@ DENSE_CAP = 5000
 UNITARITY_HARD_TOL = 1e-10
 
 # eigenpairs: the residual tolerance of a pair, ||C v - z v||_2;
-# columns per block of Rayleigh quotients and residuals;
+# columns per block of the streamed decomposition (eigenpair_blocks);
 # clusters for reorthogonalization, in units of ||H||_1; the fixed start
 # vectors of inverse iteration have phases proportional to k * GOLDEN_ANGLE
 EIGEN_TOL = 1e-8
-EIGEN_BLOCK = 64
+EIGEN_BLOCK = 16
 INVIT_GAP = 1e-6
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
@@ -240,7 +242,9 @@ def build(
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Eigenpairs of a finite unitary matrix, sorted by spectral angle.
+    """Eigenpairs of a finite unitary matrix: all of them sorted by
+    spectral angle (eigenpairs), or one block of them in H-order
+    (eigenpair_blocks).
 
     residuals[j] = ||C xi_j - z_j xi_j||_2; ok[j] flags residuals within
     EIGEN_TOL; repaired counts the pairs that the cluster Rayleigh-Ritz
@@ -303,18 +307,19 @@ def _cluster_runs(h_vals: np.ndarray, bad: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(starts.tolist(), stops.tolist()))
 
 
-def _inverse_iteration(hb: np.ndarray, h_vals: np.ndarray) -> np.ndarray:
-    """Unit eigenvectors of H for its sorted eigenvalues h_vals.
+def _inverse_iteration(hb: np.ndarray, h_vals: np.ndarray):
+    """Unit eigenvectors of H for its sorted eigenvalues h_vals, in order.
 
-    hb holds H's five bands (_hermitian_part). Each column comes from two
-    solves with the banded LU of H - h I (_banded_lu), started from fixed
-    vectors, so the result does not depend on any random state. A column
-    whose h lies within INVIT_GAP * ||H||_1 of the previous one belongs to
-    the same cluster, starts from its own vector and is orthogonalized
-    against the cluster's earlier columns after each solve; an exactly
-    double eigenvalue thus yields two orthonormal vectors, not one twice.
-    A shift whose factor comes out singular to working precision is moved
-    by eps ||H||_1.
+    hb holds H's five bands (_hermitian_part). Yields one vector per h,
+    from two solves with the banded LU of H - h I (_banded_lu), started
+    from fixed vectors, so the result does not depend on any random state.
+    A column whose h lies within INVIT_GAP * ||H||_1 of the previous one
+    belongs to the same cluster, starts from its own vector and is
+    orthogonalized against the cluster's earlier columns after each solve;
+    an exactly double eigenvalue thus yields two orthonormal vectors, not
+    one twice. Only the current cluster's columns are held. A shift whose
+    factor comes out singular to working precision is moved by
+    eps ||H||_1.
     """
     m = hb.shape[1]
     factor = _banded_lu(hb)
@@ -324,12 +329,10 @@ def _inverse_iteration(hb: np.ndarray, h_vals: np.ndarray) -> np.ndarray:
     tiny = eps * nudge
     phases = GOLDEN_ANGLE * np.arange(m)
     start = np.exp(1j * phases)
-    vectors = np.empty((m, m), dtype=np.complex128, order="F")
-    first = 0
+    cluster: list[np.ndarray] = []
     for j, h in enumerate(h_vals):
         if j == 0 or h - h_vals[j - 1] > INVIT_GAP * norm1:
-            first = j
-        earlier = vectors[:, first:j]
+            cluster = []
         shift = h
         while True:
             solve, pivots = factor(shift)
@@ -341,14 +344,25 @@ def _inverse_iteration(hb: np.ndarray, h_vals: np.ndarray) -> np.ndarray:
         # the r-th member of a cluster starts from phases k * r * GOLDEN_ANGLE:
         # one start for all would leave the later members of an exactly
         # double eigenvalue no component to grow from
-        x = start if j == first else np.exp(1j * (j - first + 1) * phases)
+        x = start
+        if cluster:
+            x = np.exp(1j * (len(cluster) + 1) * phases)
+            earlier = np.array(cluster).T
         for _ in range(2):
             x = solve(x)
-            if j > first:
+            if cluster:
                 x -= earlier @ (earlier.conj().T @ x)
             x /= np.linalg.norm(x)
-        vectors[:, j] = x
-    return vectors
+        cluster.append(x)
+        yield x
+
+
+def _rayleigh(bands: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rayleigh quotients z = v* C v of the unit columns of v and their
+    residuals ||C v - z v||_2."""
+    cv = band_matvec(bands, v)
+    z = np.einsum("ij,ij->j", v.conj(), cv)
+    return z, np.linalg.norm(cv - v * z, axis=0)
 
 
 def _permute_columns(a: np.ndarray, order: np.ndarray) -> None:
@@ -368,61 +382,118 @@ def _permute_columns(a: np.ndarray, order: np.ndarray) -> None:
         placed[j] = True
 
 
-def eigenpairs(op: FiniteCMV) -> EigenDecomposition:
-    """Full eigendecomposition through the banded Hermitian part of C.
+def eigenpair_blocks(op: FiniteCMV):
+    """The eigenpairs of C as a stream of blocks, in H-order.
 
     C is unitary, hence normal, so every eigenvector of C is one of the
     Hermitian pentadiagonal H = C + C*, with eigenvalue 2 cos eta.
     eig_banded gives H's eigenvalues alone, in O(m^2); each vector then
-    comes from banded inverse iteration at O(m) (_inverse_iteration). In
-    blocks of EIGEN_BLOCK columns, each unit vector v gets the Rayleigh
-    quotient z = v* C v as its eigenvalue and the residual ||C v - z v||_2,
-    so no m x m product C V is ever held.
+    comes from banded inverse iteration at O(m) (_inverse_iteration), in
+    the ascending order of those eigenvalues (H-order). Each unit vector v
+    gets the Rayleigh quotient z = v* C v as its eigenvalue and the
+    residual ||C v - z v||_2.
 
     eta and 2 pi - eta share cos eta, so where such a pair is close the
     H-eigenvector can be a mix of the two C-eigenvectors. Every pair whose
     residual exceeds EIGEN_TOL is grouped with its nearest neighbours in
     the H-spectrum, and the group is rotated by the complex Schur form of
     the small matrix Vc* C Vc (Rayleigh-Ritz), which separates the two
-    eigenvalues again; repaired counts the rotated pairs. Pairs still over
-    EIGEN_TOL after that are flagged in ok, not dropped. Dense complex
-    Schur of the whole window is the oracle in the tests.
+    eigenvalues again. Pairs still over EIGEN_TOL after that are flagged
+    in ok, not dropped.
+
+    Yields EigenDecomposition blocks of about EIGEN_BLOCK consecutive
+    columns in H-order, each with the count of pairs it rotated. A block
+    ends only where no Rayleigh-Ritz group reaches across; deciding that
+    takes the next column's residual, so one column is computed ahead.
+    Inverse iteration holds its current cluster itself, so the blocks do
+    not change a bit of the result. Only the current block is held,
+    O(EIGEN_BLOCK m) memory, and no size cap applies.
     """
     import scipy.linalg as sla
 
     m = op.m
-    if m > DENSE_CAP:
-        raise ValueError(f"eigenpairs capped at {DENSE_CAP} sites, window has {m}")
     hb = _hermitian_part(op.bands)
     h_vals = sla.eig_banded(hb[: N_BANDS_UP + 1], eigvals_only=True)
-    vectors = _inverse_iteration(hb, h_vals)
+    # gaps[i] = h_i - h_{i-1}, infinite past either end
+    gaps = np.concatenate(([np.inf], np.diff(h_vals), [np.inf]))
     vals = np.empty(m, dtype=np.complex128)
     residuals = np.empty(m)
-    for s in range(0, m, EIGEN_BLOCK):
-        e = min(s + EIGEN_BLOCK, m)
-        v = vectors[:, s:e]
-        cv = band_matvec(op.bands, v)
-        vals[s:e] = np.einsum("ij,ij->j", v.conj(), cv)
-        residuals[s:e] = np.linalg.norm(cv - v * vals[s:e], axis=0)
-    repaired = 0
-    for s, e in _cluster_runs(h_vals, residuals > EIGEN_TOL):
-        vc = vectors[:, s:e]
-        cvc = band_matvec(op.bands, vc)
-        T, Q = sla.schur(vc.conj().T @ cvc, output="complex")
-        vectors[:, s:e] = vc @ Q
-        cvc = cvc @ Q
-        vals[s:e] = np.diag(T)
-        residuals[s:e] = np.linalg.norm(cvc - vectors[:, s:e] * vals[s:e], axis=0)
-        repaired += e - s
-    etas = np.angle(vals) % TWO_PI
-    order = np.argsort(etas)
-    residuals = residuals[order]
+
+    def finish(v, s, e):
+        # Rayleigh-Ritz on the groups of the block [s, e), which no group
+        # leaves; v holds its columns
+        repaired = 0
+        for a, b in _cluster_runs(h_vals[s:e], residuals[s:e] > EIGEN_TOL):
+            vc = v[:, a:b]
+            cvc = band_matvec(op.bands, vc)
+            T, Q = sla.schur(vc.conj().T @ cvc, output="complex")
+            v[:, a:b] = vc @ Q
+            cvc = cvc @ Q
+            vals[s + a : s + b] = np.diag(T)
+            cvc -= v[:, a:b] * vals[s + a : s + b]
+            residuals[s + a : s + b] = np.linalg.norm(cvc, axis=0)
+            repaired += b - a
+        return EigenDecomposition(
+            eigenvalues=vals[s:e].copy(),
+            etas=np.angle(vals[s:e]) % TWO_PI,
+            vectors=v,
+            residuals=residuals[s:e].copy(),
+            ok=residuals[s:e] <= EIGEN_TOL,
+            repaired=repaired,
+        )
+
+    # the columns of the block that starts at column s; the columns before
+    # done have their quotients
+    cols = []
+    s = done = 0
+    for e, x in enumerate(_inverse_iteration(hb, h_vals)):
+        cols.append(x)
+        if len(cols) <= EIGEN_BLOCK:
+            continue
+        new = np.array(cols[done - s :]).T
+        vals[done : e + 1], residuals[done : e + 1] = _rayleigh(op.bands, new)
+        done = e + 1
+        # a group joins e - 1 and e when one of them is over tolerance and
+        # has the other as its nearest neighbour (_cluster_runs)
+        bad = residuals[e - 1 : e + 1] > EIGEN_TOL
+        if (bad[0] and gaps[e] <= gaps[e - 1]) or (bad[1] and gaps[e] <= gaps[e + 1]):
+            continue
+        yield finish(np.array(cols[:-1]).T, s, e)
+        cols, s = [x], e
+    if done < m:
+        vals[done:], residuals[done:] = _rayleigh(op.bands, np.array(cols[done - s :]).T)
+    yield finish(np.array(cols).T, s, m)
+
+
+def eigenpairs(op: FiniteCMV) -> EigenDecomposition:
+    """Full eigendecomposition, sorted by spectral angle.
+
+    Collects the blocks of eigenpair_blocks into one m x m array, which
+    is then put in angle order in place, so the vectors are held once;
+    windows over DENSE_CAP sites are refused before it is allocated.
+    repaired sums the blocks' Rayleigh-Ritz counts. Dense complex Schur of
+    the whole window is the oracle in the tests.
+    """
+    m = op.m
+    if m > DENSE_CAP:
+        raise ValueError(f"eigenpairs capped at {DENSE_CAP} sites, window has {m}")
+    vectors = np.empty((m, m), dtype=np.complex128, order="F")
+    blocks = []
+    s = 0
+    for blk in eigenpair_blocks(op):
+        vectors[:, s : s + blk.count] = blk.vectors
+        s += blk.count
+        blocks.append((blk.eigenvalues, blk.etas, blk.residuals, blk.repaired))
+    vals, etas, residuals, repaired = zip(*blocks)
+    etas = np.concatenate(etas)
+    order = np.argsort(etas, kind="stable")
+    residuals = np.concatenate(residuals)[order]
     _permute_columns(vectors, order)
     return EigenDecomposition(
-        eigenvalues=vals[order],
+        eigenvalues=np.concatenate(vals)[order],
         etas=etas[order],
         vectors=vectors,
         residuals=residuals,
         ok=residuals <= EIGEN_TOL,
-        repaired=repaired,
+        repaired=sum(repaired),
     )

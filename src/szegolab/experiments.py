@@ -12,13 +12,14 @@ never changes the output.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .cmv_operator import DENSE_CAP, build, eigenpairs
+from .cmv_operator import DENSE_CAP, build, eigenpair_blocks
 from .prufer import circle_variables, default_decorrelation_time, expansion_diagnostics
 from .sampling import (
     TrigPolynomial,
@@ -143,17 +144,29 @@ def linear_fit(x, y) -> FitResult:
     )
 
 
-def _csv(header: str, rows) -> str:
-    lines = [header]
-    for row in rows:
-        parts = []
-        for v in row:
-            if isinstance(v, float):
-                parts.append(repr(float(v)))
-            else:
-                parts.append(str(v))
-        lines.append(",".join(parts))
-    return "\n".join(lines) + "\n"
+# rows per text block of a CSV table
+CSV_BLOCK = 4096
+
+
+def _csv_blocks(header: str, rows):
+    """A CSV table as text blocks: the header line, then the rows of any
+    row iterator, CSV_BLOCK of them per block, floats by repr and
+    everything else by str."""
+    yield header + "\n"
+    rows = iter(rows)
+    while True:
+        lines = []
+        for row in itertools.islice(rows, CSV_BLOCK):
+            parts = []
+            for v in row:
+                if isinstance(v, float):
+                    parts.append(repr(float(v)))
+                else:
+                    parts.append(str(v))
+            lines.append(",".join(parts))
+        if not lines:
+            return
+        yield "\n".join(lines) + "\n"
 
 
 def _prediction(plan: ExperimentPlan, lam: float, eta: float) -> float:
@@ -202,7 +215,7 @@ class LyapunovScalingResult:
     CSV_HEADER = "lambda,eta,N,L_N,prediction,residual,cross_delta"
 
     def csv(self) -> str:
-        return _csv(self.CSV_HEADER, map(dataclasses.astuple, self.rows))
+        return "".join(_csv_blocks(self.CSV_HEADER, map(dataclasses.astuple, self.rows)))
 
     def summary(self) -> dict:
         return {
@@ -324,7 +337,7 @@ class DeviationResult:
         ]
 
     def csv(self) -> str:
-        return _csv(self.CSV_HEADER, self.table())
+        return "".join(_csv_blocks(self.CSV_HEADER, self.table()))
 
     def summary(self) -> dict:
         return {
@@ -527,7 +540,8 @@ class LocalizationResult:
     row); eigen_over_tol counts in-window eigenpairs over their residual
     tolerance (kept, with a row when the fit succeeds); worst_eigen_residual
     is the largest residual among in-window pairs; eigen_repaired counts
-    the pairs of the whole windows that eigenpairs rotated by Rayleigh-Ritz.
+    the pairs that eigenpair_blocks rotated by Rayleigh-Ritz, summed over
+    the blocks of every window.
     The summary's good_fits counts rows with r2 >= GOOD_R2 and a positive
     decay rate.
     """
@@ -551,7 +565,7 @@ class LocalizationResult:
         return float(np.median([r.ratio for r in self.rows]))
 
     def csv(self) -> str:
-        return _csv(self.CSV_HEADER, map(dataclasses.astuple, self.rows))
+        return "".join(_csv_blocks(self.CSV_HEADER, map(dataclasses.astuple, self.rows)))
 
     def summary(self) -> dict:
         return {
@@ -567,7 +581,6 @@ class LocalizationResult:
 
 
 BOUNDARY_SKIP = 5
-FIT_BLOCK = 64
 
 
 def _decay_fits(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -578,8 +591,14 @@ def _decay_fits(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     at each end and any exact zeros; one closed form over the whole
     block. Returns the rates (positive = decay), the r2 values, and ok,
     which is False for a column with fewer than 3 nonzero sites or a
-    non-finite fit.
+    non-finite fit. A column's results do not depend on the other
+    columns of its block.
     """
+    if vectors.shape[1] == 1:
+        # numpy sums a lone column's products pairwise, where a block's
+        # are summed row by row; taken twice, the column gets the bits it
+        # has in any block
+        return tuple(a[:1] for a in _decay_fits(vectors[:, [0, 0]]))
     mag = np.abs(vectors)
     m = mag.shape[0]
     inner = mag[BOUNDARY_SKIP : m - BOUNDARY_SKIP]
@@ -615,16 +634,18 @@ def localization(
     """Eigenfunction decay rates inside a spectral window.
 
     For each (lambda, N) cell: build the window operator on [0, N] with
-    right boundary value gamma (the a = 0 edge needs no left value),
-    keep eigenpairs whose angle lies in the spectral window (where the
-    spectral function exceeds c, at least delta away from 0 and pi), fit
-    each eigenvector's exponential profile (FIT_BLOCK columns at a time),
-    and compare the decay rate with the growth rate at the matching
-    angle. No in-window eigenvalues yields an empty result, not
-    an error. In-window pairs over the eigen-residual tolerance are fitted
-    like the rest and counted; failed fits are skipped and counted. An N
-    whose window exceeds DENSE_CAP sites raises ValueError before any
-    window is built.
+    right boundary value gamma (the a = 0 edge needs no left value) and
+    stream its eigenpairs (eigenpair_blocks). Of each block, keep the
+    pairs whose angle lies in the spectral window (where the spectral
+    function exceeds c, at least delta away from 0 and pi), fit their
+    eigenvectors' exponential profiles in one batch, and drop the
+    vectors, so a window costs O(EIGEN_BLOCK m) memory, not O(m^2). The
+    fitted rows are put in angle order and compared with the growth rate
+    at the matching angle. No in-window eigenvalues yields an empty
+    result, not an error. In-window pairs over the eigen-residual
+    tolerance are fitted like the rest and counted; failed fits are
+    skipped and counted. An N whose window exceeds DENSE_CAP sites raises
+    ValueError before any window is built.
     """
     win = tuple(spectral_window(plan.alpha, plan.autom, delta, c))
     rows: list[LocalizationRow] = []
@@ -646,23 +667,24 @@ def localization(
                 )
             cfg = plan.config(lam, cell, 0)
             op = build(cfg, 0, N, None, gamma)
-            dec = eigenpairs(op)
-            repaired += dec.repaired
-            inside = np.zeros(dec.count, dtype=bool)
-            for lo, hi in win:
-                inside |= (dec.etas >= lo) & (dec.etas <= hi)
-            inside = np.flatnonzero(inside)
-            over_tol += int(np.count_nonzero(~dec.ok[inside]))
-            worst = max(worst, float(dec.residuals[inside].max(initial=0.0)))
-            fitted = []
-            for s in range(0, inside.size, FIT_BLOCK):
-                cols = inside[s : s + FIT_BLOCK]
-                rates, r2s, ok = _decay_fits(dec.vectors[:, cols])
+            fits = []
+            for blk in eigenpair_blocks(op):
+                repaired += blk.repaired
+                inside = np.zeros(blk.count, dtype=bool)
+                for lo, hi in win:
+                    inside |= (blk.etas >= lo) & (blk.etas <= hi)
+                inside = np.flatnonzero(inside)
+                over_tol += int(np.count_nonzero(~blk.ok[inside]))
+                worst = max(worst, float(blk.residuals[inside].max(initial=0.0)))
+                rates, r2s, ok = _decay_fits(blk.vectors[:, inside])
                 skipped += int(np.count_nonzero(~ok))
-                fitted += zip(dec.etas[cols[ok]].tolist(), rates[ok].tolist(), r2s[ok].tolist())
-            points = [SpectralPoint(eta=eta_j) for eta_j, _, _ in fitted]
+                fits.append((blk.etas[inside[ok]], rates[ok], r2s[ok]))
+            etas, rates, r2s = (np.concatenate(f) for f in zip(*fits))
+            order = np.argsort(etas, kind="stable")
+            etas, rates, r2s = etas[order].tolist(), rates[order].tolist(), r2s[order].tolist()
+            points = [SpectralPoint(eta=eta_j) for eta_j in etas]
             lyaps = lyapunov_poly_many(cfg, points, lyap_N).tolist()
-            for (eta_j, rate, r2), L in zip(fitted, lyaps):
+            for eta_j, rate, r2, L in zip(etas, rates, r2s, lyaps):
                 rows.append(
                     LocalizationRow(
                         lam=lam,

@@ -14,6 +14,7 @@ n1, n2 in [a, b].
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from ._kernels import monic_scan
 from .cmv_operator import FiniteCMV, band_matvec
-from .experiments import _csv, linear_fit
+from .experiments import CSV_BLOCK, _csv_blocks, linear_fit
 from .szego_cocycle import _log_rho
 
 DIRECT_RESIDUAL_TOL = 1e-10
@@ -267,19 +268,35 @@ def reconstruction_residual(op: FiniteCMV, z: complex, xi: np.ndarray) -> float:
 class DecayProfile:
     """Least-squares decay fit of log|G| against -|n1 - n2|.
 
-    slope is the empirical decay rate (positive means decay), rows
-    holds the sampled (n1, n2, log|G|) triples behind the fit, and
+    slope is the empirical decay rate (positive means decay); the sampled
+    entries behind the fit are the arrays n1, n2 and log_abs_G, one entry
+    per index, and rows gives them as (n1, n2, log|G|) triples.
     columns_skipped counts the sampled columns whose solve blew up.
     """
 
     slope: float
     intercept: float
     r2: float
-    rows: tuple[tuple[int, int, float], ...]
+    n1: np.ndarray
+    n2: np.ndarray
+    log_abs_G: np.ndarray
     columns_skipped: int
 
-    def csv(self) -> str:
-        return _csv("n1,n2,log_abs_G", self.rows)
+    CSV_HEADER = "n1,n2,log_abs_G"
+
+    @property
+    def rows(self) -> tuple[tuple[int, int, float], ...]:
+        return tuple(zip(self.n1.tolist(), self.n2.tolist(), self.log_abs_G.tolist()))
+
+    def csv_blocks(self):
+        """The CSV table as text blocks, its rows read from the arrays one
+        block of CSV_BLOCK entries at a time."""
+        parts = (slice(s, s + CSV_BLOCK) for s in range(0, self.n1.size, CSV_BLOCK))
+        rows = itertools.chain.from_iterable(
+            zip(self.n1[p].tolist(), self.n2[p].tolist(), self.log_abs_G[p].tolist())
+            for p in parts
+        )
+        return _csv_blocks(self.CSV_HEADER, rows)
 
 
 MIN_FIT_PAIRS = 10
@@ -295,7 +312,7 @@ def decay_profile(op: FiniteCMV, z: complex, columns: int = 12) -> DecayProfile:
     blows up are skipped and counted; fewer than MIN_FIT_PAIRS surviving
     entries abort the fit. The caller is responsible for keeping z away
     from the window spectrum (the experiment layer picks z inside a
-    spectral window and at a checked distance). The rows give absolute
+    spectral window and at a checked distance). The entries give absolute
     sites.
     """
     z = complex(z)
@@ -306,30 +323,38 @@ def decay_profile(op: FiniteCMV, z: complex, columns: int = 12) -> DecayProfile:
     # of them spread over it (all of them when it holds exactly k)
     grid = range(lo, hi + 1, max(1, (hi - lo) // max(1, k - 1)))
     column = _column_solver(op, z)
-    rows: list[tuple[int, int, float]] = []
-    skipped = 0
+    sites = np.arange(op.a + lo, op.a + hi + 1)
+    # every sampled entry of every column, filled in place; the unused
+    # tail (skipped columns, non-finite logs) is cut off at the end
+    n1 = np.empty(k * sites.size, dtype=np.int64)
+    n2 = np.empty_like(n1)
+    lg = np.empty(n1.size)
+    used = skipped = 0
     for j in range(k):
-        n2 = grid[j * (len(grid) - 1) // max(1, k - 1)]
+        col = grid[j * (len(grid) - 1) // max(1, k - 1)]
         try:
-            u = column(n2)
+            u = column(col)
         except ResolventBlowupError:
             skipped += 1
             continue
-        mags = np.abs(u[lo : hi + 1])
         with np.errstate(divide="ignore"):
-            logs = np.log(mags)
-        # one int per column, shared by its rows (one per row: +3 MiB at 10^4 sites)
-        col = op.a + n2
-        for n1, lg in enumerate(logs, op.a + lo):
-            if math.isfinite(lg):
-                rows.append((n1, col, float(lg)))
-    if len(rows) < MIN_FIT_PAIRS:
-        raise GreenFitError(f"only {len(rows)} usable entries, need {MIN_FIT_PAIRS}")
-    fit = linear_fit([-abs(n1 - n2) for n1, n2, _ in rows], [lg for _, _, lg in rows])
+            logs = np.log(np.abs(u[lo : hi + 1]))
+        finite = np.isfinite(logs)
+        end = used + int(np.count_nonzero(finite))
+        n1[used:end] = sites[finite]
+        n2[used:end] = op.a + col
+        lg[used:end] = logs[finite]
+        used = end
+    if used < MIN_FIT_PAIRS:
+        raise GreenFitError(f"only {used} usable entries, need {MIN_FIT_PAIRS}")
+    n1, n2, lg = n1[:used], n2[:used], lg[:used]
+    fit = linear_fit(-np.abs(n1 - n2), lg)
     return DecayProfile(
         slope=fit.slope,
         intercept=fit.intercept,
         r2=fit.r2,
-        rows=tuple(rows),
+        n1=n1,
+        n2=n2,
+        log_abs_G=lg,
         columns_skipped=skipped,
     )

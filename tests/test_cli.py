@@ -328,6 +328,47 @@ def test_green_csv_smoke(capsys):
     assert math.isfinite(float(lg))
 
 
+def test_green_csv_goes_out_in_blocks_with_the_same_bytes(tmp_path, capsys, monkeypatch):
+    # stdout and --out carry the same bytes, those of the one-string table
+    # (ints by str, floats by repr), over several text blocks
+    profiles = []
+    real = cli.decay_profile
+
+    def kept(*args, **kwargs):
+        profiles.append(real(*args, **kwargs))
+        return profiles[-1]
+
+    monkeypatch.setattr(cli, "decay_profile", kept)
+    argv = ["green", "--lambda", "0.5", "--eta", "1.2", "--N", "1000", "--seed", "4"]
+    assert main(argv) == 0
+    streamed = capsys.readouterr().out
+    path = tmp_path / "green.csv"
+    assert main([*argv, "--out", str(path)]) == 0
+    assert path.read_bytes().decode("utf-8") == streamed
+    profile = profiles[0]
+    blocks = list(profile.csv_blocks())
+    assert len(blocks) == 1 + math.ceil(len(profile.rows) / experiments.CSV_BLOCK) > 3
+    assert "".join(blocks) == streamed
+    assert streamed == "n1,n2,log_abs_G\n" + "".join(
+        f"{n1},{n2},{lg!r}\n" for n1, n2, lg in profile.rows
+    )
+
+
+def test_green_memory_at_ten_thousand_sites(tmp_path):
+    # 12 columns of a 10001-site window read 23.9 MiB traced while the
+    # entries were tuples and the CSV one string
+    main(["green", "--N", "300", "--out", str(tmp_path / "warm.csv")])
+    argv = ["green", "--lambda", "0.5", "--eta", "1.2", "--N", "10000", "--columns", "12"]
+    tracemalloc.start()
+    try:
+        code = main([*argv, "--out", str(tmp_path / "green.csv")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 0.5 * 23.9 * 2**20
+
+
 def test_green_refuses_grids(capsys):
     # green runs one window; a second grid value would be dropped
     argv = ["green", "--lambda-grid", "0.3,0.5", "--eta-grid", "1.0,2.0",

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from szegolab import cmv_operator
 from szegolab.cmv_operator import (
     DENSE_CAP,
+    EIGEN_BLOCK,
     EIGEN_TOL,
     ConstructionError,
     FiniteCMV,
@@ -20,6 +22,7 @@ from szegolab.cmv_operator import (
     _window_bands,
     band_matvec,
     build,
+    eigenpair_blocks,
     eigenpairs,
 )
 from szegolab.experiments import ExperimentPlan
@@ -379,10 +382,9 @@ def test_eigenpairs_repair_degenerate_pairs_free():
     _assert_matches_schur(op, eigenpairs(op), 1e-10)
 
 
-def test_eigenpairs_split_exactly_degenerate_eigenvalues_of_c():
-    # two identical halves split by a unimodular coefficient (rho = 0):
-    # C itself has every eigenvalue twice, which Rayleigh-Ritz on C cannot
-    # split, so the two vectors of each pair must come out orthogonal
+def _split_halves():
+    """Two identical halves split by a unimodular coefficient (rho = 0):
+    C itself has every eigenvalue twice."""
     k = 99  # odd, so the second half starts at the even site k + 1
     rng = np.random.default_rng(35)
     half = 0.6 * np.sqrt(rng.uniform(size=k)) * np.exp(2j * math.pi * rng.uniform(size=k))
@@ -390,9 +392,15 @@ def test_eigenpairs_split_exactly_degenerate_eigenvalues_of_c():
     # the right edge alpha_{2k+1} = -1 repeats alpha_k
     alphas = np.concatenate((half, [-1.0], half, [-1.0, 0.0]))
     b = 2 * k + 1
-    op = FiniteCMV(
+    return FiniteCMV(
         a=0, b=b, bands=_window_bands(alphas, 0, b), alphas=alphas, beta=None, gamma=-1.0
     )
+
+
+def test_eigenpairs_split_exactly_degenerate_eigenvalues_of_c():
+    # C itself has every eigenvalue twice, which Rayleigh-Ritz on C cannot
+    # split, so the two vectors of each pair must come out orthogonal
+    op = _split_halves()
     assert op.unitarity_defect() <= 1e-14
     schur = _schur_etas(op)
     assert np.max(np.abs(schur[0::2] - schur[1::2])) <= 1e-12
@@ -411,7 +419,7 @@ def test_eigenpairs_move_singular_shifts(b, gamma):
 def test_eigenpairs_memory_stays_near_one_matrix():
     # the vectors are the one m x m array held for long, sorted in place; a
     # full eig_banded solve with its product C V and residual temporaries
-    # held four
+    # held four; the stream adds one block
     plan = ExperimentPlan(lams=(0.5,), etas=(0.5 * math.pi,), Ns=(800,), seed=3)
     op = build(plan.config(0.5, 0, 0), 0, 800, None, 1.0)
     tracemalloc.start()
@@ -421,6 +429,93 @@ def test_eigenpairs_memory_stays_near_one_matrix():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * op.m**2 * 16
+
+
+# ---------------------------------------------------------------------------
+# the streamed decomposition
+
+
+def _collected(op):
+    """The blocks of eigenpair_blocks, concatenated in stream order."""
+    blocks = list(eigenpair_blocks(op))
+    return blocks, {
+        "eigenvalues": np.concatenate([b.eigenvalues for b in blocks]),
+        "etas": np.concatenate([b.etas for b in blocks]),
+        "vectors": np.hstack([b.vectors for b in blocks]),
+        "residuals": np.concatenate([b.residuals for b in blocks]),
+        "ok": np.concatenate([b.ok for b in blocks]),
+        "repaired": sum(b.repaired for b in blocks),
+    }
+
+
+def test_streamed_blocks_in_angle_order_are_eigenpairs():
+    # criterion 08's window: the blocks, concatenated and put in angle
+    # order, are eigenpairs bit for bit
+    plan = ExperimentPlan(lams=(0.5,), etas=(0.5 * math.pi,), Ns=(400,), seed=3)
+    op = build(plan.config(0.5, 0, 0), 0, 400, None, 1.0)
+    blocks, got = _collected(op)
+    assert len(blocks) > 1
+    assert all(b.count >= EIGEN_BLOCK for b in blocks[:-1])
+    assert sum(b.count for b in blocks) == op.m
+    dec = eigenpairs(op)
+    order = np.argsort(got["etas"], kind="stable")
+    for name in ("eigenvalues", "etas", "residuals", "ok"):
+        assert np.array_equal(got[name][order], getattr(dec, name)), name
+    assert np.array_equal(got["vectors"][:, order], dec.vectors)
+    assert got["repaired"] == dec.repaired
+
+
+@pytest.mark.parametrize(
+    "lam, build_args, block, invit_gap",
+    [
+        (0.5, (0, 400, None, 1.0), EIGEN_BLOCK, cmv_operator.INVIT_GAP),
+        # a shifted window with both boundary values
+        (0.3, (17, 300, cmath.exp(0.3j), cmath.exp(1.1j)), EIGEN_BLOCK, cmv_operator.INVIT_GAP),
+        # eta and 2 pi - eta nearly collide: the pairs are inverse-iteration
+        # clusters and Rayleigh-Ritz groups, and odd blocks cut into them
+        (1e-8, (0, 400, None, 1.0), 7, cmv_operator.INVIT_GAP),
+        # the same without clusters: only the Rayleigh-Ritz groups join
+        (1e-8, (0, 400, None, 1.0), 7, 0.0),
+    ],
+)
+def test_blocks_do_not_change_the_pairs(monkeypatch, lam, build_args, block, invit_gap):
+    # a block never splits a Rayleigh-Ritz group, and inverse iteration
+    # carries its clusters across blocks, so the stream gives the bits of
+    # one block over the whole window
+    cfg = VerblunskyConfig(
+        lam=lam,
+        base=TorusPoint.random(np.random.default_rng(np.random.SeedSequence(3))),
+        autom=CAT_MAP,
+        alpha=preset("alpha0"),
+    )
+    op = build(cfg, *build_args)
+    monkeypatch.setattr(cmv_operator, "INVIT_GAP", invit_gap)
+    monkeypatch.setattr(cmv_operator, "EIGEN_BLOCK", block)
+    blocks, streamed = _collected(op)
+    monkeypatch.setattr(cmv_operator, "EIGEN_BLOCK", op.m)
+    whole, single = _collected(op)
+    assert len(blocks) > 1 and len(whole) == 1
+    if block % 2:
+        assert any(b.count > block for b in blocks[:-1])
+        assert streamed["repaired"] >= op.m // 2
+    for name, value in streamed.items():
+        assert np.array_equal(value, single[name]), name
+
+
+@pytest.mark.parametrize("window", ["free", "split"])
+def test_blocks_may_split_inverse_iteration_clusters(monkeypatch, window):
+    # every eigenvalue of H twice, each pair one cluster, which odd blocks
+    # cut: inverse iteration keeps the cluster, and the pairs of the
+    # split halves (exact eigenpairs of C, so no Rayleigh-Ritz group
+    # joins them) still come out orthonormal
+    op = build(free_config(), 0, 400, None, 1.0) if window == "free" else _split_halves()
+    monkeypatch.setattr(cmv_operator, "EIGEN_BLOCK", 7)
+    _, streamed = _collected(op)
+    _assert_matches_schur(op, eigenpairs(op), 1e-10)
+    monkeypatch.setattr(cmv_operator, "EIGEN_BLOCK", op.m)
+    _, single = _collected(op)
+    for name, value in streamed.items():
+        assert np.array_equal(value, single[name]), name
 
 
 def test_eigenpairs_reject_windows_over_the_cap():

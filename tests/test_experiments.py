@@ -11,7 +11,7 @@ import pytest
 import scipy.stats
 
 from szegolab import experiments, verblunsky
-from szegolab.cmv_operator import build, eigenpairs
+from szegolab.cmv_operator import EIGEN_BLOCK, build, eigenpairs
 from szegolab.experiments import (
     FAMILIES,
     DeviationRow,
@@ -24,7 +24,7 @@ from szegolab.experiments import (
 )
 from szegolab.prufer import expansion_diagnostics
 from szegolab.sampling import evaluate_many, preset, spectral_function, spectral_window
-from szegolab.szego_cocycle import SpectralPoint
+from szegolab.szego_cocycle import SpectralPoint, lyapunov_poly_many
 from szegolab.torus_dynamics import CAT_MAP, TWO_PI, orbit_slices
 
 from oracles import eigenvector_decay_fit, scalar_orbit
@@ -386,21 +386,23 @@ def test_localization_counts_what_it_drops(monkeypatch):
     assert clean.eigen_over_tol == 0
     assert 0.0 < clean.worst_eigen_residual <= 1e-8
 
-    real = experiments.eigenpairs
+    real = experiments.eigenpair_blocks
     picked = {}
 
     def tampered(op):
-        dec = real(op)
-        inside = np.flatnonzero((dec.etas >= 1.0) & (dec.etas <= 2.0))
-        flagged, unfit = int(inside[0]), int(inside[1])
-        dec.ok[flagged] = False
-        dec.residuals[flagged] = 0.5
-        dec.vectors[:, unfit] = 0.0
-        dec.vectors[0, unfit] = 1.0
-        picked.update(flagged=float(dec.etas[flagged]), unfit=float(dec.etas[unfit]))
-        return dec
+        # the first block with two pairs in [1, 2] gets both defects
+        for blk in real(op):
+            inside = np.flatnonzero((blk.etas >= 1.0) & (blk.etas <= 2.0))
+            if len(inside) >= 2 and not picked:
+                flagged, unfit = int(inside[0]), int(inside[1])
+                blk.ok[flagged] = False
+                blk.residuals[flagged] = 0.5
+                blk.vectors[:, unfit] = 0.0
+                blk.vectors[0, unfit] = 1.0
+                picked.update(flagged=float(blk.etas[flagged]), unfit=float(blk.etas[unfit]))
+            yield blk
 
-    monkeypatch.setattr(experiments, "eigenpairs", tampered)
+    monkeypatch.setattr(experiments, "eigenpair_blocks", tampered)
     res = localization(plan, lyap_N=5_000)
     assert res.fits_skipped == 1
     assert res.eigen_over_tol == 1
@@ -415,17 +417,63 @@ def test_localization_counts_what_it_drops(monkeypatch):
 
 
 def test_localization_sums_the_repaired_pairs(monkeypatch):
-    # every cell's Rayleigh-Ritz count reaches the summary
+    # the Rayleigh-Ritz count of every block of every cell reaches the summary
     plan = ExperimentPlan(lams=(0.7,), etas=(1.5708,), Ns=(200, 240), seed=0)
-    real = experiments.eigenpairs
-    monkeypatch.setattr(
-        experiments, "eigenpairs", lambda op: dataclasses.replace(real(op), repaired=3)
-    )
+    real = experiments.eigenpair_blocks
+    counts = []
+
+    def marked(op):
+        for blk in real(op):
+            counts.append(blk.count)
+            yield dataclasses.replace(blk, repaired=3)
+
+    monkeypatch.setattr(experiments, "eigenpair_blocks", marked)
     res = localization(plan, lyap_N=2_000)
-    assert res.eigen_repaired == 6
+    assert sum(counts) == 201 + 241
+    assert res.eigen_repaired == 3 * len(counts)
     summary = res.summary()
     assert json.loads(json.dumps(summary)) == summary
-    assert summary["eigen_repaired"] == 6
+    assert summary["eigen_repaired"] == 3 * len(counts)
+
+
+def test_streamed_localization_matches_the_full_decomposition():
+    # rows from the whole decomposition in angle order, fitted 64 columns
+    # at a time: eta and L agree bit for bit, the fits to rounding
+    plan = ExperimentPlan(lams=(0.5,), etas=(0.5 * math.pi,), Ns=(400,), seed=3)
+    res = localization(plan, lyap_N=20_000)
+    cfg = plan.config(0.5, 0, 0)
+    dec = eigenpairs(build(cfg, 0, 400, None, 1.0))
+    inside = np.flatnonzero(
+        [any(lo <= eta <= hi for lo, hi in res.window) for eta in dec.etas]
+    )
+    fits = [_decay_fits(dec.vectors[:, inside[s : s + 64]]) for s in range(0, inside.size, 64)]
+    rates, r2s, ok = (np.concatenate(f) for f in zip(*fits))
+    assert ok.all() and res.fits_skipped == 0
+    etas = dec.etas[inside]
+    L = lyapunov_poly_many(cfg, [SpectralPoint(eta=e) for e in etas], 20_000)
+    assert [r.eta for r in res.rows] == etas.tolist()
+    assert [r.lyapunov for r in res.rows] == L.tolist()
+    for row, rate, r2, lyap in zip(res.rows, rates, r2s, L):
+        assert row.decay_rate == pytest.approx(rate, rel=1e-12)
+        assert row.r2 == pytest.approx(r2, rel=1e-12)
+        assert row.localization_length == pytest.approx(1.0 / rate, rel=1e-12)
+        assert row.ratio == pytest.approx(rate / lyap, rel=1e-12)
+
+
+def test_localization_memory_is_a_few_blocks():
+    # 2001 sites: the m x m vectors alone took 61 MiB; the stream holds
+    # one block of them and its fit at a time
+    plan = ExperimentPlan(lams=(0.5,), etas=(0.5 * math.pi,), Ns=(2000,), seed=3)
+    # a small run first keeps the imports and caches out of the trace
+    localization(ExperimentPlan(lams=(0.7,), etas=(1.0,), Ns=(200,), seed=3), lyap_N=100)
+    tracemalloc.start()
+    try:
+        res = localization(plan, lyap_N=2_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(res.rows) > 1000
+    assert peak < 8 * 2**20
 
 
 def test_localization_empty_window():
@@ -481,12 +529,24 @@ def test_batched_decay_fits_match_the_oracle():
     dec = eigenpairs(build(plan.config(0.5, 0, 0), 0, 400, None, 1.0))
     win = spectral_window(plan.alpha, plan.autom, 0.3, 0.05)
     inside = [j for j, eta in enumerate(dec.etas) if any(lo <= eta <= hi for lo, hi in win)]
-    assert len(inside) > experiments.FIT_BLOCK
+    assert len(inside) > EIGEN_BLOCK
     rates, r2s, ok = _decay_fits(dec.vectors[:, inside])
     assert ok.all()
     fits = [eigenvector_decay_fit(dec.vectors[:, j]) for j in inside]
     assert np.max(np.abs(rates - [f.slope for f in fits])) <= 1e-12
     assert np.max(np.abs(r2s - [f.r2 for f in fits])) <= 1e-12
+
+
+def test_decay_fit_of_a_column_does_not_depend_on_its_block():
+    # alone, in a pair, or among 64: the same bits for every column
+    plan = ExperimentPlan(lams=(0.5,), etas=(0.5 * math.pi,), Ns=(400,), seed=3)
+    vectors = eigenpairs(build(plan.config(0.5, 0, 0), 0, 400, None, 1.0)).vectors
+    cols = np.arange(100, 164)
+    block = _decay_fits(vectors[:, cols])
+    for width in (1, 2, 5):
+        parts = [_decay_fits(vectors[:, cols[s : s + width]]) for s in range(0, cols.size, width)]
+        for got, want in zip(zip(*parts), block):
+            assert np.array_equal(np.concatenate(got), want)
 
 
 def test_batched_decay_fits_flag_unusable_columns():

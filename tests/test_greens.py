@@ -11,6 +11,7 @@ import pytest
 
 from szegolab import greens, verblunsky
 from szegolab.cmv_operator import build, eigenpairs
+from szegolab.experiments import linear_fit
 from szegolab.greens import (
     GreenFitError,
     ResolventBlowupError,
@@ -216,11 +217,25 @@ def test_profile_aborts_on_spectrum():
 
 def test_profile_csv_shape():
     prof = decay_profile(build(free_config(), 0, 120, None, 1.0), cmath.exp(0.77j))
-    lines = prof.csv().strip().split("\n")
+    lines = "".join(prof.csv_blocks()).strip().split("\n")
     assert lines[0] == "n1,n2,log_abs_G"
     assert len(lines) == len(prof.rows) + 1
     n1, n2, lg = lines[1].split(",")
     assert (int(n1), int(n2), float(lg)) == prof.rows[0]
+
+
+def test_profile_rows_iterate_as_triples():
+    # the entries are kept as three arrays; rows gives them back as
+    # (n1, n2, log|G|) triples of Python scalars, as tracing code unpacks them
+    op = build(random_config(np.random.default_rng(12)), 5, 205, cmath.exp(0.2j), 1.0)
+    prof = decay_profile(op, 0.7 * cmath.exp(1.3j), columns=5)
+    assert len(prof.rows) == prof.n1.size == prof.n2.size == prof.log_abs_G.size > 0
+    for (n1, n2, lg), a, b, c in zip(prof.rows, prof.n1, prof.n2, prof.log_abs_G):
+        assert (type(n1), type(n2), type(lg)) == (int, int, float)
+        assert (n1, n2, lg) == (a, b, c)
+    assert len({n2 for _, n2, _ in prof.rows}) == 5
+    fit = linear_fit([-abs(n1 - n2) for n1, n2, _ in prof.rows], [lg for _, _, lg in prof.rows])
+    assert (fit.slope, fit.intercept, fit.r2) == (prof.slope, prof.intercept, prof.r2)
 
 
 @pytest.mark.parametrize("N", [20, 120, 300])

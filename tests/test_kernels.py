@@ -172,6 +172,28 @@ def test_row_does_not_depend_on_its_batch(n):
         assert _rel(alone[0], float(alone_log[0]), mats[0], float(logs[0])) <= REL
 
 
+@pytest.mark.parametrize("n", [1, 97, 4099])
+def test_shared_row_matches_the_row_repeated(n):
+    # a wide batch that shares one coefficient row has the bits of the
+    # same row repeated on every batch member
+    rng = np.random.default_rng(n + 5)
+    B = WIDE_BATCH + 7
+    alphas = _coefficients(n, 1, n, 0.99)
+    z = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=B))
+    runs = []
+    for rows in (alphas, np.repeat(alphas, B, axis=0)):
+        top = np.ones((B, 2), dtype=np.complex128)
+        bot = np.ones((B, 2), dtype=np.complex128)
+        bot[:, 1] = -1.0
+        log_scale = monic_scan(rows, z, top, bot)
+        top1 = np.ones((B, 1), dtype=np.complex128)
+        bot1 = np.ones((B, 1), dtype=np.complex128)
+        log1, ratio = monic_scan(rows, z, top1, bot1, record=True)
+        runs.append((top, bot, log_scale, top1, bot1, log1, ratio))
+    for shared, repeated in zip(*runs):
+        assert np.array_equal(shared, repeated)
+
+
 def test_lyapunov_rows_match_route():
     rng = np.random.default_rng(71)
     cfg = random_config(rng)
