@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .cmv_operator import ConstructionError, build, eigenpairs
+from .cmv_operator import ConstructionError, build, eigenpair_blocks
 from .experiments import (
     FAMILIES,
     ExperimentPlan,
@@ -81,12 +81,17 @@ def _co_int_from(lowest: int):
     """Coercer to integers of at least lowest."""
 
     def coerce(key: str, value) -> int:
-        x = _co_float(key, value)
-        if x != int(x):
-            raise ConfigError(f"{key}: expected an integer, got {value!r}")
+        try:
+            # integer text exactly, also past 2^53; forms like 1e6 go by float
+            x = int(str(value))
+        except ValueError:
+            f = _co_float(key, value)
+            if f != int(f):
+                raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
+            x = int(f)
         if x < lowest:
-            raise ConfigError(f"{key}: value must be at least {lowest}, got {int(x)}")
-        return int(x)
+            raise ConfigError(f"{key}: value must be at least {lowest}, got {x}")
+        return x
 
     return coerce
 
@@ -701,14 +706,14 @@ def _check_presets(rng, run: RunConfig) -> float:
 
 def _check_reconstruction(rng, run: RunConfig) -> float:
     cfg, _ = _random_case(rng, run)
-    dec = eigenpairs(build(cfg, 0, 80, None, 1.0))
+    blk = next(eigenpair_blocks(build(cfg, 0, 80, None, 1.0)))
     window = build(cfg, 20, 60, 1.0, 1.0)
     worst = 0.0
     hits = 0
-    for j in range(min(3, dec.count)):
-        xi = dec.vectors[:, j]
+    for j in np.flatnonzero(blk.ok)[:3]:
+        xi = blk.vectors[:, j]
         try:
-            resid = reconstruction_residual(window, complex(dec.eigenvalues[j]), xi)
+            resid = reconstruction_residual(window, complex(blk.eigenvalues[j]), xi)
         except ResolventBlowupError:
             continue
         worst = max(worst, resid)

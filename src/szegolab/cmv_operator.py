@@ -1,4 +1,4 @@
-"""Finite CMV matrices: assembly and eigenpairs.
+"""Finite CMV matrices: assembly and streamed eigenpairs.
 
 The half-line operator is the product C = L M of two block-diagonal
 unitaries built from 2x2 blocks
@@ -36,11 +36,11 @@ pair (Bunse-Gerstner & Elsner, LAA 1991; Simon, OPUC section 2.2), so no
 step is cubic in m. The Rayleigh quotient v* C v of each vector gives its
 eigenvalue on the circle and a residual against C. eta and 2 pi - eta
 share cos eta, so nearly colliding pairs come back mixed and are
-separated again by Rayleigh-Ritz on the small cluster. eigenpair_blocks
-streams the pairs in blocks of about EIGEN_BLOCK columns, so a consumer
-that drops each block holds O(EIGEN_BLOCK m) memory; eigenpairs collects
-them into one m x m array sorted by angle. Dense complex Schur of the
-dense window is the oracle of the eigenpair tests.
+separated again by Rayleigh-Ritz on the small cluster. eigenpair_blocks,
+the one decomposition, streams the pairs in blocks of about EIGEN_BLOCK
+columns, so a consumer that drops each block holds O(EIGEN_BLOCK m)
+memory. Dense complex Schur of the dense window is the oracle of the
+eigenpair tests.
 """
 
 from __future__ import annotations
@@ -56,10 +56,12 @@ from .verblunsky import VerblunskyConfig, sequence
 N_BANDS_UP = 2
 N_BANDS_LOW = 2
 
+# localization refuses windows over DENSE_CAP sites: past it the
+# whole-window decay fit reads the vectors' noise floor, not their decay
 DENSE_CAP = 5000
 UNITARITY_HARD_TOL = 1e-10
 
-# eigenpairs: the residual tolerance of a pair, ||C v - z v||_2;
+# eigenpair_blocks: the residual tolerance of a pair, ||C v - z v||_2;
 # columns per block of the streamed decomposition (eigenpair_blocks);
 # clusters for reorthogonalization, in units of ||H||_1; the fixed start
 # vectors of inverse iteration have phases proportional to k * GOLDEN_ANGLE
@@ -186,18 +188,19 @@ class FiniteCMV:
         """
         B = self.bands
         depth = B.shape[0]
-        worst = 0.0
+        worst = []
         for d in range(min(depth, self.m)):
             g = np.einsum("sj,sj->j", B[d:, : self.m - d].conj(), B[: depth - d, d:])
             if d == 0:
                 g -= 1.0
-            worst = max(worst, float(np.max(np.abs(g))))
-        return worst
+            worst.append(np.max(np.abs(g)))
+        # np.max keeps a NaN, where Python's max would drop it
+        return float(np.max(worst))
 
 
 def _check_unimodular(name: str, value: complex) -> complex:
     value = complex(value)
-    if abs(abs(value) - 1.0) > 1e-15 * 4:
+    if not abs(abs(value) - 1.0) <= 1e-15 * 4:
         raise ConstructionError(f"{name} must be unimodular, |{name}| = {abs(value)}")
     return value
 
@@ -235,15 +238,14 @@ def build(
         a=a, b=b, bands=_window_bands(modified, a, b), alphas=alphas, beta=beta, gamma=gamma
     )
     defect = op.unitarity_defect()
-    if defect > UNITARITY_HARD_TOL:
+    if not defect <= UNITARITY_HARD_TOL:
         raise ConstructionError(f"unitarity defect {defect:.3e} exceeds hard bound")
     return op
 
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Eigenpairs of a finite unitary matrix: all of them sorted by
-    spectral angle (eigenpairs), or one block of them in H-order
+    """One block of eigenpairs of a finite unitary matrix, in H-order
     (eigenpair_blocks).
 
     residuals[j] = ||C xi_j - z_j xi_j||_2; ok[j] flags residuals within
@@ -365,23 +367,6 @@ def _rayleigh(bands: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return z, np.linalg.norm(cv - v * z, axis=0)
 
 
-def _permute_columns(a: np.ndarray, order: np.ndarray) -> None:
-    """a[:, j] <- a[:, order[j]] for every j, in place: each cycle of the
-    permutation is walked with one column held aside."""
-    placed = np.zeros(len(order), dtype=bool)
-    for start in range(len(order)):
-        if placed[start]:
-            continue
-        held = a[:, start].copy()
-        j = start
-        while order[j] != start:
-            a[:, j] = a[:, order[j]]
-            placed[j] = True
-            j = order[j]
-        a[:, j] = held
-        placed[j] = True
-
-
 def eigenpair_blocks(op: FiniteCMV):
     """The eigenpairs of C as a stream of blocks, in H-order.
 
@@ -464,36 +449,3 @@ def eigenpair_blocks(op: FiniteCMV):
         vals[done:], residuals[done:] = _rayleigh(op.bands, np.array(cols[done - s :]).T)
     yield finish(np.array(cols).T, s, m)
 
-
-def eigenpairs(op: FiniteCMV) -> EigenDecomposition:
-    """Full eigendecomposition, sorted by spectral angle.
-
-    Collects the blocks of eigenpair_blocks into one m x m array, which
-    is then put in angle order in place, so the vectors are held once;
-    windows over DENSE_CAP sites are refused before it is allocated.
-    repaired sums the blocks' Rayleigh-Ritz counts. Dense complex Schur of
-    the whole window is the oracle in the tests.
-    """
-    m = op.m
-    if m > DENSE_CAP:
-        raise ValueError(f"eigenpairs capped at {DENSE_CAP} sites, window has {m}")
-    vectors = np.empty((m, m), dtype=np.complex128, order="F")
-    blocks = []
-    s = 0
-    for blk in eigenpair_blocks(op):
-        vectors[:, s : s + blk.count] = blk.vectors
-        s += blk.count
-        blocks.append((blk.eigenvalues, blk.etas, blk.residuals, blk.repaired))
-    vals, etas, residuals, repaired = zip(*blocks)
-    etas = np.concatenate(etas)
-    order = np.argsort(etas, kind="stable")
-    residuals = np.concatenate(residuals)[order]
-    _permute_columns(vectors, order)
-    return EigenDecomposition(
-        eigenvalues=np.concatenate(vals)[order],
-        etas=etas[order],
-        vectors=vectors,
-        residuals=residuals,
-        ok=residuals <= EIGEN_TOL,
-        repaired=sum(repaired),
-    )

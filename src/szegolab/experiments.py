@@ -645,7 +645,9 @@ def localization(
     result, not an error. In-window pairs over the eigen-residual
     tolerance are fitted like the rest and counted; failed fits are
     skipped and counted. An N whose window exceeds DENSE_CAP sites raises
-    ValueError before any window is built.
+    ValueError before any window is built: the fit spans the whole
+    window, and past the cap it reads the vectors' noise floor, 1e-26 to
+    1e-30 below their peak, rather than their decay.
     """
     win = tuple(spectral_window(plan.alpha, plan.autom, delta, c))
     rows: list[LocalizationRow] = []
@@ -654,7 +656,7 @@ def localization(
     # the window on [0, N] has N + 1 sites; refuse before building any
     sites = max(plan.Ns) + 1
     if sites > DENSE_CAP:
-        raise ValueError(f"eigenpairs capped at {DENSE_CAP} sites, window has {sites}")
+        raise ValueError(f"localization capped at {DENSE_CAP} sites, window has {sites}")
     skipped = over_tol = repaired = 0
     worst = 0.0
     cell = 0

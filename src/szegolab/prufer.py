@@ -57,8 +57,8 @@ def circle_variables(alphas: np.ndarray, z, top: np.ndarray, bot: np.ndarray):
 
 def default_decorrelation_time(lam: float, autom: ToralAutomorphism) -> int:
     """Number of steps after which the expansion treats the circle variable
-    as decoupled from the sample, ceil(log(1/lam) / log rho)."""
-    return max(1, math.ceil(math.log(1.0 / lam) / autom.expansion_rate))
+    as decoupled from the sample, ceil(-log(lam) / log rho)."""
+    return max(1, math.ceil(-math.log(lam) / autom.expansion_rate))
 
 
 @dataclass(frozen=True)

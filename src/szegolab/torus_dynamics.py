@@ -57,7 +57,7 @@ def validate(matrix) -> ToralAutomorphism:
         raise ValueError("expected four integer entries")
     vals = []
     for v in flat:
-        iv = int(v)
+        iv = int(v) if math.isfinite(v) else None
         if iv != v:
             raise ValueError(f"non-integer entry {v!r}")
         vals.append(iv)

@@ -1,7 +1,9 @@
-"""Builders shared across test modules: random configurations and points."""
+"""Builders shared across test modules: random configurations and points,
+and every eigenpair of a window in angle order."""
 
 import numpy as np
 
+from szegolab.cmv_operator import EigenDecomposition, FiniteCMV, eigenpair_blocks
 from szegolab.sampling import TrigPolynomial, preset
 from szegolab.torus_dynamics import CAT_MAP, TorusPoint, validate
 from szegolab.verblunsky import VerblunskyConfig
@@ -70,4 +72,16 @@ def free_config(lam: float = 1e-300) -> VerblunskyConfig:
         base=TorusPoint(0.7, 1.3),
         autom=CAT_MAP,
         alpha=preset("alpha0"),
+    )
+
+
+def sorted_pairs(op: FiniteCMV) -> EigenDecomposition:
+    """Every eigenpair of the window: the blocks of eigenpair_blocks,
+    concatenated and put in angle order (a stable sort)."""
+    blocks = list(eigenpair_blocks(op))
+    order = np.argsort(np.concatenate([b.etas for b in blocks]), kind="stable")
+    fields = ("eigenvalues", "etas", "vectors", "residuals", "ok")
+    return EigenDecomposition(
+        *(np.concatenate([getattr(b, f) for b in blocks], axis=-1)[..., order] for f in fields),
+        repaired=sum(b.repaired for b in blocks),
     )

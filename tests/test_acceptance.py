@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from szegolab.cli import main
-from szegolab.cmv_operator import build, eigenpairs
+from szegolab.cmv_operator import build
 from szegolab.experiments import (
     ExperimentPlan,
     ldt_deviation,
@@ -36,6 +36,7 @@ from szegolab.szego_cocycle import (
 from szegolab.torus_dynamics import CAT_MAP, TWO_PI, TorusPoint
 from szegolab.verblunsky import VerblunskyConfig
 
+from helpers import sorted_pairs
 from oracles import autocorrelation_birkhoff, eigenvector_decay_fit, zeta_trace
 
 ALPHA0 = preset("alpha0")
@@ -251,7 +252,7 @@ def test_criterion_08_localization_in_window():
         autom=CAT_MAP,
         alpha=ALPHA0,
     )
-    dec = eigenpairs(build(cfg_free, 0, 400, None, 1.0))
+    dec = sorted_pairs(build(cfg_free, 0, 400, None, 1.0))
     rates = []
     for j in range(dec.count):
         try:

@@ -115,6 +115,33 @@ def test_nonpositive_lambda_rejected(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (["jspec", "--A", "inf,1,1,1"], 2, "non-integer entry"),
+    (["jspec", "--A", "nan,1,1,1"], 2, "non-integer entry"),
+    # the lag T takes -log(lambda), finite down to subnormal couplings,
+    # so the run goes through
+    (["lyapunov", "--lambda", "1e-320"], 0, ""),
+    # there T = 766 exceeds the frequency-power cap of 200: a typed error
+    (["ldt", "--family", "prufer", "--lambda", "1e-320"], 2, "required"),
+    (["green", "--gamma", "nan"], 2, "unimodular"),
+    # a window long enough for localize's e-folding check, so build runs
+    (["localize", "--gamma", "nan", "--lambda", "0.5", "--N", "400"], 2, "unimodular"),
+], ids=["jspec-A-inf", "jspec-A-nan", "lyapunov-subnormal", "ldt-prufer-subnormal",
+        "green-gamma-nan", "localize-gamma-nan"])
+def test_non_finite_and_subnormal_edges_exit_cleanly(capsys, argv, code, message):
+    # an uncaught exception (OverflowError, a NaN reaching scipy) fails here
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert ("error:" in err) == (code == 2)
+    assert message in err
+
+
+def test_integer_options_stay_exact_past_two_to_the_53():
+    assert parse(["lyapunov", "--seed", "9007199254740993"]).seed == 9007199254740993
+    # the float forms still parse
+    assert parse(["lyapunov", "--N", "1e6"]).Ns == (1_000_000,)
+
+
 def test_help_lists_every_option(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["ldt", "--help"])

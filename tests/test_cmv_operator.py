@@ -5,7 +5,6 @@ banded eigensolver against dense complex Schur."""
 import cmath
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,17 +12,16 @@ import scipy.linalg as sla
 
 from szegolab import cmv_operator
 from szegolab.cmv_operator import (
-    DENSE_CAP,
     EIGEN_BLOCK,
     EIGEN_TOL,
     ConstructionError,
+    EigenDecomposition,
     FiniteCMV,
     _hermitian_part,
     _window_bands,
     band_matvec,
     build,
     eigenpair_blocks,
-    eigenpairs,
 )
 from szegolab.experiments import ExperimentPlan
 from szegolab.greens import _edge_det
@@ -31,7 +29,7 @@ from szegolab.sampling import preset
 from szegolab.torus_dynamics import CAT_MAP, TorusPoint
 from szegolab.verblunsky import VerblunskyConfig, sequence
 
-from helpers import free_config, random_config
+from helpers import free_config, random_config, sorted_pairs
 from oracles import dense
 
 
@@ -141,6 +139,11 @@ def test_build_validation():
         build(cfg, 0, 4, None, 0.5)
     with pytest.raises(ConstructionError):
         build(cfg, 2, 6, 0.5, 1.0)
+    # NaN boundary values compare False with every bound
+    with pytest.raises(ConstructionError, match="unimodular"):
+        build(cfg, 0, 4, None, math.nan)
+    with pytest.raises(ConstructionError, match="unimodular"):
+        build(cfg, 2, 6, complex(math.nan, 1.0), 1.0)
     # beta is None exactly when a == 0
     with pytest.raises(ValueError, match="beta"):
         build(cfg, 2, 6, None, 1.0)
@@ -188,6 +191,10 @@ def test_unitarity_defect_sees_one_bad_entry():
             bad = dataclasses.replace(op, bands=bands)
             assert bad.unitarity_defect() > 1e-9
             assert abs(bad.unitarity_defect() - _dense_defect(dense(bad))) <= 1e-15
+    # one NaN entry makes the defect NaN, not the largest finite entry
+    bands = op.bands.copy()
+    bands[2, 3] = math.nan
+    assert math.isnan(dataclasses.replace(op, bands=bands).unitarity_defect())
 
 
 def test_bands_hold_no_negative_zero():
@@ -297,7 +304,7 @@ def test_eigenpairs_basics():
     rng = np.random.default_rng(21)
     cfg = random_config(rng)
     op = build(cfg, 0, 40, None, 1.0)
-    dec = eigenpairs(op)
+    dec = sorted_pairs(op)
     assert dec.count == op.m
     assert np.max(np.abs(np.abs(dec.eigenvalues) - 1.0)) <= 1e-8
     assert np.all(np.diff(dec.etas) >= 0)
@@ -338,7 +345,7 @@ def _circle_mismatch(x, y):
 
 def _assert_matches_schur(op, dec, eta_tol):
     assert dec.count == op.m
-    assert _circle_mismatch(dec.etas, _schur_etas(op)) <= eta_tol
+    assert _circle_mismatch(np.sort(dec.etas), _schur_etas(op)) <= eta_tol
     assert np.all(dec.ok), f"worst residual {dec.residuals.max():.1e}"
     assert np.all(dec.residuals <= 1e-8)
     assert np.max(np.abs(np.abs(dec.eigenvalues) - 1.0)) <= 1e-12
@@ -353,7 +360,7 @@ def _assert_matches_schur(op, dec, eta_tol):
 def test_eigenpairs_match_schur_on_criterion_08_window():
     plan = ExperimentPlan(lams=(0.5,), etas=(0.5 * math.pi,), Ns=(400,), seed=3)
     op = build(plan.config(0.5, 0, 0), 0, 400, None, 1.0)
-    dec = eigenpairs(op)
+    dec = sorted_pairs(op)
     _assert_matches_schur(op, dec, 1e-10)
     # no eta collides with 2 pi - eta here, so nothing needs the repair
     assert dec.repaired == 0
@@ -370,7 +377,7 @@ def test_eigenpairs_repair_mixed_pairs_near_free():
     )
     op = build(cfg, 0, 400, None, 1.0)
     assert _unrepaired_over_tol(op) >= op.m // 2
-    dec = eigenpairs(op)
+    dec = sorted_pairs(op)
     _assert_matches_schur(op, dec, 1e-10)
     assert dec.repaired >= op.m // 2
 
@@ -379,7 +386,7 @@ def test_eigenpairs_repair_degenerate_pairs_free():
     # C is real to working precision: eta and 2 pi - eta coincide exactly
     op = build(free_config(), 0, 400, None, 1.0)
     assert _unrepaired_over_tol(op) >= op.m // 2
-    _assert_matches_schur(op, eigenpairs(op), 1e-10)
+    _assert_matches_schur(op, sorted_pairs(op), 1e-10)
 
 
 def _split_halves():
@@ -405,7 +412,7 @@ def test_eigenpairs_split_exactly_degenerate_eigenvalues_of_c():
     schur = _schur_etas(op)
     assert np.max(np.abs(schur[0::2] - schur[1::2])) <= 1e-12
     assert np.min(np.diff(schur[0::2])) >= 1e-5
-    _assert_matches_schur(op, eigenpairs(op), 1e-10)
+    _assert_matches_schur(op, sorted_pairs(op), 1e-10)
 
 
 @pytest.mark.parametrize("b, gamma", [(8, -1.0), (20, 1.0)])
@@ -413,22 +420,7 @@ def test_eigenpairs_move_singular_shifts(b, gamma):
     # free windows with exact eigenvalues: some shifts make the banded LU
     # of H - h I singular to working precision (a zero or a 1e-300 pivot)
     op = build(free_config(), 0, b, None, gamma)
-    _assert_matches_schur(op, eigenpairs(op), 1e-10)
-
-
-def test_eigenpairs_memory_stays_near_one_matrix():
-    # the vectors are the one m x m array held for long, sorted in place; a
-    # full eig_banded solve with its product C V and residual temporaries
-    # held four; the stream adds one block
-    plan = ExperimentPlan(lams=(0.5,), etas=(0.5 * math.pi,), Ns=(800,), seed=3)
-    op = build(plan.config(0.5, 0, 0), 0, 800, None, 1.0)
-    tracemalloc.start()
-    try:
-        eigenpairs(op)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * op.m**2 * 16
+    _assert_matches_schur(op, sorted_pairs(op), 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -449,20 +441,15 @@ def _collected(op):
 
 
 def test_streamed_blocks_in_angle_order_are_eigenpairs():
-    # criterion 08's window: the blocks, concatenated and put in angle
-    # order, are eigenpairs bit for bit
+    # criterion 08's window: the blocks, concatenated, are the eigenpairs
+    # of dense Schur
     plan = ExperimentPlan(lams=(0.5,), etas=(0.5 * math.pi,), Ns=(400,), seed=3)
     op = build(plan.config(0.5, 0, 0), 0, 400, None, 1.0)
     blocks, got = _collected(op)
     assert len(blocks) > 1
     assert all(b.count >= EIGEN_BLOCK for b in blocks[:-1])
     assert sum(b.count for b in blocks) == op.m
-    dec = eigenpairs(op)
-    order = np.argsort(got["etas"], kind="stable")
-    for name in ("eigenvalues", "etas", "residuals", "ok"):
-        assert np.array_equal(got[name][order], getattr(dec, name)), name
-    assert np.array_equal(got["vectors"][:, order], dec.vectors)
-    assert got["repaired"] == dec.repaired
+    _assert_matches_schur(op, EigenDecomposition(**got), 1e-10)
 
 
 @pytest.mark.parametrize(
@@ -511,25 +498,18 @@ def test_blocks_may_split_inverse_iteration_clusters(monkeypatch, window):
     op = build(free_config(), 0, 400, None, 1.0) if window == "free" else _split_halves()
     monkeypatch.setattr(cmv_operator, "EIGEN_BLOCK", 7)
     _, streamed = _collected(op)
-    _assert_matches_schur(op, eigenpairs(op), 1e-10)
+    _assert_matches_schur(op, EigenDecomposition(**streamed), 1e-10)
     monkeypatch.setattr(cmv_operator, "EIGEN_BLOCK", op.m)
     _, single = _collected(op)
     for name, value in streamed.items():
         assert np.array_equal(value, single[name]), name
 
 
-def test_eigenpairs_reject_windows_over_the_cap():
-    op = build(free_config(), 0, DENSE_CAP, None, 1.0)
-    assert op.m == DENSE_CAP + 1
-    with pytest.raises(ValueError, match="capped"):
-        eigenpairs(op)
-
-
 def test_eigenpairs_match_schur_on_small_free_window():
     op = build(free_config(), 0, 7, None, 1.0)
-    _assert_matches_schur(op, eigenpairs(op), 1e-10)
+    _assert_matches_schur(op, sorted_pairs(op), 1e-10)
 
 
 def test_eigenpairs_match_schur_on_small_random_window():
     op = build(random_config(np.random.default_rng(23)), 0, 5, None, 1.0)
-    _assert_matches_schur(op, eigenpairs(op), 1e-10)
+    _assert_matches_schur(op, sorted_pairs(op), 1e-10)

@@ -11,7 +11,7 @@ import pytest
 import scipy.stats
 
 from szegolab import experiments, verblunsky
-from szegolab.cmv_operator import EIGEN_BLOCK, build, eigenpairs
+from szegolab.cmv_operator import EIGEN_BLOCK, build
 from szegolab.experiments import (
     FAMILIES,
     DeviationRow,
@@ -27,6 +27,7 @@ from szegolab.sampling import evaluate_many, preset, spectral_function, spectral
 from szegolab.szego_cocycle import SpectralPoint, lyapunov_poly_many
 from szegolab.torus_dynamics import CAT_MAP, TWO_PI, orbit_slices
 
+from helpers import sorted_pairs
 from oracles import eigenvector_decay_fit, scalar_orbit
 
 
@@ -442,7 +443,7 @@ def test_streamed_localization_matches_the_full_decomposition():
     plan = ExperimentPlan(lams=(0.5,), etas=(0.5 * math.pi,), Ns=(400,), seed=3)
     res = localization(plan, lyap_N=20_000)
     cfg = plan.config(0.5, 0, 0)
-    dec = eigenpairs(build(cfg, 0, 400, None, 1.0))
+    dec = sorted_pairs(build(cfg, 0, 400, None, 1.0))
     inside = np.flatnonzero(
         [any(lo <= eta <= hi for lo, hi in res.window) for eta in dec.etas]
     )
@@ -526,7 +527,7 @@ def test_batched_decay_fits_match_the_oracle():
     # criterion 08's window: every in-window vector, fitted in one block
     # and one by one
     plan = ExperimentPlan(lams=(0.5,), etas=(0.5 * math.pi,), Ns=(400,), seed=3)
-    dec = eigenpairs(build(plan.config(0.5, 0, 0), 0, 400, None, 1.0))
+    dec = sorted_pairs(build(plan.config(0.5, 0, 0), 0, 400, None, 1.0))
     win = spectral_window(plan.alpha, plan.autom, 0.3, 0.05)
     inside = [j for j, eta in enumerate(dec.etas) if any(lo <= eta <= hi for lo, hi in win)]
     assert len(inside) > EIGEN_BLOCK
@@ -540,7 +541,7 @@ def test_batched_decay_fits_match_the_oracle():
 def test_decay_fit_of_a_column_does_not_depend_on_its_block():
     # alone, in a pair, or among 64: the same bits for every column
     plan = ExperimentPlan(lams=(0.5,), etas=(0.5 * math.pi,), Ns=(400,), seed=3)
-    vectors = eigenpairs(build(plan.config(0.5, 0, 0), 0, 400, None, 1.0)).vectors
+    vectors = sorted_pairs(build(plan.config(0.5, 0, 0), 0, 400, None, 1.0)).vectors
     cols = np.arange(100, 164)
     block = _decay_fits(vectors[:, cols])
     for width in (1, 2, 5):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from szegolab import greens, verblunsky
-from szegolab.cmv_operator import build, eigenpairs
+from szegolab.cmv_operator import build
 from szegolab.experiments import linear_fit
 from szegolab.greens import (
     GreenFitError,
@@ -27,13 +27,13 @@ from szegolab.torus_dynamics import CAT_MAP, TorusPoint
 from szegolab.torus_dynamics import orbit_slices
 from szegolab.verblunsky import VerblunskyConfig, sequence
 
-from helpers import free_config, random_config
+from helpers import free_config, random_config, sorted_pairs
 from oracles import dense, lyapunov_norm
 
 
 def _gap_midpoint(op):
     """Angle in the widest spectral gap of a window, a safe on-circle z."""
-    etas = eigenpairs(op).etas
+    etas = sorted_pairs(op).etas
     gaps = np.diff(np.concatenate([etas, [etas[0] + 2.0 * math.pi]]))
     i = int(np.argmax(gaps))
     return float((etas[i] + 0.5 * gaps[i]) % (2.0 * math.pi))
@@ -58,7 +58,7 @@ def test_direct_respects_resolvent_norm_bound():
     cfg = random_config(rng)
     z = 1.3 * cmath.exp(0.9j)
     op = build(cfg, 0, 30, None, 1.0)
-    dist = float(np.min(np.abs(eigenpairs(op).eigenvalues - z)))
+    dist = float(np.min(np.abs(sorted_pairs(op).eigenvalues - z)))
     assert abs(green_direct(op, z, 4, 17)) <= 1.0 / dist + 1e-10
 
 
@@ -147,7 +147,7 @@ def test_eigenvector_reconstructs_through_window():
     for (x, y), N, a, b in RECONSTRUCTION_CASES:
         base = TorusPoint(x, y)
         cfg = VerblunskyConfig(lam=0.5, base=base, autom=CAT_MAP, alpha=preset("alpha0"))
-        dec = eigenpairs(build(cfg, 0, N, None, 1.0))
+        dec = sorted_pairs(build(cfg, 0, N, None, 1.0))
         window = build(cfg, a, b, 1.0, 1.0)
         peaks = np.argmax(np.abs(dec.vectors), axis=0)
         candidates = np.argsort(np.abs(peaks - (a + b) // 2))

@@ -262,6 +262,7 @@ BOUNDARIES = {
     "N_BANDS_UP": {"cmv_operator"},
     "N_BANDS_LOW": {"cmv_operator"},
     "solve_banded": set(),
+    "eigenpairs": set(),
 }
 
 
