@@ -283,6 +283,8 @@ _EXCLUSIVE = (
     ("eta", "eta_grid"),
     ("N", "N_grid"),
     ("preset", "alpha"),
+    ("points", "eta"),
+    ("points", "eta_grid"),
 )
 
 

@@ -34,13 +34,15 @@ hence normal, so its eigenvectors are eigenvectors of H with eigenvalue
 from inverse iteration with the banded LU of H - h I, O(m) per
 pair (Bunse-Gerstner & Elsner, LAA 1991; Simon, OPUC section 2.2), so no
 step is cubic in m. The Rayleigh quotient v* C v of each vector gives its
-eigenvalue on the circle and a residual against C. eta and 2 pi - eta
-share cos eta, so nearly colliding pairs come back mixed and are
-separated again by Rayleigh-Ritz on the small cluster. eigenpair_blocks,
-the one decomposition, streams the pairs in blocks of about EIGEN_BLOCK
-columns, so a consumer that drops each block holds O(EIGEN_BLOCK m)
-memory. Dense complex Schur of the dense window is the oracle of the
-eigenpair tests.
+eigenvalue on the circle and a residual against C. One rule groups the
+pairs: a cluster is a run of H's sorted eigenvalues cut at every gap over
+INVIT_GAP ||H||_1. Inverse iteration orthogonalizes within a cluster;
+eta and 2 pi - eta share cos eta, so nearly colliding pairs come back
+mixed and are separated again by Rayleigh-Ritz on their cluster.
+eigenpair_blocks, the one decomposition, streams the pairs in blocks of
+whole clusters, at least EIGEN_BLOCK columns each, so a consumer that
+drops each block holds O(EIGEN_BLOCK m) memory. Dense complex Schur of
+the dense window is the oracle of the eigenpair tests.
 """
 
 from __future__ import annotations
@@ -62,9 +64,9 @@ DENSE_CAP = 5000
 UNITARITY_HARD_TOL = 1e-10
 
 # eigenpair_blocks: the residual tolerance of a pair, ||C v - z v||_2;
-# columns per block of the streamed decomposition (eigenpair_blocks);
-# clusters for reorthogonalization, in units of ||H||_1; the fixed start
-# vectors of inverse iteration have phases proportional to k * GOLDEN_ANGLE
+# the least columns per block of the streamed decomposition; the gap in
+# H's sorted spectrum, in units of ||H||_1, at which a cluster ends; the
+# fixed start vectors of inverse iteration have phases k * GOLDEN_ANGLE
 EIGEN_TOL = 1e-8
 EIGEN_BLOCK = 16
 INVIT_GAP = 1e-6
@@ -288,40 +290,24 @@ def _hermitian_part(bands: np.ndarray) -> np.ndarray:
     return hb
 
 
-def _cluster_runs(h_vals: np.ndarray, bad: np.ndarray) -> list[tuple[int, int]]:
-    """Index runs [s, e) of H-eigenvalues that must be resolved together.
-
-    Each pair over tolerance is joined to its nearest neighbour in the
-    sorted H-spectrum; the runs are the connected groups with at least
-    two members.
-    """
-    gaps = np.diff(h_vals)
-    if gaps.size == 0:
-        return []
-    padded = np.concatenate(([np.inf], gaps, [np.inf]))
-    # link i -- i+1 when one end is bad and the other is its nearest neighbour
-    up = bad[:-1] & (padded[1:-1] <= padded[:-2])
-    down = bad[1:] & (padded[1:-1] <= padded[2:])
-    link = np.concatenate(([False], up | down, [False])).astype(np.int8)
-    edges = np.diff(link)
-    starts = np.flatnonzero(edges == 1)
-    stops = np.flatnonzero(edges == -1) + 1
-    return list(zip(starts.tolist(), stops.tolist()))
+def _clusters(h_vals: np.ndarray, norm1: float) -> list[tuple[int, int]]:
+    """Index runs [s, e) of the sorted H-spectrum h_vals, cut wherever two
+    neighbours lie more than INVIT_GAP * norm1 apart (norm1 = ||H||_1)."""
+    cuts = (np.flatnonzero(np.diff(h_vals) > INVIT_GAP * norm1) + 1).tolist()
+    return list(zip([0, *cuts], [*cuts, len(h_vals)]))
 
 
 def _inverse_iteration(hb: np.ndarray, h_vals: np.ndarray):
     """Unit eigenvectors of H for its sorted eigenvalues h_vals, in order.
 
-    hb holds H's five bands (_hermitian_part). Yields one vector per h,
+    hb holds H's five bands (_hermitian_part). Yields the vectors of each
+    cluster (_clusters) as the rows of one (k, m) array. Each vector comes
     from two solves with the banded LU of H - h I (_banded_lu), started
-    from fixed vectors, so the result does not depend on any random state.
-    A column whose h lies within INVIT_GAP * ||H||_1 of the previous one
-    belongs to the same cluster, starts from its own vector and is
-    orthogonalized against the cluster's earlier columns after each solve;
-    an exactly double eigenvalue thus yields two orthonormal vectors, not
-    one twice. Only the current cluster's columns are held. A shift whose
-    factor comes out singular to working precision is moved by
-    eps ||H||_1.
+    from a fixed vector, so the result does not depend on any random
+    state; within a cluster it is orthogonalized against the cluster's
+    earlier rows after each solve, so an exactly double eigenvalue yields
+    two orthonormal vectors, not one twice. A shift whose factor comes out
+    singular to working precision is moved by eps ||H||_1.
     """
     m = hb.shape[1]
     factor = _banded_lu(hb)
@@ -331,40 +317,63 @@ def _inverse_iteration(hb: np.ndarray, h_vals: np.ndarray):
     tiny = eps * nudge
     phases = GOLDEN_ANGLE * np.arange(m)
     start = np.exp(1j * phases)
-    cluster: list[np.ndarray] = []
-    for j, h in enumerate(h_vals):
-        if j == 0 or h - h_vals[j - 1] > INVIT_GAP * norm1:
-            cluster = []
-        shift = h
-        while True:
-            solve, pivots = factor(shift)
-            # a zero pivot or one below eps^2 ||H||_1 is singular to
-            # working precision: solves through two such pivots overflow
-            if np.abs(pivots).min() > tiny:
-                break
-            shift += nudge
-        # the r-th member of a cluster starts from phases k * r * GOLDEN_ANGLE:
-        # one start for all would leave the later members of an exactly
-        # double eigenvalue no component to grow from
-        x = start
-        if cluster:
-            x = np.exp(1j * (len(cluster) + 1) * phases)
-            earlier = np.array(cluster).T
-        for _ in range(2):
-            x = solve(x)
-            if cluster:
-                x -= earlier @ (earlier.conj().T @ x)
-            x /= np.linalg.norm(x)
-        cluster.append(x)
-        yield x
+    for s, e in _clusters(h_vals, norm1):
+        rows = np.empty((e - s, m), dtype=np.complex128)
+        for r, h in enumerate(h_vals[s:e]):
+            shift = h
+            while True:
+                solve, pivots = factor(shift)
+                # a zero pivot or one below eps^2 ||H||_1 is singular to
+                # working precision: solves through two such pivots overflow
+                if np.abs(pivots).min() > tiny:
+                    break
+                shift += nudge
+            # the r-th member starts from phases k * (r + 1) * GOLDEN_ANGLE:
+            # one start for all would leave the later members of an exactly
+            # double eigenvalue no component to grow from
+            x = np.exp(1j * (r + 1) * phases) if r else start
+            earlier = rows[:r].T
+            for _ in range(2):
+                x = solve(x)
+                if r:
+                    x -= earlier @ (earlier.conj().T @ x)
+                x /= np.linalg.norm(x)
+            rows[r] = x
+        yield rows
 
 
-def _rayleigh(bands: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rayleigh quotients z = v* C v of the unit columns of v and their
-    residuals ||C v - z v||_2."""
+def _block(bands: np.ndarray, clusters: list[np.ndarray]) -> EigenDecomposition:
+    """The eigenpairs of C from whole clusters of H-eigenvectors (the rows
+    of each array): Rayleigh quotients z = v* C v with their residuals
+    ||C v - z v||_2, then Rayleigh-Ritz on every cluster of two or more
+    with a pair over EIGEN_TOL."""
+    import scipy.linalg as sla
+
+    v = np.concatenate(clusters).T
     cv = band_matvec(bands, v)
-    z = np.einsum("ij,ij->j", v.conj(), cv)
-    return z, np.linalg.norm(cv - v * z, axis=0)
+    vals = np.einsum("ij,ij->j", v.conj(), cv)
+    residuals = np.linalg.norm(cv - v * vals, axis=0)
+    repaired = e = 0
+    for rows in clusters:
+        s, e = e, e + len(rows)
+        if e - s < 2 or not np.any(residuals[s:e] > EIGEN_TOL):
+            continue
+        vc = v[:, s:e]
+        T, Q = sla.schur(vc.conj().T @ cv[:, s:e], output="complex")
+        v[:, s:e] = vc @ Q
+        cvc = cv[:, s:e] @ Q
+        vals[s:e] = np.diag(T)
+        cvc -= v[:, s:e] * vals[s:e]
+        residuals[s:e] = np.linalg.norm(cvc, axis=0)
+        repaired += e - s
+    return EigenDecomposition(
+        eigenvalues=vals,
+        etas=np.angle(vals) % TWO_PI,
+        vectors=v,
+        residuals=residuals,
+        ok=residuals <= EIGEN_TOL,
+        repaired=repaired,
+    )
 
 
 def eigenpair_blocks(op: FiniteCMV):
@@ -378,74 +387,32 @@ def eigenpair_blocks(op: FiniteCMV):
     gets the Rayleigh quotient z = v* C v as its eigenvalue and the
     residual ||C v - z v||_2.
 
-    eta and 2 pi - eta share cos eta, so where such a pair is close the
-    H-eigenvector can be a mix of the two C-eigenvectors. Every pair whose
-    residual exceeds EIGEN_TOL is grouped with its nearest neighbours in
-    the H-spectrum, and the group is rotated by the complex Schur form of
-    the small matrix Vc* C Vc (Rayleigh-Ritz), which separates the two
+    One rule says which pairs belong together: a cluster is a run of the
+    sorted H-spectrum cut wherever two neighbours lie more than
+    INVIT_GAP ||H||_1 apart (_clusters). Inverse iteration orthogonalizes
+    within a cluster. eta and 2 pi - eta share cos eta, so where such a
+    pair is close the H-eigenvectors can be a mix of the two
+    C-eigenvectors; every cluster of two or more holding a pair whose
+    residual exceeds EIGEN_TOL is rotated by the complex Schur form of the
+    small matrix Vc* C Vc (Rayleigh-Ritz), which separates the two
     eigenvalues again. Pairs still over EIGEN_TOL after that are flagged
     in ok, not dropped.
 
-    Yields EigenDecomposition blocks of about EIGEN_BLOCK consecutive
-    columns in H-order, each with the count of pairs it rotated. A block
-    ends only where no Rayleigh-Ritz group reaches across; deciding that
-    takes the next column's residual, so one column is computed ahead.
-    Inverse iteration holds its current cluster itself, so the blocks do
-    not change a bit of the result. Only the current block is held,
+    Yields EigenDecomposition blocks, each a run of whole clusters with at
+    least EIGEN_BLOCK columns (the last may have fewer), with the count of
+    pairs it rotated. No step reads across a cluster's edge, so the blocks
+    do not change a bit of the result. Only the current block is held,
     O(EIGEN_BLOCK m) memory, and no size cap applies.
     """
     import scipy.linalg as sla
 
-    m = op.m
     hb = _hermitian_part(op.bands)
     h_vals = sla.eig_banded(hb[: N_BANDS_UP + 1], eigvals_only=True)
-    # gaps[i] = h_i - h_{i-1}, infinite past either end
-    gaps = np.concatenate(([np.inf], np.diff(h_vals), [np.inf]))
-    vals = np.empty(m, dtype=np.complex128)
-    residuals = np.empty(m)
-
-    def finish(v, s, e):
-        # Rayleigh-Ritz on the groups of the block [s, e), which no group
-        # leaves; v holds its columns
-        repaired = 0
-        for a, b in _cluster_runs(h_vals[s:e], residuals[s:e] > EIGEN_TOL):
-            vc = v[:, a:b]
-            cvc = band_matvec(op.bands, vc)
-            T, Q = sla.schur(vc.conj().T @ cvc, output="complex")
-            v[:, a:b] = vc @ Q
-            cvc = cvc @ Q
-            vals[s + a : s + b] = np.diag(T)
-            cvc -= v[:, a:b] * vals[s + a : s + b]
-            residuals[s + a : s + b] = np.linalg.norm(cvc, axis=0)
-            repaired += b - a
-        return EigenDecomposition(
-            eigenvalues=vals[s:e].copy(),
-            etas=np.angle(vals[s:e]) % TWO_PI,
-            vectors=v,
-            residuals=residuals[s:e].copy(),
-            ok=residuals[s:e] <= EIGEN_TOL,
-            repaired=repaired,
-        )
-
-    # the columns of the block that starts at column s; the columns before
-    # done have their quotients
-    cols = []
-    s = done = 0
-    for e, x in enumerate(_inverse_iteration(hb, h_vals)):
-        cols.append(x)
-        if len(cols) <= EIGEN_BLOCK:
-            continue
-        new = np.array(cols[done - s :]).T
-        vals[done : e + 1], residuals[done : e + 1] = _rayleigh(op.bands, new)
-        done = e + 1
-        # a group joins e - 1 and e when one of them is over tolerance and
-        # has the other as its nearest neighbour (_cluster_runs)
-        bad = residuals[e - 1 : e + 1] > EIGEN_TOL
-        if (bad[0] and gaps[e] <= gaps[e - 1]) or (bad[1] and gaps[e] <= gaps[e + 1]):
-            continue
-        yield finish(np.array(cols[:-1]).T, s, e)
-        cols, s = [x], e
-    if done < m:
-        vals[done:], residuals[done:] = _rayleigh(op.bands, np.array(cols[done - s :]).T)
-    yield finish(np.array(cols).T, s, m)
-
+    clusters: list[np.ndarray] = []
+    for rows in _inverse_iteration(hb, h_vals):
+        clusters.append(rows)
+        if sum(map(len, clusters)) >= EIGEN_BLOCK:
+            yield _block(op.bands, clusters)
+            clusters = []
+    if clusters:
+        yield _block(op.bands, clusters)

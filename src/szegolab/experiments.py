@@ -22,8 +22,8 @@ import numpy as np
 from .cmv_operator import DENSE_CAP, build, eigenpair_blocks
 from .prufer import circle_variables, default_decorrelation_time, expansion_diagnostics
 from .sampling import (
+    CorrelationSpectrum,
     TrigPolynomial,
-    autocorrelation_exact,
     preset,
     spectral_function,
     spectral_window,
@@ -370,10 +370,11 @@ def _lyapunov_stats(plan, lam, N, F):
 def _prufer_stats(plan, lam, N, F):
     z = SpectralPoint(eta=plan.etas[0]).z
     T = default_decorrelation_time(lam, plan.autom)
-    corr_limit = sum(
-        (z**sh * autocorrelation_exact(plan.alpha, plan.autom, sh)).real
-        for sh in range(1, T + 1)
-    )
+    spec = CorrelationSpectrum.build(plan.alpha, plan.autom)
+    # the exact autocorrelations at lags 1 .. cutoff; past the cutoff every
+    # one is exactly 0, so a lag T over the cutoff adds nothing
+    exact = spec.correlations[spec.cutoff + 1 :].tolist()
+    corr_limit = sum((z**sh * c).real for sh, c in enumerate(exact[:T], start=1))
     top = np.ones((F.shape[0], 1), dtype=np.complex128)
     bot = np.ones((F.shape[0], 1), dtype=np.complex128)
     zetas = circle_variables(lam * F, z, top, bot)[0][:, :-1]
@@ -635,7 +636,9 @@ def localization(
 
     For each (lambda, N) cell: build the window operator on [0, N] with
     right boundary value gamma (the a = 0 edge needs no left value) and
-    stream its eigenpairs (eigenpair_blocks). Of each block, keep the
+    stream its eigenpairs (eigenpair_blocks), in blocks of whole
+    clusters of H-eigenvalues (one gap rule decides them, so no
+    Rayleigh-Ritz repair reaches across a block). Of each block, keep the
     pairs whose angle lies in the spectral window (where the spectral
     function exceeds c, at least delta away from 0 and pi), fit their
     eigenvectors' exponential profiles in one batch, and drop the

@@ -121,8 +121,9 @@ def test_nonpositive_lambda_rejected(capsys):
     # the lag T takes -log(lambda), finite down to subnormal couplings,
     # so the run goes through
     (["lyapunov", "--lambda", "1e-320"], 0, ""),
-    # there T = 766 exceeds the frequency-power cap of 200: a typed error
-    (["ldt", "--family", "prufer", "--lambda", "1e-320"], 2, "required"),
+    # there T = 766 exceeds the frequency-power cap of 200, but every lag
+    # past the correlation cutoff adds exactly 0, so this run goes through too
+    (["ldt", "--family", "prufer", "--lambda", "1e-320", "--samples", "64"], 0, ""),
     (["green", "--gamma", "nan"], 2, "unimodular"),
     # a window long enough for localize's e-folding check, so build runs
     (["localize", "--gamma", "nan", "--lambda", "0.5", "--N", "400"], 2, "unimodular"),
@@ -272,6 +273,13 @@ def test_bad_seed_env_rejected(monkeypatch, capsys):
 
 # ---------------------------------------------------------------------------
 # dispatch
+
+
+@pytest.mark.parametrize("angle", [["--eta", "1.0"], ["--eta-grid", "1,2"]])
+def test_jspec_points_with_an_angle_rejected(capsys, angle):
+    # --points sizes the default grid, which a given angle replaces
+    assert main(["jspec", *angle, "--points", "5"]) == 2
+    assert "only one of --points and" in capsys.readouterr().err
 
 
 def test_jspec_matches_closed_form(capsys):

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings, strategies as st
 
 from szegolab import cmv_operator
 from szegolab.cmv_operator import (
@@ -389,12 +390,13 @@ def test_eigenpairs_repair_degenerate_pairs_free():
     _assert_matches_schur(op, sorted_pairs(op), 1e-10)
 
 
-def _split_halves():
+def _split_halves(scale=0.6):
     """Two identical halves split by a unimodular coefficient (rho = 0):
-    C itself has every eigenvalue twice."""
+    C itself has every eigenvalue twice. At scale 0 the halves are free
+    and C is real, so H has every eigenvalue four times."""
     k = 99  # odd, so the second half starts at the even site k + 1
     rng = np.random.default_rng(35)
-    half = 0.6 * np.sqrt(rng.uniform(size=k)) * np.exp(2j * math.pi * rng.uniform(size=k))
+    half = scale * np.sqrt(rng.uniform(size=k)) * np.exp(2j * math.pi * rng.uniform(size=k))
     # alpha_k = -1 repeats the first half's left edge alpha_{-1} = -1, and
     # the right edge alpha_{2k+1} = -1 repeats alpha_k
     alphas = np.concatenate((half, [-1.0], half, [-1.0, 0.0]))
@@ -458,17 +460,17 @@ def test_streamed_blocks_in_angle_order_are_eigenpairs():
         (0.5, (0, 400, None, 1.0), EIGEN_BLOCK, cmv_operator.INVIT_GAP),
         # a shifted window with both boundary values
         (0.3, (17, 300, cmath.exp(0.3j), cmath.exp(1.1j)), EIGEN_BLOCK, cmv_operator.INVIT_GAP),
-        # eta and 2 pi - eta nearly collide: the pairs are inverse-iteration
-        # clusters and Rayleigh-Ritz groups, and odd blocks cut into them
+        # eta and 2 pi - eta nearly collide: the pairs are clusters that
+        # Rayleigh-Ritz rotates, and odd blocks end past them
         (1e-8, (0, 400, None, 1.0), 7, cmv_operator.INVIT_GAP),
-        # the same without clusters: only the Rayleigh-Ritz groups join
-        (1e-8, (0, 400, None, 1.0), 7, 0.0),
+        # the same with a wider gap: clusters of many members
+        (1e-8, (0, 400, None, 1.0), 7, 1e-3),
     ],
 )
 def test_blocks_do_not_change_the_pairs(monkeypatch, lam, build_args, block, invit_gap):
-    # a block never splits a Rayleigh-Ritz group, and inverse iteration
-    # carries its clusters across blocks, so the stream gives the bits of
-    # one block over the whole window
+    # a block holds whole clusters, whatever gap cuts them, and no step
+    # reads across a cluster's edge, so the stream gives the bits of one
+    # block over the whole window
     cfg = VerblunskyConfig(
         lam=lam,
         base=TorusPoint.random(np.random.default_rng(np.random.SeedSequence(3))),
@@ -489,18 +491,61 @@ def test_blocks_do_not_change_the_pairs(monkeypatch, lam, build_args, block, inv
         assert np.array_equal(value, single[name]), name
 
 
-@pytest.mark.parametrize("window", ["free", "split"])
-def test_blocks_may_split_inverse_iteration_clusters(monkeypatch, window):
-    # every eigenvalue of H twice, each pair one cluster, which odd blocks
-    # cut: inverse iteration keeps the cluster, and the pairs of the
-    # split halves (exact eigenpairs of C, so no Rayleigh-Ritz group
-    # joins them) still come out orthonormal
-    op = build(free_config(), 0, 400, None, 1.0) if window == "free" else _split_halves()
+@pytest.mark.parametrize("window", ["free", "split", "free split"])
+def test_blocks_end_only_between_clusters(monkeypatch, window):
+    # each window has clusters of two (free, split) or four (free split)
+    # H-eigenvalues; at EIGEN_BLOCK = 7 every block still ends where the
+    # sorted H-spectrum jumps by more than INVIT_GAP ||H||_1, the pairs are
+    # eigenpairs (each four-member cluster rotated whole), and the stream
+    # has the bits of one block
+    op = {
+        "free": lambda: build(free_config(), 0, 400, None, 1.0),
+        "split": _split_halves,
+        "free split": lambda: _split_halves(0.0),
+    }[window]()
     monkeypatch.setattr(cmv_operator, "EIGEN_BLOCK", 7)
-    _, streamed = _collected(op)
+    blocks, streamed = _collected(op)
+    hb = _hermitian_part(op.bands)
+    h_vals = sla.eig_banded(hb[:3], eigvals_only=True)
+    ends = np.cumsum([b.count for b in blocks])[:-1]
+    assert any(b.count > 7 for b in blocks[:-1])
+    gap = cmv_operator.INVIT_GAP * np.abs(hb).sum(axis=0).max()
+    assert np.all(h_vals[ends] - h_vals[ends - 1] > gap)
     _assert_matches_schur(op, EigenDecomposition(**streamed), 1e-10)
     monkeypatch.setattr(cmv_operator, "EIGEN_BLOCK", op.m)
     _, single = _collected(op)
+    for name, value in streamed.items():
+        assert np.array_equal(value, single[name]), name
+
+
+@settings(max_examples=25)
+@given(
+    lam=st.sampled_from([1e-300, 1e-8, 0.3, "edge"]),
+    alpha=st.sampled_from(["alpha0", "alpha1"]),
+    a=st.integers(0, 40),
+    sites=st.integers(3, 120),
+    base=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    angles=st.tuples(st.floats(0.0, 2.0 * math.pi), st.floats(0.0, 2.0 * math.pi)),
+)
+def test_stream_matches_schur_and_one_block(lam, alpha, a, sites, base, angles):
+    # any coupling from free to the edge of the disk (0.999 / sup |alpha|),
+    # any window and boundary values: every pair is an eigenpair of dense
+    # Schur, and blocks of 7 give the bits of one block
+    poly = preset(alpha)
+    cfg = VerblunskyConfig(
+        lam=0.999 / poly.sup_bound if lam == "edge" else lam,
+        base=TorusPoint(*base),
+        autom=CAT_MAP,
+        alpha=poly,
+    )
+    beta = cmath.exp(1j * angles[0]) if a else None
+    op = build(cfg, a, a + sites - 1, beta, cmath.exp(1j * angles[1]))
+    _assert_matches_schur(op, sorted_pairs(op), 1e-10)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cmv_operator, "EIGEN_BLOCK", 7)
+        _, streamed = _collected(op)
+        mp.setattr(cmv_operator, "EIGEN_BLOCK", op.m)
+        _, single = _collected(op)
     for name, value in streamed.items():
         assert np.array_equal(value, single[name]), name
 

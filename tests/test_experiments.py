@@ -342,6 +342,17 @@ def test_prufer_terms_need_orbits_longer_than_the_lag():
         ldt_deviation(_small_plan(lams=(0.01,), Ns=(5, 50)), "prufer")
 
 
+def test_prufer_lag_may_pass_the_power_cap():
+    # lambda = 1e-90 puts the lag at T = 216, past the 200 powers of the
+    # automorphism that an exact autocorrelation evaluates; every lag past
+    # the correlation cutoff adds exactly 0 to the limit
+    T = FAMILIES["prufer"].lag(1e-90, CAT_MAP)
+    assert T > 200
+    res = ldt_deviation(_small_plan(lams=(1e-90,), Ns=(T + 1,), samples=8), "prufer")
+    assert tuple(r.family for r in res.rows) == ("fsq", "mixed", "corr", "zeta2")
+    assert all(math.isfinite(r.q95) for r in res.rows)
+
+
 def test_prufer_terms_all_quiet_under_huge_threshold():
     plan = _small_plan(samples=32, Ns=(400,))
     res = ldt_deviation(plan, "prufer", threshold=1e9)

@@ -251,7 +251,8 @@ def test_kept_settings_are_still_uncalled():
 # a window's coefficients are read by cmv_operator.build alone, and the
 # routes that take the window read them from it; the band layout and the
 # banded LU that every solve shares stay in cmv_operator, and no other
-# banded solver comes back
+# banded solver comes back; the eigen stream has one cluster rule, and the
+# nearest-neighbour grouping it replaced does not come back
 BOUNDARIES = {
     "orbit_block": {"_kernels", "torus_dynamics"},
     "orbit_slices": {"torus_dynamics", "verblunsky"},
@@ -263,6 +264,7 @@ BOUNDARIES = {
     "N_BANDS_LOW": {"cmv_operator"},
     "solve_banded": set(),
     "eigenpairs": set(),
+    "_cluster_runs": set(),
 }
 
 
