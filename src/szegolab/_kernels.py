@@ -2,11 +2,13 @@
 
 The orbit step is one Python loop over time, the only float orbit step of
 the package. It advances a single start (scalars) or a batch of starts
-(arrays) with the same expression, and each batch member's points are
-bitwise those of its scalar run: the products and sums are elementwise IEEE
+(arrays, stepped in place in preallocated buffers) with the same
+operations in the same order, and each batch member's points are bitwise
+those of its scalar run: the products and sums are elementwise IEEE
 operations, and np.remainder and float % both take fmod and apply the same
 sign fix. torus_dynamics.orbit_slices drives it and picks between the two
-from the row count.
+from the row count; a Monte Carlo chunk of the LDT drivers is one such
+batch of up to 512 starts.
 
 Every recursion (transfer products, the polynomials of both kinds, the
 Prufer circle variable, the resolvent formula's monic pairs) is a product of
@@ -41,13 +43,29 @@ def orbit_block(a00, a01, a10, a11, x, y, out_x, out_y):
     point following the last recorded one (the carry for the next block).
 
     x and y are scalars with (n,) outputs, or (B,) arrays with (n, B)
-    outputs, one column per start; out_x[i] is the i-th point.
+    outputs, one column per start; out_x[i] is the i-th point. A batch
+    steps in place in its own (2, B) carry through two scratch arrays: the
+    first column of the matrix times x, the second times y, their sum
+    reduced, each entry by the scalar expression's operations in its order.
     """
     n = out_x.shape[0]
+    if np.ndim(x) == 0:
+        for i in range(n):
+            out_x[i] = x
+            out_y[i] = y
+            x, y = (a00 * x + a01 * y) % TWO_PI, (a10 * x + a11 * y) % TWO_PI
+        return x, y
+    xy = np.array([x, y], dtype=float)
+    x, y = xy
+    first, second = np.array([[a00, a01], [a10, a11]], dtype=float).T[:, :, None]
+    u, v = np.empty_like(xy), np.empty_like(xy)
     for i in range(n):
         out_x[i] = x
         out_y[i] = y
-        x, y = (a00 * x + a01 * y) % TWO_PI, (a10 * x + a11 * y) % TWO_PI
+        np.multiply(first, x, out=u)
+        np.multiply(second, y, out=v)
+        u += v
+        np.remainder(u, TWO_PI, out=xy)
     return x, y
 
 

@@ -6,7 +6,11 @@ of Monte Carlo deviation fractions, the same per term of the phase
 expansion, and eigenfunction localization on finite windows. Every
 driver is deterministic for a fixed plan: per-sample randomness is
 derived from (master seed, cell index, chunk index), so worker count
-never changes the output.
+never changes the output. The Monte Carlo drivers stream along time: the
+orbits of a Lyapunov cell's base points, or of an LDT chunk's samples
+(up to MC_CHUNK of them), step side by side as the rows of one sample
+stream, and each statistic is folded slice by slice into running per-row
+sums, so memory does not grow with N.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .cmv_operator import DENSE_CAP, build, eigenpair_blocks
-from .prufer import circle_variables, default_decorrelation_time, expansion_diagnostics
+from .prufer import _LagSums, default_decorrelation_time, expansion_diagnostics
 from .sampling import (
     CorrelationSpectrum,
     TrigPolynomial,
@@ -28,7 +32,7 @@ from .sampling import (
     spectral_function,
     spectral_window,
 )
-from .szego_cocycle import SpectralPoint, lyapunov_poly_many, lyapunov_poly_rows
+from .szego_cocycle import SpectralPoint, _growth, _poly_run, lyapunov_poly_many
 from .torus_dynamics import CAT_MAP, TWO_PI, ToralAutomorphism, TorusPoint
 from .verblunsky import SLICE_POINTS, VerblunskyConfig, sample_slices
 
@@ -354,20 +358,21 @@ def _fit_positive_cells(rows: list[DeviationRow]) -> FitResult | None:
     return linear_fit([p[0] for p in pts], [math.log(p[1]) for p in pts])
 
 
-def _birkhoff_stats(plan, lam, N, F):
-    # builtin abs, not np.abs: the vectorized complex modulus can differ in
-    # the last bit, and the table stays bit for bit what it was
-    return {"birkhoff": np.array([abs(m) for m in np.mean(F, axis=1).tolist()])}
+def _birkhoff_stats(plan, lam, N, rows, slices):
+    total = sum(F.sum(axis=1) for F in slices)
+    return {"birkhoff": np.abs(total / N)}
 
 
-def _lyapunov_stats(plan, lam, N, F):
+def _lyapunov_stats(plan, lam, N, rows, slices):
     eta = plan.etas[0]
     pred = _prediction(plan, lam, eta)
-    L = lyapunov_poly_rows(lam * F, SpectralPoint(eta=eta))
-    return {"lyapunov": np.abs(L - pred)}
+    # each slice scaled in place, so no second array per slice
+    alphas = (np.multiply(F, lam, out=F) for F in slices)
+    top, _, log_r = _poly_run(alphas, SpectralPoint(eta=eta).z, rows)
+    return {"lyapunov": np.abs(_growth(top, log_r, N) - pred)}
 
 
-def _prufer_stats(plan, lam, N, F):
+def _prufer_stats(plan, lam, N, rows, slices):
     z = SpectralPoint(eta=plan.etas[0]).z
     T = default_decorrelation_time(lam, plan.autom)
     spec = CorrelationSpectrum.build(plan.alpha, plan.autom)
@@ -375,27 +380,34 @@ def _prufer_stats(plan, lam, N, F):
     # one is exactly 0, so a lag T over the cutoff adds nothing
     exact = spec.correlations[spec.cutoff + 1 :].tolist()
     corr_limit = sum((z**sh * c).real for sh, c in enumerate(exact[:T], start=1))
-    top = np.ones((F.shape[0], 1), dtype=np.complex128)
-    bot = np.ones((F.shape[0], 1), dtype=np.complex128)
-    zetas = circle_variables(lam * F, z, top, bot)[0][:, :-1]
-    corr = sum(
-        np.mean((z**sh * np.conj(F[:, : N - sh]) * F[:, sh:]).real, axis=1)
-        for sh in range(1, T + 1)
-    )
-    mixed = np.mean((z**T * zetas[:, : N - T] * F[:, T:]).real, axis=1)
+    acc = _LagSums(rows, lam, z, T)
+    # the first T samples, for the shifted products that end before step T
+    first = np.empty((rows, 0), dtype=np.complex128)
+    for F in slices:
+        if first.shape[1] < T:
+            first = np.concatenate([first, F[:, : T - first.shape[1]]], axis=1)
+        acc.add(F)
+    abs_sq, re_zF_sq, re_lag = acc.sums
+    corr = 0.0
+    for sh in range(1, T + 1):
+        # the shifted products over the steps sh .. N - 1: those before step
+        # T from the first samples, the rest from the stream's lag sums
+        early = (z**sh * (np.conj(first[:, : T - sh]) * first[:, sh:])).real
+        corr += (early.sum(axis=1) + acc.shifted[sh - 1]) / (N - sh)
     return {
-        "fsq": np.abs(np.mean(np.abs(F) ** 2, axis=1) - plan.alpha.mean_square()),
-        "mixed": np.abs(mixed),
+        "fsq": np.abs(abs_sq / N - plan.alpha.mean_square()),
+        "mixed": np.abs(re_lag / (N - T)),
         "corr": np.abs(corr - corr_limit),
-        "zeta2": 0.5 * np.abs(np.mean((zetas**2 * F**2).real, axis=1)),
+        "zeta2": 0.5 * np.abs(re_zF_sq / N),
     }
 
 
 class Family(NamedTuple):
     """One LDT deviation family: its statistics and how they are run."""
 
-    # (plan, lambda, N, F) -> each statistic's values on the (samples, N)
-    # orbit samples F, by name in row order
+    # (plan, lambda, N, rows, slices) -> each statistic's values by name,
+    # in row order, folded from one stream of (rows, <= width) slices of
+    # the unscaled orbit samples F, the first N of every row
     statistics: Callable
     # lambda -> default event threshold
     threshold: Callable[[float], float]
@@ -413,34 +425,28 @@ FAMILIES: dict[str, Family] = {
 }
 
 
-def _deviation_chunk(args) -> dict[str, list[float]]:
+def _deviation_chunk(args) -> dict[str, np.ndarray]:
     """One deterministic chunk of Monte Carlo samples for one cell.
 
-    Draws the chunk's base points and works through them in passes of at
-    most SLICE_POINTS orbit points: each pass steps the orbits of all its
-    samples together, builds the unscaled orbit samples F from them, and
-    hands F to the family's statistics. Returns every statistic's raw
-    values.
+    Draws the chunk's base points and reads one sample_slices stream of
+    all of them: every orbit steps side by side, SLICE_POINTS // rows
+    steps per slice, and the family folds slice after slice into running
+    per-row state, so memory does not grow with N. Returns every
+    statistic's values, one per sample.
     """
     plan, family, cell_index, chunk_index, lam, N = args
     lo = chunk_index * MC_CHUNK
-    hi = min(lo + MC_CHUNK, plan.samples)
-    bases = plan.rng(cell_index, chunk_index).uniform(0.0, TWO_PI, size=(hi - lo, 2))
-    out: dict[str, list[float]] = {}
-    # samples per pass: one orbit when N is larger than SLICE_POINTS, and
-    # N <= 512 still gives the engine a batch of at least 64 samples
-    width = max(1, SLICE_POINTS // N)
-    for start in range(0, hi - lo, width):
-        (F,) = sample_slices(plan.autom, plan.alpha, bases[start : start + width], N, N)
-        for name, values in FAMILIES[family].statistics(plan, lam, N, F).items():
-            out.setdefault(name, []).extend(values.tolist())
-    return out
+    rows = min(MC_CHUNK, plan.samples - lo)
+    bases = plan.rng(cell_index, chunk_index).uniform(0.0, TWO_PI, size=(rows, 2))
+    slices = sample_slices(plan.autom, plan.alpha, bases, N, max(1, SLICE_POINTS // rows))
+    return FAMILIES[family].statistics(plan, lam, N, rows, slices)
 
 
 def _deviation_rows(plan: ExperimentPlan, family: str, threshold: float | None, jobs: int):
     """Rows of every (lambda, N) cell and statistic of the family, each cell
     against the constant threshold, or the family's default at its lambda
-    when that is None.
+    when that is None. A cell threshold that is not positive and finite
+    raises ValueError before any chunk runs.
 
     Chunks run through the pool in a layout fixed by the plan, and are
     merged in that order, so the rows never depend on jobs.
@@ -452,6 +458,11 @@ def _deviation_rows(plan: ExperimentPlan, family: str, threshold: float | None, 
         for lam in plan.lams
         for N in plan.Ns
     ]
+    for lam, _, thr in cells:
+        if not (thr > 0.0 and math.isfinite(thr)):
+            raise ValueError(
+                f"the {family} threshold at lambda = {lam} is {thr}; it must be positive and finite"
+            )
     work = [
         (plan, family, ci, c, lam, N)
         for ci, (lam, N, _) in enumerate(cells)
@@ -462,7 +473,7 @@ def _deviation_rows(plan: ExperimentPlan, family: str, threshold: float | None, 
     for ci, (lam, N, thr) in enumerate(cells):
         chunks = results[ci * n_chunks : (ci + 1) * n_chunks]
         for name in chunks[0]:
-            stats = np.array([v for chunk in chunks for v in chunk[name]])
+            stats = np.concatenate([chunk[name] for chunk in chunks])
             rows.append(
                 DeviationRow(
                     family=name,

@@ -18,8 +18,9 @@ the large-deviation estimates. It streams: the orbits of a Lyapunov cell's
 base points are the rows of one sample stream and run side by side on the
 engine's batch axis, in slices of a fixed number of points, and only
 running sums and the last few samples cross a slice edge, so N = 10^7
-takes the memory of N = 10^5. The materialized trace and terms are the
-oracles in tests/oracles.py.
+takes the memory of N = 10^5. The LDT Prufer family of experiments folds
+its chunks' streams through the same carry and lag sums. The materialized
+trace and terms are the oracles in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -47,7 +48,9 @@ def circle_variables(alphas: np.ndarray, z, top: np.ndarray, bot: np.ndarray):
     the true monic pair is (top, bot) times exp(log_scale).
     """
     log_scale, ratio = monic_scan(alphas, z, top, bot, record=True)
-    zetas = z * np.concatenate([ratio, top / bot], axis=1)
+    zetas = np.concatenate([ratio, top / bot], axis=1)
+    del ratio  # copied; freed before the terms below are formed
+    zetas *= z
     zetas /= np.abs(zetas)
     az = alphas * zetas[:, :-1]
     aa = alphas.real**2 + alphas.imag**2
@@ -86,68 +89,89 @@ class ExpansionDiagnostics:
     residual_456: np.ndarray
 
 
-class _StreamSums:
-    """The running sums of the expansion terms over a stream of (rows, n)
-    sample slices, and what each slice hands to the next: the polynomial
-    pair and the last T samples and circle variables of every row."""
+class _LagSums:
+    """The running sums over a stream of (rows, n) sample slices that the
+    expansion terms and the LDT Prufer statistics share, and what each
+    slice hands to the next: the polynomial pair and the last T samples
+    and circle variables of every row.
+
+    sums holds, per row, the sums of |F|^2, of Re (zeta F)^2 and of the
+    lag-T term Re(z^T zeta_{q-T} F_q); shifted[sh - 1], per row, the sum of
+    Re(z^sh conj(F_{q-sh}) F_q) for each shift sh = 1 .. T. The lagged sums
+    run over the steps q >= T.
+    """
 
     def __init__(self, rows: int, lam: float, z: complex, T: int):
         self.lam, self.z, self.T = lam, z, T
         self.top = np.ones((rows, 1), dtype=np.complex128)
         self.bot = np.ones((rows, 1), dtype=np.complex128)
-        # per row: log r, log |phi| before the final state, sum |F|^2,
-        # Re zeta F, Re (zeta F)^2 and the lag-T sum of I4
-        self.sums = np.zeros((6, rows))
-        # per shift 1..T and row: the lag sums of I5 and I6
-        self.shifted = np.zeros((2, T, rows))
+        self.sums = np.zeros((3, rows))
+        self.shifted = np.zeros((T, rows))
         self.back_F = self.back_zeta = np.empty((rows, 0), dtype=np.complex128)
 
     def add(self, F: np.ndarray) -> None:
         """Fold in the next slice of unscaled samples."""
         T = self.T
-        zetas = self._advance(F)
-        # the steps whose lags reach into the carried values, then those
-        # whose lags lie inside the slice
-        head_F = np.concatenate([self.back_F, F[:, :T]], axis=1)
-        head_zeta = np.concatenate([self.back_zeta, zetas[:, :T]], axis=1)
-        self._add_lagged(head_F, head_zeta)
-        self._add_lagged(F, zetas)
-        self.back_F = np.concatenate([self.back_F, F[:, -T:]], axis=1)[:, -T:]
-        self.back_zeta = np.concatenate([self.back_zeta, zetas[:, -T:]], axis=1)[:, -T:]
-
-    def _advance(self, F: np.ndarray) -> np.ndarray:
-        """Run the slice's steps and add its unlagged sums; return the
-        circle variable seen by each step."""
         alphas = self.lam * F
         zetas, half_log_h, log_scale = circle_variables(alphas, self.z, self.top, self.bot)
         zetas = zetas[:, :-1]
         zF = zetas * F
-        self.sums[:5] += [
-            half_log_h.sum(axis=1),
-            log_scale - _log_rho(alphas),
-            np.sum(np.abs(F) ** 2, axis=1),
-            np.sum(zF.real, axis=1),
-            np.sum((zF**2).real, axis=1),
-        ]
-        return zetas
+        self._add_unlagged(F, zF, alphas, half_log_h, log_scale)
+        # the steps whose lags reach into the carried values, then those
+        # whose lags lie inside the slice
+        head_F = np.concatenate([self.back_F, F[:, :T]], axis=1)
+        head_zeta = np.concatenate([self.back_zeta, zetas[:, :T]], axis=1)
+        for run_F, run_zeta in ((head_F, head_zeta), (F, zetas)):
+            # a run starts T steps before its first summed column, or at
+            # step 0 of the orbit
+            m = run_F.shape[1]
+            if m > T:
+                self._add_lagged(run_F, run_F[:, T:], run_zeta[:, : m - T])
+        self.back_F = np.concatenate([self.back_F, F[:, -T:]], axis=1)[:, -T:]
+        self.back_zeta = np.concatenate([self.back_zeta, zetas[:, -T:]], axis=1)[:, -T:]
 
-    def _add_lagged(self, F: np.ndarray, zetas: np.ndarray) -> None:
-        """The lag sums over the columns q >= T of a run of consecutive
-        steps; the run starts T steps before its first summed column, or at
-        step 0 of the orbit."""
+    def _add_unlagged(self, F, zF, alphas, half_log_h, log_scale) -> None:
+        """Add the sums of a slice's steps that look back at nothing."""
+        self.sums[:2] += [np.sum(np.abs(F) ** 2, axis=1), np.sum((zF**2).real, axis=1)]
+
+    def _add_lagged(self, F, ahead, back) -> None:
+        """Add the lag sums of a run of consecutive samples F over its
+        columns q >= T: ahead holds those columns, back the circle
+        variables T steps before them."""
         T, z = self.T, self.z
         m = F.shape[1]
-        if m <= T:
-            return
-        ahead = F[:, T:]
-        back = zetas[:, : m - T]
-        self.sums[5] += np.sum((z**T * back * ahead).real, axis=1)
-        back_sq = back**2
+        self.sums[2] += np.sum((z**T * back * ahead).real, axis=1)
         for sh in range(1, T + 1):
             lagged = F[:, T - sh : m - sh]
-            self.shifted[0, sh - 1] += np.sum((z**sh * (np.conj(lagged) * ahead)).real, axis=1)
-            tangled = back_sq * lagged * ahead
-            self.shifted[1, sh - 1] += np.sum((z ** (2 * T - sh) * tangled).real, axis=1)
+            self.shifted[sh - 1] += np.sum((z**sh * (np.conj(lagged) * ahead)).real, axis=1)
+
+
+class _StreamSums(_LagSums):
+    """The shared lag sums plus the rest of the expansion terms: per row
+    the log radius, log |phi| before the final state and sum Re zeta F
+    (more), and per shift the tangled lag sum of I6 (tangled)."""
+
+    def __init__(self, rows: int, lam: float, z: complex, T: int):
+        super().__init__(rows, lam, z, T)
+        self.more = np.zeros((3, rows))
+        self.tangled = np.zeros((T, rows))
+
+    def _add_unlagged(self, F, zF, alphas, half_log_h, log_scale) -> None:
+        super()._add_unlagged(F, zF, alphas, half_log_h, log_scale)
+        self.more += [
+            half_log_h.sum(axis=1),
+            log_scale - _log_rho(alphas),
+            np.sum(zF.real, axis=1),
+        ]
+
+    def _add_lagged(self, F, ahead, back) -> None:
+        super()._add_lagged(F, ahead, back)
+        T, z = self.T, self.z
+        m = F.shape[1]
+        back_sq = back**2
+        for sh in range(1, T + 1):
+            tangled = back_sq * F[:, T - sh : m - sh] * ahead
+            self.tangled[sh - 1] += np.sum((z ** (2 * T - sh) * tangled).real, axis=1)
 
 
 def expansion_diagnostics(
@@ -177,7 +201,8 @@ def expansion_diagnostics(
     for F in sample_slices(first.autom, first.alpha, starts, N, max(1, SLICE_POINTS // rows)):
         acc.add(F)
 
-    log_r, log_phi, abs_sq, re_zF, re_zF_sq, re_lag = acc.sums
+    abs_sq, re_zF_sq, re_lag = acc.sums
+    log_r, log_phi, re_zF = acc.more
     I1 = (lam**2 / (2.0 * N)) * abs_sq
     I2 = -(lam / N) * re_zF
     I3 = -(lam**2 / (2.0 * N)) * re_zF_sq
@@ -186,8 +211,8 @@ def expansion_diagnostics(
     I5 = np.zeros(rows)
     I6 = np.zeros(rows)
     for k in range(T):
-        I5 += (lam**2 / N) * acc.shifted[0, k]
-        I6 -= (lam**2 / N) * acc.shifted[1, k]
+        I5 += (lam**2 / N) * acc.shifted[k]
+        I6 -= (lam**2 / N) * acc.tangled[k]
     return ExpansionDiagnostics(
         N=N,
         T=T,

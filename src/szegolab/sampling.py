@@ -70,11 +70,30 @@ def preset(name: str) -> TrigPolynomial:
     return TrigPolynomial.from_coeffs(coeffs)
 
 
+def _unit_wave(k1: int, k2: int, x, y, phase: np.ndarray) -> np.ndarray:
+    """exp(1j * (k1 x + k2 y)) as a new complex array: the phase goes
+    into the float work array phase (the result's real half holds k2 y
+    on the way), then its cosine and sine into the real and imaginary
+    halves of the result."""
+    wave = np.empty(phase.shape, dtype=np.complex128)
+    np.multiply(k1, x, out=phase)
+    np.multiply(k2, y, out=wave.real)
+    phase += wave.real
+    np.cos(phase, out=wave.real)
+    np.sin(phase, out=wave.imag)
+    return wave
+
+
 def evaluate_many(alpha: TrigPolynomial, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation on coordinate arrays."""
+    """Vectorized evaluation on coordinate arrays, with the bits of
+    sum c * np.exp(1j * phase) and one temporary per frequency. The wave
+    is a temporary as exp's result was, so numpy forms its product with c
+    in the same operand order (numpy may reuse a large temporary for the
+    product, and its complex product is not symmetric in the last bit)."""
     out = np.zeros(np.broadcast(x, y).shape, dtype=np.complex128)
+    phase = np.empty(out.shape)
     for (k1, k2), c in alpha.coeffs.items():
-        out += c * np.exp(1j * (k1 * x + k2 * y))
+        out += c * _unit_wave(k1, k2, x, y, phase)
     return out
 
 

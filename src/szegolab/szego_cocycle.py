@@ -176,9 +176,3 @@ def lyapunov_poly_many(
         return np.empty(0)
     top, _, log_r = _poly_run(coefficient_slices(cfg, N), z, z.size)
     return _growth(top, log_r, N)
-
-
-def lyapunov_poly_rows(alphas: np.ndarray, s: SpectralPoint) -> np.ndarray:
-    """Polynomial-route growth rate of every row of a (rows, N) coefficient array."""
-    top, _, log_r = _poly_run([alphas], s.z, alphas.shape[0])
-    return _growth(top, log_r, alphas.shape[1])

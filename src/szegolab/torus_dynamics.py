@@ -149,11 +149,19 @@ def orbit_slices(A: ToralAutomorphism, starts, n: int, width: int = ORBIT_BLOCK)
     # one (x, y) carry of (B,) arrays, or one of floats per row
     carry = [tuple(starts.T)] if batched else starts.tolist()
     for done in range(0, n, width):
-        xs = np.empty((rows, min(width, n - done)))
-        ys = np.empty_like(xs)
-        outs = [(xs.T, ys.T)] if batched else zip(xs, ys)
-        carry = [orbit_block(*entries, *xy, *out) for xy, out in zip(carry, outs)]
-        yield xs, ys
+        # each slice goes straight to the caller, so the stream holds no
+        # reference to it while it waits
+        yield _orbit_slice(entries, carry, rows, min(width, n - done), batched)
+
+
+def _orbit_slice(entries, carry, rows: int, n: int, batched: bool):
+    """The next n points of every row as a pair of (rows, n) arrays; the
+    carry list is advanced in place."""
+    xs = np.empty((rows, n))
+    ys = np.empty_like(xs)
+    outs = [(xs.T, ys.T)] if batched else zip(xs, ys)
+    carry[:] = [orbit_block(*entries, *xy, *out) for xy, out in zip(carry, outs)]
+    return xs, ys
 
 
 FREQUENCY_POWER_CAP = 200

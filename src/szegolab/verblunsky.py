@@ -38,8 +38,8 @@ class VerblunskyConfig:
 
 
 # orbit points (rows x steps) of one slice of a many-row stream: the slices
-# of a Lyapunov cell's expansion sums and of a deviation chunk's Monte Carlo
-# passes hold at most this many points per array, whatever N is
+# of a Lyapunov cell's expansion sums and of a deviation chunk's statistics
+# hold at most this many points per array, whatever N is
 SLICE_POINTS = 1 << 15
 
 
@@ -47,9 +47,9 @@ def sample_slices(
     autom: ToralAutomorphism, alpha: TrigPolynomial, starts, N: int, width: int = ORBIT_BLOCK
 ):
     """The unscaled samples F_n = alpha(A^n p), n < N, of every start p of a
-    (B, 2) array, as (B, <= width) slices of its orbit_slices."""
-    for xs, ys in orbit_slices(autom, starts, N, width):
-        yield evaluate_many(alpha, xs, ys)
+    (B, 2) array, as (B, <= width) slices of its orbit_slices. The stream
+    holds no reference to a slice, or to its orbit points, while it waits."""
+    yield from map(lambda xy: evaluate_many(alpha, *xy), orbit_slices(autom, starts, N, width))
 
 
 def coefficient_slices(cfg: VerblunskyConfig, N: int):

@@ -3,7 +3,8 @@
 Each oracle computes a quantity the package also computes, by the plain
 route: one orbit step at a time (in floats, or exactly in fractions of a
 turn), one sample, one Prufer step or one cocycle step at a time, the
-zeta trace and the expansion terms from whole-orbit arrays, the window
+samples by complex exponentials, the zeta trace and the expansion terms
+from whole-orbit arrays, the LDT statistics from whole rows, the window
 matrix filled densely from its bands, the product norm by SVD, one decay
 fit per eigenvector, correlations by Monte Carlo. None of them runs in
 the package itself.
@@ -20,9 +21,14 @@ import numpy as np
 from szegolab.cmv_operator import DENSE_CAP, N_BANDS_LOW, N_BANDS_UP, FiniteCMV
 from szegolab.experiments import BOUNDARY_SKIP, FitResult, linear_fit
 from szegolab.prufer import ExpansionDiagnostics, circle_variables, default_decorrelation_time
-from szegolab.sampling import TrigPolynomial, evaluate_many
-from szegolab.szego_cocycle import SpectralPoint, _log_rho, transfer
-from szegolab.torus_dynamics import TWO_PI, ToralAutomorphism
+from szegolab.sampling import (
+    TrigPolynomial,
+    autocorrelation_exact,
+    evaluate_many,
+    spectral_function,
+)
+from szegolab.szego_cocycle import SpectralPoint, _growth, _log_rho, _poly_run, transfer
+from szegolab.torus_dynamics import FREQUENCY_POWER_CAP, TWO_PI, ToralAutomorphism
 from szegolab.verblunsky import VerblunskyConfig, sample_slices
 
 
@@ -53,6 +59,15 @@ def exact_orbit(
     for _ in range(n):
         out.append((x, y))
         x, y = (a * x + b * y) % 1, (c * x + d * y) % 1
+    return out
+
+
+def evaluate_exp(alpha: TrigPolynomial, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Values of the polynomial on coordinate arrays, each frequency's term
+    as c * np.exp(1j * phase)."""
+    out = np.zeros(np.broadcast(x, y).shape, dtype=np.complex128)
+    for (k1, k2), c in alpha.coeffs.items():
+        out += c * np.exp(1j * (k1 * x + k2 * y))
     return out
 
 
@@ -181,6 +196,42 @@ def expansion_diagnostics(cfg: VerblunskyConfig, s: SpectralPoint, N: int) -> Ex
         residual_456=residual_456,
     )
     return ExpansionDiagnostics(N=N, T=T, **{k: np.array([v]) for k, v in terms.items()})
+
+
+def deviation_statistics(plan, family: str, lam: float, N: int, F: np.ndarray) -> dict:
+    """The statistics of an LDT family on whole (samples, N) rows of
+    unscaled orbit samples F, each a mean over its row: the modulus of the
+    orbit average (birkhoff); the distance of the polynomial-route growth
+    rate, run over the whole rows, from lam^2 J(eta) / 2 (lyapunov); and
+    the expansion terms of the prufer family, their lagged means over
+    N - T and N - sh steps."""
+    if family == "birkhoff":
+        return {"birkhoff": np.abs(np.mean(F, axis=1))}
+    s = SpectralPoint(eta=plan.etas[0])
+    z = s.z
+    if family == "lyapunov":
+        pred = 0.5 * lam * lam * float(spectral_function(plan.alpha, plan.autom, s.eta))
+        top, _, log_r = _poly_run([lam * F], z, F.shape[0])
+        return {"lyapunov": np.abs(_growth(top, log_r, N) - pred)}
+    T = default_decorrelation_time(lam, plan.autom)
+    corr_limit = sum(
+        (z**sh * autocorrelation_exact(plan.alpha, plan.autom, sh)).real
+        for sh in range(1, min(T, FREQUENCY_POWER_CAP) + 1)
+    )
+    top = np.ones((F.shape[0], 1), dtype=np.complex128)
+    bot = np.ones((F.shape[0], 1), dtype=np.complex128)
+    zetas = circle_variables(lam * F, z, top, bot)[0][:, :-1]
+    corr = sum(
+        np.mean((z**sh * np.conj(F[:, : N - sh]) * F[:, sh:]).real, axis=1)
+        for sh in range(1, T + 1)
+    )
+    mixed = np.mean((z**T * zetas[:, : N - T] * F[:, T:]).real, axis=1)
+    return {
+        "fsq": np.abs(np.mean(np.abs(F) ** 2, axis=1) - plan.alpha.mean_square()),
+        "mixed": np.abs(mixed),
+        "corr": np.abs(corr - corr_limit),
+        "zeta2": 0.5 * np.abs(np.mean((zetas**2 * F**2).real, axis=1)),
+    }
 
 
 def step_matrix(alpha_n: complex, s: SpectralPoint) -> np.ndarray:

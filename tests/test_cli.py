@@ -122,13 +122,17 @@ def test_nonpositive_lambda_rejected(capsys):
     # so the run goes through
     (["lyapunov", "--lambda", "1e-320"], 0, ""),
     # there T = 766 exceeds the frequency-power cap of 200, but every lag
-    # past the correlation cutoff adds exactly 0, so this run goes through too
-    (["ldt", "--family", "prufer", "--lambda", "1e-320", "--samples", "64"], 0, ""),
+    # past the correlation cutoff adds exactly 0, so this run goes through
+    # too; the default threshold lambda^3 underflows to 0.0, so it is given
+    (["ldt", "--family", "prufer", "--lambda", "1e-320", "--samples", "64",
+      "--threshold", "1e-3"], 0, ""),
+    (["ldt", "--family", "prufer", "--lambda", "1e-320", "--eta", "1.1",
+      "--N-grid", "800,900", "--samples", "3"], 2, "threshold at lambda = 1e-320 is 0.0"),
     (["green", "--gamma", "nan"], 2, "unimodular"),
     # a window long enough for localize's e-folding check, so build runs
     (["localize", "--gamma", "nan", "--lambda", "0.5", "--N", "400"], 2, "unimodular"),
 ], ids=["jspec-A-inf", "jspec-A-nan", "lyapunov-subnormal", "ldt-prufer-subnormal",
-        "green-gamma-nan", "localize-gamma-nan"])
+        "ldt-prufer-threshold-underflow", "green-gamma-nan", "localize-gamma-nan"])
 def test_non_finite_and_subnormal_edges_exit_cleanly(capsys, argv, code, message):
     # an uncaught exception (OverflowError, a NaN reaching scipy) fails here
     assert main(argv) == code

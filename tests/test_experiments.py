@@ -28,7 +28,7 @@ from szegolab.szego_cocycle import SpectralPoint, lyapunov_poly_many
 from szegolab.torus_dynamics import CAT_MAP, TWO_PI, orbit_slices
 
 from helpers import sorted_pairs
-from oracles import eigenvector_decay_fit, scalar_orbit
+from oracles import deviation_statistics, eigenvector_decay_fit, scalar_orbit
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +240,28 @@ def test_threshold_override_replaces_the_default():
     assert all(line.endswith(",0.08") for line in res.csv().splitlines()[1:])
 
 
+@pytest.mark.parametrize("family, lam, threshold", [
+    # lambda^3 underflows to 0.0 below lambda ~ 5e-109
+    ("prufer", 1e-320, None),
+    ("lyapunov", 1e-120, None),
+    ("birkhoff", 0.1, 0.0),
+    ("prufer", 0.1, math.inf),
+    ("lyapunov", 0.1, math.nan),
+    ("birkhoff", 0.1, -0.2),
+])
+def test_threshold_not_positive_and_finite_is_refused(monkeypatch, family, lam, threshold):
+    # every row would read fraction 1 (or 0) against a threshold that
+    # separates nothing; the error names the family and lambda, before any
+    # chunk runs
+    def no_chunk(args):
+        raise AssertionError("a chunk ran before the threshold check")
+
+    monkeypatch.setattr(experiments, "_deviation_chunk", no_chunk)
+    plan = _small_plan(lams=(lam,), Ns=(800, 900), samples=3)
+    with pytest.raises(ValueError, match=f"the {family} threshold at lambda = {lam} is"):
+        ldt_deviation(plan, family, threshold=threshold)
+
+
 def test_threshold_too_large_reports_bounds():
     res = ldt_deviation(_small_plan(), "birkhoff", threshold=1e6)
     assert len(res.rows) == 2
@@ -263,39 +285,90 @@ def test_deviation_csv_identical_across_jobs(family):
     assert ldt_deviation(plan, family, jobs=1).csv() == ldt_deviation(plan, family, jobs=2).csv()
 
 
-def _chunk_one_orbit_at_a_time(plan, family, cell_index, chunk_index, lam, N):
-    """The oracle of _deviation_chunk: each sample's orbit built alone by
-    scalar_orbit, the pass's orbits stacked, then evaluate_many."""
-    lo = chunk_index * experiments.MC_CHUNK
-    hi = min(lo + experiments.MC_CHUNK, plan.samples)
-    bases = plan.rng(cell_index, chunk_index).uniform(0.0, TWO_PI, size=(hi - lo, 2))
-    out = {}
-    width = max(1, verblunsky.SLICE_POINTS // N)
-    for start in range(0, hi - lo, width):
-        orbits = []
-        for x, y in bases[start : start + width].tolist():
-            orbits.append(scalar_orbit(plan.autom, x, y, N))
-        orbits = np.array(orbits)
-        F = evaluate_many(plan.alpha, orbits[:, 0], orbits[:, 1])
-        for name, values in experiments.FAMILIES[family].statistics(plan, lam, N, F).items():
-            out.setdefault(name, []).extend(values.tolist())
-    return out
+def _streamed_orbits(monkeypatch):
+    """Record every orbit stream that sample_slices opens: its starts and
+    the x and y of every slice it yields."""
+    streams = []
+    real = verblunsky.orbit_slices
+
+    def recorded(A, starts, n, width):
+        streams.append((np.array(starts), [], []))
+        for xs, ys in real(A, starts, n, width):
+            streams[-1][1].append(xs.copy())
+            streams[-1][2].append(ys.copy())
+            yield xs, ys
+
+    monkeypatch.setattr(verblunsky, "orbit_slices", recorded)
+    return streams
+
+
+# Chunk 0 holds 512 rows (slices of 64 steps), chunk 1 holds 40, under
+# WIDE_BATCH (slices of 819 steps); N = 400 and 1000 are multiples of
+# neither, and at lambda = 1e-30 the Prufer lag T = 72 passes 64.
+@pytest.mark.parametrize("family, N, lam", [
+    pytest.param(family, N, 0.3, id=f"{N}-{family}")
+    for N in (50, 400, 1000)
+    for family in ("birkhoff", "lyapunov", "prufer")
+] + [pytest.param("prufer", 400, 1e-30, id="400-prufer-lag72")])
+def test_deviation_chunk_bitwise_equal_to_one_orbit_at_a_time(monkeypatch, family, N, lam):
+    # the orbits a chunk walks together are bitwise those of scalar_orbit,
+    # one sample at a time; the statistics folded slice by slice match the
+    # whole-row formulas to 1e-12 of the larger of the value and its scale
+    plan = _small_plan(lams=(lam,), etas=(1.3,), Ns=(N,), samples=552, seed=4)
+    T = FAMILIES["prufer"].lag(lam, CAT_MAP)
+    # the size of each statistic's terms (sup |F| = 1 for the preset), the
+    # measure of rounding where the statistic itself comes out near 0
+    scales = {"birkhoff": 1.0, "lyapunov": lam, "fsq": 1.0, "mixed": 1.0, "corr": T, "zeta2": 1.0}
+    assert 0 < T < 400 and (T > 64) == (lam < 0.3)
+    streams = _streamed_orbits(monkeypatch)
+    for chunk_index, rows in ((0, 512), (1, 40)):
+        args = (plan, family, 2, chunk_index, lam, N)
+        got = experiments._deviation_chunk(args)
+        starts, xs, ys = streams.pop()
+        assert starts.shape == (rows, 2) and not streams
+        orbits = [scalar_orbit(plan.autom, x, y, N) for x, y in starts.tolist()]
+        for got_xy, want_xy in zip((xs, ys), zip(*orbits)):
+            got_xy = np.concatenate(got_xy, axis=1)
+            assert np.array_equal(got_xy.view(np.uint64), np.array(want_xy).view(np.uint64))
+        F = evaluate_many(plan.alpha, *(np.array(c) for c in zip(*orbits)))
+        want = deviation_statistics(plan, family, lam, N, F)
+        assert list(got) == list(want)
+        for name, w in want.items():
+            g = got[name]
+            assert g.shape == (rows,)
+            assert np.all(np.abs(g - w) <= 1e-12 * np.maximum(np.abs(w), scales[name])), name
+
+
+def test_deviation_chunk_reads_one_stream_of_all_rows(monkeypatch):
+    streams = _streamed_orbits(monkeypatch)
+    plan = _small_plan(lams=(0.3,), etas=(1.3,), Ns=(400,), samples=600, seed=4)
+    for family in FAMILIES:
+        for chunk_index, rows in ((0, 512), (1, 88)):
+            experiments._deviation_chunk((plan, family, 0, chunk_index, 0.3, 400))
+            (starts, xs, _), = streams
+            streams.clear()
+            assert starts.shape == (rows, 2)
+            assert xs[0].shape == (rows, verblunsky.SLICE_POINTS // rows)
+            assert sum(x.shape[1] for x in xs) == 400
 
 
 @pytest.mark.parametrize("family", ["birkhoff", "lyapunov", "prufer"])
-@pytest.mark.parametrize("N", [50, 400])  # one pass per chunk, then several
-def test_deviation_chunk_bitwise_equal_to_one_orbit_at_a_time(family, N):
-    plan = _small_plan(lams=(0.3,), etas=(1.3,), Ns=(N,), samples=600, seed=4)
-    for chunk_index in (0, 1):
-        args = (plan, family, 2, chunk_index, 0.3, N)
-        got = experiments._deviation_chunk(args)
-        want = _chunk_one_orbit_at_a_time(*args)
-        assert list(got) == list(want)
-        for name in want:
-            assert len(got[name]) == len(want[name]) > 0
-            assert np.array_equal(
-                np.array(got[name]).view(np.uint64), np.array(want[name]).view(np.uint64)
-            )
+def test_deviation_chunk_memory_is_flat_in_N(family):
+    # two samples walk 2^20 steps in slices of 2^14: a (2, 2^20) sample
+    # array alone would take 32 MiB, and the whole-row statistics several
+    # times that
+    plan = _small_plan(lams=(0.3,), etas=(1.3,), Ns=(1 << 20,), samples=2, seed=4)
+    peaks = []
+    for N in (1 << 16, 1 << 20):
+        tracemalloc.start()
+        try:
+            experiments._deviation_chunk((plan, family, 0, 0, 0.3, N))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert peaks[1] <= 1.05 * peaks[0]
+    assert peaks[1] <= 8 << 20
 
 
 def test_clopper_pearson_upper_bound():

@@ -25,7 +25,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from szegolab._kernels import WIDE_BATCH, monic_scan
 from szegolab.prufer import circle_variables
-from szegolab.szego_cocycle import SpectralPoint, lyapunov_poly_many, lyapunov_poly_rows, transfer
+from szegolab.szego_cocycle import (
+    SpectralPoint,
+    _growth,
+    _poly_run,
+    lyapunov_poly_many,
+    transfer,
+)
 from szegolab.verblunsky import sequence
 
 from helpers import random_config
@@ -200,7 +206,9 @@ def test_lyapunov_rows_match_route():
     s = SpectralPoint(2.2)
     alphas = sequence(cfg, 800)
     rows = np.stack([alphas, alphas[::-1]])
-    got = lyapunov_poly_rows(rows, s)
+    # the route of an LDT chunk: the rows side by side, in a stream of slices
+    top, _, log_r = _poly_run(np.split(rows, [64, 128, 700], axis=1), s.z, 2)
+    got = _growth(top, log_r, 800)
     assert got[0] == pytest.approx(lyapunov_poly_many(cfg, [s], 800)[0], rel=1e-12)
     assert got[1] != got[0]
 
@@ -241,4 +249,4 @@ def test_unimodular_step_is_legal_but_not_a_transfer_step():
     with pytest.raises(ValueError):
         step_matrix(1.0, SpectralPoint(0.4))
     with pytest.raises(ValueError):
-        lyapunov_poly_rows(np.array([[1.0 + 0j, 0.2]]), SpectralPoint(0.4))
+        _poly_run([np.array([[1.0 + 0j, 0.2]])], cmath.exp(0.4j), 1)

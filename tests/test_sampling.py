@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import random_trig_poly
-from oracles import autocorrelation_birkhoff, evaluate
+from oracles import autocorrelation_birkhoff, evaluate, evaluate_exp
 from szegolab.sampling import (
     CorrelationSpectrum,
     TrigPolynomial,
@@ -88,6 +88,28 @@ def test_evaluate_many_matches_pointwise():
         assert vec[i] == pytest.approx(
             evaluate(alpha, xs[i], ys[i]), abs=1e-12
         )
+
+
+def test_evaluate_many_bitwise_equals_the_exp_form():
+    # cos and sin written into the halves of one array give the bits of
+    # c * np.exp(1j * phase), on both presets and random polynomials
+    # (complex amplitudes, whose product with the wave is not symmetric in
+    # the last bit), at the corners 0 and nextafter(2 pi, 0) too; the
+    # (64, 512) arrays are large enough for numpy to form the product in
+    # the temporary, a row of them is not
+    rng = np.random.default_rng(17)
+    xs = rng.uniform(0, TWO_PI, size=(64, 512))
+    ys = rng.uniform(0, TWO_PI, size=(64, 512))
+    top = np.nextafter(TWO_PI, 0.0)
+    xs[0, :4] = [0.0, top, 0.0, top]
+    ys[0, :4] = [0.0, top, top, 0.0]
+    for alpha in [ALPHA0, ALPHA1] + [random_trig_poly(rng) for _ in range(20)]:
+        for x, y in ((xs, ys), (xs[0], ys[0, 0]), (xs[0, 1], ys[0, 2])):
+            got = evaluate_many(alpha, x, y)
+            want = evaluate_exp(alpha, x, y)
+            assert got.shape == want.shape
+            bits = lambda v: np.reshape(v, -1).view(np.uint64)
+            assert np.array_equal(bits(got), bits(want))
 
 
 @given(st.integers(0, 2**32 - 1))
