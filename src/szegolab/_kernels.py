@@ -15,12 +15,24 @@ Prufer circle variable, the resolvent formula's monic pairs) is a product of
 monic Szego steps P(alpha, z) = [[z, -conj(alpha)], [-alpha z, 1]] applied
 to a state pair (top, bot). The engine never divides by rho: callers
 subtract sum log rho themselves, so alpha = +-1 (rho = 0) is a legal step.
-monic_scan picks its schedule from the shapes. A wide batch (many angles or
-samples) advances one step at a time over the batch axis. A narrow one (a
-long orbit) is cut along time into about sqrt(steps) chunks, which advance
-side by side from the identity; their products are then combined in order,
-and a second pass from the chunk starts records per-step values (Blelloch,
-"Prefix sums and their applications", 1990; Martin & Cundy, ICLR 2018).
+monic_scan picks one of three schedules from the shapes; none has an option.
+
+- Steps: a wide batch (many angles or samples, each with its own
+  coefficient row) advances one step at a time over the batch axis.
+- Along time: a narrow batch (a long orbit) is cut into about sqrt(steps)
+  chunks, which advance side by side from the identity; their products are
+  then combined in order, and a second pass from the chunk starts records
+  per-step values (Blelloch, "Prefix sums and their applications", 1990;
+  Martin & Cundy, ICLR 2018).
+- Polynomial chunks: one coefficient row, no |alpha| over POLY_RADIUS,
+  shared by a wide batch of z (the growth rates at many angles), without
+  per-step records. A product of POLY_CHUNK steps is a 2x2 matrix of
+  polynomials in z of degree at most POLY_CHUNK whose coefficients depend
+  on the alphas alone (Simon, OPUC Part 1, ch. 1-3). They are built once
+  for every z; a complex matrix product with the table of powers of z,
+  split so that it rounds about once, evaluates them at every z, and the
+  state takes one 2x2 product per chunk. The last steps short of a chunk
+  take the step schedule.
 """
 
 from __future__ import annotations
@@ -36,6 +48,21 @@ TWO_PI = 2.0 * math.pi
 RENORM_EVERY = 32
 # from this many rows on, one step at a time over the batch keeps numpy busy
 WIDE_BATCH = 64
+# steps per chunk of the polynomial schedule, a divisor of RENORM_EVERY
+POLY_CHUNK = 16
+# bytes the polynomial schedule holds besides the state: the powers of a
+# block of z, the chunk polynomials of a stretch of time and the values of
+# a few chunks at that block, each split for an exact matrix product
+POLY_BYTES = 1 << 21
+# largest |alpha| of a row the polynomial schedule takes. A chunk's product
+# has condition number up to ((1 + |alpha|) / (1 - |alpha|))^POLY_CHUNK, and
+# its rounding grows with it: up to |alpha| = 0.6 the schedule's log-norms
+# stayed within 10x of the step schedule's distance from an 80-bit run, at
+# 0.8 to 0.999 they fell 10x to 10^4x behind
+POLY_RADIUS = 0.6
+# bits of the high halves of a split: 2 (POLY_CHUNK + 1) products of two
+# halves, each under 2^(2 SPLIT_BITS) units, sum exactly below 2^53
+SPLIT_BITS = 23
 
 
 def orbit_block(a00, a01, a10, a11, x, y, out_x, out_y):
@@ -71,8 +98,15 @@ def orbit_block(a00, a01, a10, a11, x, y, out_x, out_y):
 
 def _renormalize(top, bot, log_scale):
     """Divide each state by its max-entry modulus (over the trailing axis of
-    both halves) and add the log of that modulus to log_scale."""
-    mx = np.maximum(np.abs(top).max(axis=-1), np.abs(bot).max(axis=-1))
+    both halves) and add the log of that modulus to log_scale. The trailing
+    axis (one or two columns) is folded column by column: a reduction over
+    so short an axis costs several times the arithmetic."""
+    a_top = np.abs(top)
+    a_bot = np.abs(bot)
+    mx = np.maximum(a_top[..., 0], a_bot[..., 0])
+    for c in range(1, top.shape[-1]):
+        np.maximum(mx, a_top[..., c], out=mx)
+        np.maximum(mx, a_bot[..., c], out=mx)
     mx[mx == 0.0] = 1.0
     top /= mx[..., None]
     bot /= mx[..., None]
@@ -112,16 +146,23 @@ def monic_scan(alphas, z, top, bot, record=False):
     is the stored one times exp(log_scale), the returned (B,) array. With
     record=True (C = 1 only) the pre-step ratios top/bot of every step come
     back too, as a (B, steps) array. A coefficient outside the closed unit
-    disk, or any non-finite input, raises ValueError.
+    disk, or any non-finite input, raises ValueError. One row shared by at
+    least WIDE_BATCH values of z, without record and with every |alpha| at
+    most POLY_RADIUS, takes the polynomial schedule: it agrees with the row
+    repeated on every batch member to rounding, not bitwise.
     """
     alphas = np.asarray(alphas, dtype=np.complex128)
     z = np.asarray(z, dtype=np.complex128).reshape(-1)
-    if not np.all(alphas.real**2 + alphas.imag**2 <= 1.0):
+    aa = alphas.real**2 + alphas.imag**2
+    if not np.all(aa <= 1.0):
         raise ValueError("coefficients must be finite and lie in the closed unit disk")
     if not np.all(np.isfinite(z)):
         raise ValueError("spectral parameter must be finite")
     rows, n = alphas.shape
     B, C = top.shape
+    shared = rows == 1 and B >= WIDE_BATCH and not record
+    poly = shared and aa.max(initial=0.0) <= POLY_RADIUS**2
+    del aa  # held through the scan, a long row's moduli would add half its bytes
     log_scale = np.zeros(B)
     ratio = np.empty((B, n), dtype=np.complex128) if record else None
     done = 0
@@ -129,6 +170,10 @@ def monic_scan(alphas, z, top, bot, record=False):
         K = math.isqrt(n)
         done = K * (n // K)
         _chunked(alphas[:, :done].reshape(rows, K, -1), z, top, bot, log_scale, ratio)
+    elif poly:
+        done = POLY_CHUNK * (n // POLY_CHUNK)
+        if done:
+            _poly_chunks(alphas[0, :done], np.broadcast_to(z, (B,)), top, bot, log_scale)
     if done < n:
         rec = np.empty((n - done, B, C), dtype=np.complex128) if record else None
         _steps(alphas[:, done:].T[:, :, None], z[:, None], top, bot, log_scale, rec)
@@ -168,6 +213,114 @@ def _chunked(chunks, z, top, bot, log_scale, ratio):
         rec = np.empty((L, B, K, 1), dtype=np.complex128)
         _steps(at, zc, start_top, start_bot, np.zeros((B, K)), rec)
         ratio[:, : K * L] = rec[..., 0].transpose(1, 2, 0).reshape(B, K * L)
+
+
+def _poly_chunks(row, z, top, bot, log_scale):
+    """The polynomial schedule; row is (steps,), a multiple of POLY_CHUNK
+    long, and z is (B,).
+
+    z is taken in blocks; each block's powers z^0 .. z^POLY_CHUNK are
+    stepped in extended precision, rounded once and split (_split). Time
+    is taken in stretches; each stretch's chunk polynomials are built and
+    split the same way. A few chunks at a time are evaluated at the block
+    by two matrix products, the exact product of the high halves and the
+    correction, and each chunk's matrix is applied to the state, which is
+    renormalized every RENORM_EVERY steps. Half of POLY_BYTES goes to a
+    block (its tables, their split and the scratch state), a quarter to a
+    stretch (its polynomials while they are built and split) and a quarter
+    to a few chunks' values and corrections.
+    """
+    d = POLY_CHUNK + 1
+    B, C = top.shape
+    # bytes per z: the table, the scratch state, two extended-precision
+    # values and the split's moduli; per chunk: the halves, the polynomials,
+    # their build scratch and the chunk's coefficients with their conjugates
+    per_z = 16 * (3 * d + 2 * C + 4) + 8 * d
+    per_chunk = 16 * (16 * d + 2 * POLY_CHUNK)
+    blocks = -(-B // max(1, POLY_BYTES // 2 // per_z))
+    width = -(-B // blocks)
+    stretch = POLY_CHUNK * max(1, POLY_BYTES // 4 // per_chunk)
+    few = max(1, POLY_BYTES // 4 // (128 * width))
+    renorm = RENORM_EVERY // POLY_CHUNK
+    # rows: the high halves of the powers, their low halves, the powers
+    table = np.empty((3 * d, width), dtype=np.complex128)
+    scratch = np.empty((2, width, C), dtype=np.complex128)
+    # the high and low halves of a stretch's polynomials, side by side
+    store = np.empty((4 * stretch // POLY_CHUNK, 2 * d), dtype=np.complex128)
+    buf = np.empty((2, 4 * few * width), dtype=np.complex128)
+    for b0 in range(0, B, width):
+        blk = slice(b0, b0 + width)
+        t, b, ls = top[blk], bot[blk], log_scale[blk]
+        w = t.shape[0]
+        tb = table[:, :w]
+        u, v = scratch[:, :w]
+        zl = z[blk].astype(np.clongdouble)
+        power = np.ones(w, dtype=np.clongdouble)
+        for k in range(2 * d, 3 * d):
+            tb[k] = power
+            power *= zl
+        _split(tb[2 * d :], tb[:d], tb[d : 2 * d], axis=0)
+        for t0 in range(0, row.shape[0], stretch):
+            chunks = row[t0 : t0 + stretch].reshape(-1, POLY_CHUNK)
+            halves = store[: 4 * chunks.shape[0]]
+            _split(_chunk_polynomials(chunks).reshape(-1, d), halves[:, :d], halves[:, d:], 1)
+            for j0 in range(0, chunks.shape[0], few):
+                group = halves[4 * j0 : 4 * (j0 + few)]
+                vals, corr = buf[:, : group.shape[0] * w].reshape(2, -1, w)
+                np.matmul(group[:, :d], tb[:d], out=vals)
+                np.matmul(group, tb[d:], out=corr)
+                vals += corr
+                for j, (m00, m01, m10, m11) in enumerate(
+                    vals.reshape(-1, 4, w, 1), t0 // POLY_CHUNK + j0 + 1
+                ):
+                    np.multiply(m01, b, out=u)
+                    np.multiply(m10, t, out=v)
+                    b *= m11
+                    b += v
+                    t *= m00
+                    t += u
+                    if j % renorm == 0:
+                        _renormalize(t, b, ls)
+    if (row.shape[0] // POLY_CHUNK) % renorm:
+        _renormalize(top, bot, log_scale)
+
+
+def _split(a, hi, lo, axis):
+    """Write a = hi + lo exactly, where along the axis every entry of hi
+    is an integer of at most SPLIT_BITS bits times one power of two, set by
+    the line's largest real or imaginary part. The products of two such
+    lines then sum exactly in doubles, so hi_a @ hi_b + (hi_a @ lo_b +
+    lo_a @ b) rounds the matrix product a @ b about once (the error-free
+    splitting of Ozaki, Ogita, Oishi and Rump, Numer. Algorithms 59, 2012)."""
+    big = np.abs(a.real).max(axis=axis, keepdims=True)
+    np.maximum(big, np.abs(a.imag).max(axis=axis, keepdims=True), out=big)
+    unit = np.ldexp(1.0, np.frexp(big)[1] - SPLIT_BITS)
+    np.divide(a, unit, out=hi)
+    np.rint(hi, out=hi)
+    hi *= unit
+    np.subtract(a, hi, out=lo)
+
+
+def _chunk_polynomials(chunks):
+    """The monic products of the (K, POLY_CHUNK) coefficient chunks as
+    polynomials in z: a (K, 4, POLY_CHUNK + 1) array whose [k, i] row holds
+    the coefficients of entry i (m00, m01, m10, m11) in ascending powers."""
+    K = chunks.shape[0]
+    polys = np.zeros((K, 4, POLY_CHUNK + 1), dtype=np.complex128)
+    polys[:, 0, 0] = 1.0
+    polys[:, 3, 0] = 1.0
+    top, bot = polys[:, :2], polys[:, 2:]
+    zt = np.zeros_like(top)
+    tmp = np.empty_like(top)
+    at = chunks.T[:, :, None, None]
+    act = np.conj(at)
+    for k in range(POLY_CHUNK):
+        zt[..., 1:] = top[..., :-1]
+        np.multiply(bot, act[k], out=tmp)
+        np.subtract(zt, tmp, out=top)
+        np.multiply(zt, at[k], out=zt)
+        np.subtract(bot, zt, out=bot)
+    return polys
 
 
 def warmup():

@@ -14,7 +14,6 @@ n1, n2 in [a, b].
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from ._kernels import monic_scan
 from .cmv_operator import FiniteCMV, band_matvec
-from .experiments import CSV_BLOCK, _csv_blocks, linear_fit
+from .experiments import CSV_BLOCK, linear_fit
 from .szego_cocycle import _log_rho
 
 DIRECT_RESIDUAL_TOL = 1e-10
@@ -289,14 +288,14 @@ class DecayProfile:
         return tuple(zip(self.n1.tolist(), self.n2.tolist(), self.log_abs_G.tolist()))
 
     def csv_blocks(self):
-        """The CSV table as text blocks, its rows read from the arrays one
-        block of CSV_BLOCK entries at a time."""
-        parts = (slice(s, s + CSV_BLOCK) for s in range(0, self.n1.size, CSV_BLOCK))
-        rows = itertools.chain.from_iterable(
-            zip(self.n1[p].tolist(), self.n2[p].tolist(), self.log_abs_G[p].tolist())
-            for p in parts
-        )
-        return _csv_blocks(self.CSV_HEADER, rows)
+        """The CSV table as text blocks, the header and then CSV_BLOCK rows
+        at a time read from the arrays, each row by one format (the bytes
+        of _csv_blocks: ints by str, floats by repr)."""
+        yield self.CSV_HEADER + "\n"
+        for s in range(0, self.n1.size, CSV_BLOCK):
+            p = slice(s, s + CSV_BLOCK)
+            rows = zip(self.n1[p].tolist(), self.n2[p].tolist(), self.log_abs_G[p].tolist())
+            yield "".join(map("%d,%d,%r\n".__mod__, rows))
 
 
 MIN_FIT_PAIRS = 10

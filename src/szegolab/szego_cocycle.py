@@ -167,7 +167,12 @@ def lyapunov_poly_many(
     """Polynomial-route growth rate (1/2N) log(|phi_N|^2 + |psi_N|^2) at every point.
 
     The coefficient stream is generated once and the polynomial recursion
-    advances all points together, with the points on the batch axis.
+    advances all points together, with the points on the batch axis. Every
+    point shares the one coefficient row, so from WIDE_BATCH points on, with
+    every |alpha| at most POLY_RADIUS, the engine takes its polynomial
+    schedule: each 16-step chunk's product is built once as polynomials in
+    z and evaluated at every point by a matrix product. A point's rate then
+    depends on the other points only through rounding, not bitwise.
     """
     if N <= 0:
         raise ValueError("need at least one step")

@@ -2,8 +2,9 @@
 
 Each oracle computes a quantity the package also computes, by the plain
 route: one orbit step at a time (in floats, or exactly in fractions of a
-turn), one sample, one Prufer step or one cocycle step at a time, the
-samples by complex exponentials, the zeta trace and the expansion terms
+turn), one sample, one Prufer step or one cocycle step at a time, growth
+rates one monic step at a time in long double, the engine's
+renormalization by its first formula, the samples by complex exponentials, the zeta trace and the expansion terms
 from whole-orbit arrays, the LDT statistics from whole rows, the window
 matrix filled densely from its bands, the product norm by SVD, one decay
 fit per eigenvector, correlations by Monte Carlo. None of them runs in
@@ -245,6 +246,43 @@ def step_matrix(alpha_n: complex, s: SpectralPoint) -> np.ndarray:
         [[sq / r, -np.conj(a) / (sq * r)], [-a * sq / r, 1.0 / (sq * r)]],
         dtype=np.complex128,
     )
+
+
+def renormalize(top: np.ndarray, bot: np.ndarray, log_scale: np.ndarray) -> None:
+    """The engine's renormalization by its first formula: the max-entry
+    modulus of each state as a reduction over the trailing axis of both
+    halves, zero rows left as they are."""
+    mx = np.maximum(np.abs(top).max(axis=-1), np.abs(bot).max(axis=-1))
+    mx[mx == 0.0] = 1.0
+    top /= mx[..., None]
+    bot /= mx[..., None]
+    log_scale += np.log(mx)
+
+
+def growth_rate_extended(alphas: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The polynomial-route growth rate (1/2N) log(|phi_N|^2 + |psi_N|^2)
+    of one coefficient row at every z, by the monic step route in
+    np.clongdouble: the given double alphas and z are widened, stepped one
+    at a time and renormalized every 32 steps. Returns longdouble values;
+    where longdouble is double this is the step route itself."""
+    a = np.asarray(alphas).astype(np.clongdouble)
+    zs = np.asarray(z).astype(np.clongdouble)[:, None]
+    N = a.shape[0]
+    top = np.ones((zs.shape[0], 2), dtype=np.clongdouble)
+    bot = top.copy()
+    bot[:, 1] = -1.0
+    log_r = np.zeros(zs.shape[0], dtype=np.longdouble)
+    for k, ak in enumerate(a):
+        zt = top * zs
+        top = zt - np.conj(ak) * bot
+        bot = bot - ak * zt
+        if (k + 1) % 32 == 0 or k + 1 == N:
+            mx = np.maximum(np.abs(top).max(axis=1), np.abs(bot).max(axis=1))
+            top /= mx[:, None]
+            bot /= mx[:, None]
+            log_r += np.log(mx)
+    log_r -= 0.5 * np.log1p(-(a.real**2 + a.imag**2)).sum()
+    return (log_r + 0.5 * np.log(np.abs(top[:, 0]) ** 2 + np.abs(top[:, 1]) ** 2)) / N
 
 
 def log_norm(matrix: np.ndarray, log_scale: float) -> float:

@@ -11,8 +11,9 @@ import pytest
 
 from szegolab import greens, verblunsky
 from szegolab.cmv_operator import build
-from szegolab.experiments import linear_fit
+from szegolab.experiments import CSV_BLOCK, _csv_blocks, linear_fit
 from szegolab.greens import (
+    DecayProfile,
     GreenFitError,
     ResolventBlowupError,
     boundary_vector,
@@ -222,6 +223,24 @@ def test_profile_csv_shape():
     assert len(lines) == len(prof.rows) + 1
     n1, n2, lg = lines[1].split(",")
     assert (int(n1), int(n2), float(lg)) == prof.rows[0]
+
+
+def test_profile_csv_blocks_have_the_bytes_of_the_generic_writer():
+    # one format per row gives the blocks _csv_blocks gives the same rows,
+    # block for block, over tails, extreme exponents, signed zeros and
+    # integers past 2^53
+    rng = np.random.default_rng(29)
+    size = 2 * CSV_BLOCK + 17
+    log_abs_G = rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size=size)
+    log_abs_G[:4] = (0.0, -0.0, 5e-324, -1.7976931348623157e308)
+    n1 = rng.integers(0, 2**62, size=size)
+    n2 = rng.integers(-5, 10_001, size=size)
+    prof = DecayProfile(
+        slope=0.1, intercept=0.0, r2=1.0, n1=n1, n2=n2, log_abs_G=log_abs_G, columns_skipped=0
+    )
+    assert list(prof.csv_blocks()) == list(_csv_blocks(prof.CSV_HEADER, prof.rows))
+    empty = dataclasses.replace(prof, n1=n1[:0], n2=n2[:0], log_abs_G=log_abs_G[:0])
+    assert list(empty.csv_blocks()) == [prof.CSV_HEADER + "\n"]
 
 
 def test_profile_rows_iterate_as_triples():

@@ -3,14 +3,19 @@ orthogonal polynomial recursion."""
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from szegolab._kernels import POLY_BYTES, POLY_RADIUS, _steps
+from szegolab.experiments import ExperimentPlan, localization
 from szegolab.sampling import preset
 from szegolab.szego_cocycle import (
     SpectralPoint,
+    _growth,
+    _log_rho,
     lyapunov_poly_many,
     polynomials,
     transfer,
@@ -20,7 +25,7 @@ from szegolab.verblunsky import VerblunskyConfig, sequence
 from szegolab.torus_dynamics import CAT_MAP, TorusPoint
 
 from helpers import free_config, random_config, random_eta
-from oracles import log_norm, lyapunov_norm, step_matrix
+from oracles import growth_rate_extended, log_norm, lyapunov_norm, step_matrix
 
 
 def _recover(prod):
@@ -292,3 +297,64 @@ def test_lyapunov_rejects_empty_run():
     cfg = random_config(rng)
     with pytest.raises(ValueError):
         lyapunov_poly_many(cfg, [SpectralPoint(1.0)], 0)
+
+
+def _growth_by_steps(alphas: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The polynomial-route growth rate of one coefficient row at every z
+    by the step schedule, the row broadcast over the batch."""
+    top = np.ones((z.size, 2), dtype=np.complex128)
+    bot = np.ones((z.size, 2), dtype=np.complex128)
+    bot[:, 1] = -1.0
+    log_r = np.zeros(z.size)
+    _steps(alphas[:, None, None], z[:, None], top, bot, log_r)
+    return _growth(top, log_r - _log_rho(alphas), alphas.size)
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= 1e-18, reason="long double is no wider than double"
+)
+@pytest.mark.parametrize("seed", [3, 7])
+def test_l_column_near_extended_precision(seed):
+    # the L column of a 401-site window at its in-window angles, where L
+    # from the window's base point is most sensitive to rounding: the
+    # polynomial schedule (lyapunov_poly_many) stays within 4x the step
+    # schedule's worst distance from the 80-bit step route and within 8x
+    # its 90th percentile; bounds fixed before the schedule was measured
+    plan = ExperimentPlan(lams=(0.5,), etas=(1.0,), Ns=(400,), seed=seed)
+    points = [SpectralPoint(r.eta) for r in localization(plan, lyap_N=100).rows]
+    cfg = plan.config(0.5, 0, 0)
+    N = 20_000
+    alphas = sequence(cfg, N)
+    z = np.array([p.z for p in points])
+    ref = growth_rate_extended(alphas, z)
+    err_poly = np.abs(lyapunov_poly_many(cfg, points, N) - ref).astype(float)
+    err_step = np.abs(_growth_by_steps(alphas, z) - ref).astype(float)
+    assert len(points) > 300
+    assert err_poly.max() <= 4.0 * err_step.max()
+    assert np.quantile(err_poly, 0.9) <= 8.0 * np.quantile(err_step, 0.9)
+
+
+# bytes per angle a growth-rate call holds besides the schedule: the angle
+# as a Python complex in a list and in an array, the carried state (two
+# columns of top and bot), two log scales and one temporary of them
+STATE_BYTES = 40 + 16 + 4 * 16 + 3 * 8
+
+
+def test_l_column_memory_is_the_budget_plus_the_state():
+    # 4096 angles: a table of the powers of every angle alone would take
+    # 3.3 MiB; blocks of angles, stretches of time and a few chunks' values
+    # keep the schedule within POLY_BYTES
+    cfg = ExperimentPlan(lams=(0.5,), etas=(1.0,), Ns=(400,), seed=83).config(0.5, 0, 0)
+    N = 2000
+    assert np.abs(sequence(cfg, N)).max() <= POLY_RADIUS
+    points = [SpectralPoint(eta) for eta in np.linspace(0.1, 6.2, 4096)]
+    lyapunov_poly_many(cfg, points[:64], N)
+    peaks = []
+    for batch in (points[:1], points):
+        tracemalloc.start()
+        try:
+            lyapunov_poly_many(cfg, batch, N)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= POLY_BYTES + len(points) * STATE_BYTES
